@@ -8,6 +8,15 @@ where the mean over an empty neighborhood is the zero vector (the 1/degree
 normalization with 0 mapped to 0). Stacking layers over a snapshot yields
 the structural embedding consumed by the fused range predictor.
 
+``gnn_encode`` computes only the rows a batch reads: its exact L-hop
+receptive field, the full-neighbourhood form of GraphSAGE minibatching
+(Hamilton et al., 2017), with no sampling. Walking back from the target
+rows S_L, layer l needs S_{l-1} = S_l plus the in-neighbours of S_l, so
+input features are gathered for S_0 only and layer l runs on S_l alone.
+Each destination sums its edges in snapshot order, so the rows are
+bit-identical to stacking ``gcn_layer_forward`` over the whole snapshot;
+both run the same ``_propagate`` core.
+
 Node input features are learned: one shared vector per node kind plus a
 per-battery bias row, so the graph branch is purely structural.
 """
@@ -16,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, ShapeError
 from .graph import GraphSnapshot, TemporalGraph
 from .optim import Param, glorot_uniform
-from .tensor import Tensor, add, concat, matmul, neighbor_mean, relu
+from .tensor import Tensor, add, gather_rows, matmul, neighbor_mean, relu
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -79,44 +89,58 @@ def build_layers(rng, config: GnnConfig):
     return layers
 
 
+def _propagate(layer: GcnLayer, h: Tensor, h_self: Tensor, src, dst,
+               inv_deg) -> Tensor:
+    """One layer for the destination rows of ``h_self``.
+
+    ``src``/``dst`` index the rows of ``h`` and of ``h_self``; ``inv_deg``
+    holds 1/degree per destination row, 0 where it has no edge.
+    """
+    m = neighbor_mean(h, src, dst, h_self.shape[0], inv_deg)
+    out = add(matmul(m, layer.w.tensor()), matmul(h_self, layer.b.tensor()))
+    if layer.activation == "relu":
+        out = relu(out)
+    return out
+
+
 def gcn_layer_forward(layer: GcnLayer, h: Tensor, snapshot: GraphSnapshot) -> Tensor:
-    """One round of message passing over a snapshot's edges."""
+    """One round of message passing over all of a snapshot's nodes."""
     n = snapshot.n_nodes
     if h.shape[0] != n:
         raise ShapeError(
             f"feature rows ({h.shape[0]}) must equal node count ({n})"
         )
     src, dst = snapshot.edge_arrays()
-    m = neighbor_mean(h, src, dst, n, snapshot.inverse_degrees())
-    out = add(matmul(m, layer.w.tensor()), matmul(h, layer.b.tensor()))
-    if layer.activation == "relu":
-        out = relu(out)
-    return out
+    return _propagate(layer, h, h, src, dst, snapshot.inverse_degrees())
 
 
-def gnn_encode(config: GnnConfig, layers, g: TemporalGraph, h0: Tensor,
-               t: int) -> Tensor:
-    """Stack the configured layers over the (windowed) snapshot at t.
+def gnn_encode(config: GnnConfig, layers, g: TemporalGraph, features,
+               t: int, rows) -> Tensor:
+    """Encoder output at the (windowed) snapshot t for global node ``rows``.
 
-    Zero layers return h0 unchanged. Output rows follow the graph's global
-    node layout (users first, then batteries).
+    Output row i belongs to node ``rows[i]``. ``features`` supplies input
+    rows through ``features.rows(idx)``, as a :class:`NodeFeatureTable`
+    does. Only the rows in the receptive field of ``rows`` are computed;
+    zero layers return ``features.rows(rows)``.
     """
     config.validate()
     if len(layers) != config.num_layers:
         raise ConfigError(
             f"expected {config.num_layers} layers, got {len(layers)}"
         )
-    dims = [h0.shape[1]]
+    inputs, hops = g.window_edges(t, config.window).receptive_field(
+        rows, len(layers))
+    h = features.rows(inputs)
+    d_in = h.shape[1]
     for layer in layers:
-        dims.append(layer.w.shape[1])
-        if layer.w.shape[0] != dims[-2]:
+        if layer.w.shape[0] != d_in:
             raise ConfigError(
-                f"layer dims do not chain: {dims[-2]} -> {layer.w.shape}"
+                f"layer dims do not chain: {d_in} -> {layer.w.shape}"
             )
-    snap = g.merged_snapshot(t, config.window)
-    h = h0
-    for layer in layers:
-        h = gcn_layer_forward(layer, h, snap)
+        d_in = layer.w.shape[1]
+    for layer, hop in zip(layers, hops):
+        h = _propagate(layer, h, gather_rows(h, hop.self_rows), hop.src, hop.dst,
+                       hop.inv_degree)
     return h
 
 
@@ -136,8 +160,29 @@ class NodeFeatureTable:
     def params(self):
         return [self.user_vec, self.battery_vec, self.battery_bias]
 
+    def rows(self, idx) -> Tensor:
+        """Feature rows for global node rows ``idx`` (any order), as one op.
+
+        A user row is the user vector; battery row ``n_users + j`` is
+        ``battery_bias[j] + battery_vec``.
+        """
+        bias_rows = np.asarray(idx, dtype=np.int64) - self.n_users
+        is_batt = bias_rows[:, None] >= 0
+        bias_rows = np.maximum(bias_rows, 0)
+        user_vec = self.user_vec.tensor()
+        battery_vec = self.battery_vec.tensor()
+        bias = self.battery_bias.tensor()
+        out = np.where(is_batt, bias.array[bias_rows] + battery_vec.array,
+                       0.0 + user_vec.array)
+
+        def vjp(g):
+            g_batt = np.where(is_batt, g, 0.0)
+            return (np.where(is_batt, 0.0, g).sum(axis=0), g_batt.sum(axis=0),
+                    kernels.scatter_add_rows(g_batt, np.arange(g.shape[0]),
+                                             bias_rows, self.n_batteries))
+
+        return Tensor(out, (user_vec, battery_vec, bias), vjp)
+
     def build(self) -> Tensor:
         """All-node feature matrix in global row order."""
-        users = add(Tensor(np.zeros((self.n_users, self.dim))), self.user_vec.tensor())
-        batteries = add(self.battery_bias.tensor(), self.battery_vec.tensor())
-        return concat([users, batteries], axis=0)
+        return self.rows(np.arange(self.n_users + self.n_batteries))

@@ -7,10 +7,16 @@ a user to a battery, and a given (user, battery) pair appears at most once
 per timestep; the same pair swapping again later is a distinct edge.
 
 A finalized graph is immutable by convention and safe to share read-only.
+Message passing reads a (windowed) snapshot through :class:`WindowEdges`,
+a numpy edge index grouped by destination row that the graph builds on
+first use per ``(t, window)`` and drops whenever an edge is added. Two
+readers that fill the same entry at once build equal values, so sharing
+stays safe.
 """
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,6 +130,93 @@ class GraphSnapshot:
         return out
 
 
+class Hop(NamedTuple):
+    """One round of message passing over a receptive field.
+
+    Destination i is input row ``self_rows[i]``; edge e carries input row
+    ``src[e]`` to destination ``dst[e]``; ``inv_degree`` is 1/degree per
+    destination, 0 where it has no edge.
+    """
+
+    self_rows: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    inv_degree: np.ndarray
+
+
+class WindowEdges:
+    """Both-direction edges of ``merged_snapshot(t, window)`` by destination.
+
+    ``users`` and ``batteries`` are the merged (user, battery) pairs in
+    ``merged_snapshot`` order. ``nodes`` holds the distinct destination rows,
+    ascending; destination ``nodes[i]`` has ``degree[i]`` in-edges whose
+    source rows are ``src[start[i]:start[i] + degree[i]]``, in the order
+    ``GraphSnapshot.edge_arrays`` lists them. Every array is sized by the
+    window's edges, not by the node count.
+    """
+
+    def __init__(self, users: np.ndarray, batteries: np.ndarray, n_users: int):
+        self.users = users
+        self.batteries = batteries
+        b_rows = n_users + batteries
+        src = np.concatenate([users, b_rows])
+        dst = np.concatenate([b_rows, users])
+        order = np.argsort(dst, kind="stable")
+        self.src = src[order]
+        self.nodes, self.start, self.degree = np.unique(
+            dst[order], return_index=True, return_counts=True)
+        self._fields = {}
+
+    def receptive_field(self, rows, hops: int):
+        """Rows and edges that ``hops`` rounds of message passing need to
+        produce ``rows``: the exact in-neighbourhood, no sampling.
+
+        Walking back from the targets S_L, round l needs the rows
+        S_{l-1} = S_l plus the in-neighbours of S_l. Returns ``(S_0, plan)``
+        with one :class:`Hop` per round, first round first, mapping
+        S_{l-1}'s rows onto S_l's. Each destination keeps its edges
+        in ``src`` order.
+
+        Fields are memoized per target set. Training and evaluation reuse
+        the same batches every epoch, so the memo holds one field per
+        distinct batch, each sized by its receptive field's edges.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        key = (hops, rows.tobytes())
+        if key not in self._fields:
+            need, plan = rows, []
+            for _ in range(hops):
+                src, dst, degree = self.in_edges(need)
+                prev = np.union1d(need, src)
+                inv_degree = np.zeros(degree.shape)
+                np.divide(1.0, degree, out=inv_degree, where=degree > 0)
+                plan.append(Hop(np.searchsorted(prev, need),
+                                np.searchsorted(prev, src), dst, inv_degree))
+                need = prev
+            self._fields[key] = (need, plan[::-1])
+        return self._fields[key]
+
+    def in_edges(self, rows: np.ndarray):
+        """In-edges of each of ``rows`` (global rows, any order).
+
+        Returns ``(src, owner, degree)``: the source row of every in-edge,
+        the position in ``rows`` of its destination, and the in-degree of
+        each row (0 for rows with no edge in the window). Edges are listed
+        row by row, each row's in the ``src`` order above.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        degree = np.zeros(rows.shape, dtype=np.int64)
+        start = np.zeros(rows.shape, dtype=np.int64)
+        hit = np.isin(rows, self.nodes)
+        pos = np.searchsorted(self.nodes, rows[hit])
+        degree[hit] = self.degree[pos]
+        start[hit] = self.start[pos]
+        owner = np.repeat(np.arange(rows.shape[0]), degree)
+        first = np.cumsum(degree) - degree
+        edge = np.repeat(start - first, degree) + np.arange(owner.shape[0])
+        return self.src[edge], owner, degree
+
+
 class TemporalGraph:
     """Snapshot sequence for t = 0..horizon-1 over fixed node populations."""
 
@@ -138,6 +231,7 @@ class TemporalGraph:
         self.snapshots = [
             GraphSnapshot(t, n_users, n_batteries) for t in range(horizon)
         ]
+        self._windows = {}
 
     @property
     def n_nodes(self) -> int:
@@ -165,6 +259,7 @@ class TemporalGraph:
         GraphSnapshot._check_index(edge.battery.index, self.n_batteries, "battery")
         self._check_t(edge.t)
         self.snapshots[edge.t]._add(edge)
+        self._windows.clear()
 
     def neighbors(self, v: NodeRef, t: int):
         self._check_t(t)
@@ -201,6 +296,26 @@ class TemporalGraph:
                 if pair not in merged._pairs:
                     merged._add(e)
         return merged
+
+    def window_edges(self, t: int, window: int = 0) -> WindowEdges:
+        """Edge index of ``merged_snapshot(t, window)``, built on first use.
+
+        Keeps the first occurrence of each (user, battery) pair, scanning
+        snapshots old to new, as ``merged_snapshot`` does.
+        """
+        self._check_t(t)
+        entry = self._windows.get((t, window))
+        if entry is None:
+            pairs = np.array(
+                [(e.user.index, e.battery.index)
+                 for ti in range(max(0, t - window), t + 1)
+                 for e in self.snapshots[ti].edges],
+                dtype=np.int64).reshape(-1, 2)
+            keys = pairs[:, 0] * self.n_batteries + pairs[:, 1]
+            first = np.sort(np.unique(keys, return_index=True)[1])
+            entry = WindowEdges(pairs[first, 0], pairs[first, 1], self.n_users)
+            self._windows[(t, window)] = entry
+        return entry
 
 
 def save_graph(g: TemporalGraph, path):

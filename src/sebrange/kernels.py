@@ -7,7 +7,8 @@ recursion inside the scenario generator. Each exists in two variants,
 ``*_numba`` and ``*_numpy``, written so that both produce bit-identical
 results (same accumulation order, same elementwise expressions).
 
-The module-level dispatchers pick the numba variant when it is importable,
+numba is an optional extra (``pip install -e '.[numba]'``). The
+module-level dispatchers pick the numba variant when it is importable,
 unless the environment variable ``SEBRANGE_NUMBA`` is set to ``0``/``false``/
 ``off``, which forces the numpy fallback. ``benchmarks/benchmark_kernels.py``
 times the two paths against each other.
@@ -29,7 +30,7 @@ if _env_wants_numba():
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional ``numba`` extra
         NUMBA_ENABLED = False
 
 _U64 = np.uint64

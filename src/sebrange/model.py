@@ -135,12 +135,16 @@ class SebTransformer:
         x2 = encode_sequence(self.block, x0)
         x2_pooled = mean(x2, axis=-2)
         if self.cfg.use_graph and not zero_graph_slice:
-            x1 = gnn_encode(self.gnn_cfg, self.gcn_layers, graph,
-                            self.nodes.build(), t)
-            b_rows = np.array([graph.node_row(o.battery) for o in orders])
-            u_rows = np.array([graph.node_row(o.user) for o in orders])
+            rows = [graph.node_row(o.battery) for o in orders]
+            rows += [graph.node_row(o.user) for o in orders]
+            targets = sorted(set(rows))
+            position = {r: i for i, r in enumerate(targets)}
+            at = [position[r] for r in rows]
+            x1 = gnn_encode(self.gnn_cfg, self.gcn_layers, graph, self.nodes,
+                            t, targets)
             graph_slice = concat(
-                [gather_rows(x1, b_rows), gather_rows(x1, u_rows)], axis=-1
+                [gather_rows(x1, at[:batch]), gather_rows(x1, at[batch:])],
+                axis=-1,
             )
         else:
             graph_slice = Tensor(np.zeros((batch, self.cfg.graph_slice_dim)))

@@ -213,9 +213,10 @@ def neg(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0) that passes NaN through instead of zeroing it."""
     a = as_tensor(a)
-    mask = a.array > 0.0
-    return Tensor(np.where(mask, a.array, 0.0), (a,), lambda g: (g * mask,))
+    return Tensor(np.where(a.array <= 0.0, 0.0, a.array), (a,),
+                  lambda g: (g * (a.array > 0.0),))
 
 
 def sqrt(a) -> Tensor:
@@ -345,10 +346,10 @@ def gather_rows(a, indices) -> Tensor:
         raise ShapeError(f"gather_rows requires a 2-D tensor, got {a.shape}")
     idx = np.ascontiguousarray(indices, dtype=np.int64)
     out = a.array[idx]
-    take = np.arange(idx.shape[0], dtype=np.int64)
     n_rows = a.shape[0]
 
     def vjp(g):
+        take = np.arange(idx.shape[0], dtype=np.int64)
         return (kernels.scatter_add_rows(g, take, idx, n_rows),)
 
     return Tensor(out, (a,), vjp)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, ShapeError
+from .errors import AlignmentError, ConfigError, NumericError, ShapeError
 from .optim import AdamState, optimizer_step
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im_regularizer
@@ -207,6 +207,7 @@ def _collect_predictions(model, orders, graph):
 def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     """Minibatch descent on the objective; keeps the best-validation epoch.
 
+    Raises NumericError when no epoch reaches a finite validation MAE.
     With lr == 0 the loop runs without applying updates, leaving the
     weights bit-identical to initialization (optimizer smoke contract).
     """
@@ -251,6 +252,11 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
             best_mae = val_mae
             best_epoch = epoch
             best_values = [p.value.copy() for p in model.params()]
+    if best_values is None:
+        raise NumericError(
+            f"validation MAE was non-finite in all {cfg.epochs} epochs "
+            f"(last: {history[-1].val_mae})"
+        )
     for p, v in zip(model.params(), best_values):
         p.value[...] = v
     return TrainResult(history, best_epoch, (train_split, val_split, test_split))

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from sebrange.datagen import GeneratorConfig, generate
 from sebrange.errors import ConfigError, ShapeError
 from sebrange.gnn import GcnLayer, GnnConfig, NodeFeatureTable, build_layers, gcn_layer_forward, gnn_encode
-from sebrange.gradcheck import grad_check
+from sebrange.gradcheck import grad_check, grad_check_params
 from sebrange.graph import SwapEdge, TemporalGraph, battery, user
 from sebrange.optim import Param
 from sebrange.rng import Rng
-from sebrange.tensor import Tensor, mul, sum_
+from sebrange.tensor import Tensor, gather_rows, mul, sum_
 
 
 def dense_reference(h, snap, w, b, activation):
@@ -37,6 +38,21 @@ def random_bipartite(r, max_nodes=8):
         seen.add((u, b))
         g.add_edge(SwapEdge(user(u), battery(b), 0))
     return g
+
+
+class FixedFeatures:
+    """Feature source over a fixed all-node matrix."""
+
+    def __init__(self, h0):
+        self.h0 = Tensor(h0)
+
+    def rows(self, idx):
+        return gather_rows(self.h0, idx)
+
+
+def encode_all(cfg, layers, g, h0, t):
+    """gnn_encode over every node row of g."""
+    return gnn_encode(cfg, layers, g, FixedFeatures(h0), t, np.arange(g.n_nodes))
 
 
 def identity_layer(d):
@@ -135,9 +151,9 @@ class TestGcnLayer:
 class TestGnnEncode:
     def test_zero_layers_identity(self):
         g = TemporalGraph(2, 2, 1)
-        h0 = Tensor(Rng(1).normal(size=(4, 3)))
-        out = gnn_encode(GnnConfig(dims=[3]), [], g, h0, 0)
-        assert out is h0
+        h0 = Rng(1).normal(size=(4, 3))
+        out = encode_all(GnnConfig(dims=[3]), [], g, h0, 0)
+        assert np.array_equal(out.array, h0)
 
     def test_empty_snapshot_one_identity_layer(self):
         g = TemporalGraph(2, 2, 2)
@@ -145,7 +161,7 @@ class TestGnnEncode:
         h0 = r.normal(size=(4, 3))
         b = r.normal(size=(3, 2))
         layer = GcnLayer(Param(r.normal(size=(3, 2))), Param(b), "identity")
-        out = gnn_encode(GnnConfig(dims=[3, 2]), [layer], g, Tensor(h0), 1)
+        out = encode_all(GnnConfig(dims=[3, 2]), [layer], g, h0, 1)
         assert np.abs(out.array - h0 @ b).max() < 1e-14
 
     def test_two_layers_equals_manual_composition(self):
@@ -158,7 +174,7 @@ class TestGnnEncode:
         cfg = GnnConfig(dims=[3, 3, 2])
         layers = build_layers(r, cfg)
         h0 = r.normal(size=(4, 3))
-        got = gnn_encode(cfg, layers, g, Tensor(h0), 0).array
+        got = encode_all(cfg, layers, g, h0, 0).array
         step1 = gcn_layer_forward(layers[0], Tensor(h0), g.snapshots[0])
         step2 = gcn_layer_forward(layers[1], step1, g.snapshots[0])
         assert np.array_equal(got, step2.array)
@@ -168,20 +184,135 @@ class TestGnnEncode:
         r = Rng(6)
         bad = [GcnLayer.init(r, 3, 3), GcnLayer.init(r, 4, 2)]
         with pytest.raises(ConfigError):
-            gnn_encode(GnnConfig(dims=[3, 3, 2]), bad, g,
-                       Tensor(np.ones((4, 3))), 0)
+            encode_all(GnnConfig(dims=[3, 3, 2]), bad, g, np.ones((4, 3)), 0)
 
     def test_windowed_encode_uses_merged_edges(self):
         g = TemporalGraph(1, 1, 2)
         g.add_edge(SwapEdge(user(0), battery(0), 0))
         h0 = np.array([[1.0, 0.0], [0.0, 1.0]])
         layer = identity_layer(2)
-        lonely = gnn_encode(GnnConfig(dims=[2, 2], window=0), [layer], g,
-                            Tensor(h0), 1).array
-        merged = gnn_encode(GnnConfig(dims=[2, 2], window=1), [layer], g,
-                            Tensor(h0), 1).array
+        lonely = encode_all(GnnConfig(dims=[2, 2], window=0), [layer], g, h0, 1).array
+        merged = encode_all(GnnConfig(dims=[2, 2], window=1), [layer], g, h0, 1).array
         assert np.array_equal(lonely, h0)          # snapshot 1 has no edges
         assert np.array_equal(merged, h0 + h0[::-1])
+
+
+# A fleet large enough that a batch's receptive field is a small part of it.
+FLEET_GEN = GeneratorConfig(n_orders=300, n_users=2000, n_batteries=600,
+                            n_stations=8, horizon=10, seed=5)
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    orders, g = generate(FLEET_GEN)
+    buckets = {}
+    for o in orders:
+        buckets.setdefault(o.t, []).append(o)
+    targets = {
+        t: np.unique([g.node_row(o.battery) for o in bucket]
+                     + [g.node_row(o.user) for o in bucket])
+        for t, bucket in buckets.items()
+    }
+    return g, targets
+
+
+def fleet_encoder(g, window, seed=17):
+    r = Rng(seed)
+    cfg = GnnConfig(dims=[8, 8, 8], window=window)
+    return cfg, build_layers(r, cfg), NodeFeatureTable(r, g.n_users, g.n_batteries, 8)
+
+
+class TestReceptiveField:
+    @pytest.mark.parametrize("window", [0, 4])
+    def test_rows_bit_identical_to_full_graph(self, fleet, window):
+        g, targets = fleet
+        cfg, layers, table = fleet_encoder(g, window)
+        assert g.n_users >= 2000
+        for t, rows in targets.items():
+            snap = g.merged_snapshot(t, window)
+            full = table.build()
+            for layer in layers:
+                full = gcn_layer_forward(layer, full, snap)
+            got = gnn_encode(cfg, layers, g, table, t, rows)
+            assert got.shape[0] == rows.size
+            assert np.array_equal(got.array, full.array[rows])
+
+    @pytest.mark.parametrize("window", [0, 4])
+    def test_param_gradients_match_full_graph(self, fleet, window):
+        g, targets = fleet
+        cfg, layers, table = fleet_encoder(g, window)
+        params = table.params() + [p for layer in layers for p in layer.params()]
+        t = sorted(targets)[3]
+        rows = targets[t]
+        c = Rng(19).normal(size=(rows.size, 8))
+
+        def grads(out):
+            for p in params:
+                p.zero_grad()
+            sum_(mul(out, c)).backward()
+            return [p.grad.copy() for p in params]
+
+        local = grads(gnn_encode(cfg, layers, g, table, t, rows))
+        everything = gnn_encode(cfg, layers, g, table, t, np.arange(g.n_nodes))
+        full = grads(gather_rows(everything, rows))
+        for a, b in zip(local, full):
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+    def test_isolated_target_is_self_term(self):
+        g = TemporalGraph(3, 2, 2)
+        g.add_edge(SwapEdge(user(0), battery(0), 1))
+        r = Rng(23)
+        table = NodeFeatureTable(r, 3, 2, 3)
+        b = r.normal(size=(3, 3))
+        layer = GcnLayer(Param(r.normal(size=(3, 3))), Param(b), "relu")
+        cfg = GnnConfig(dims=[3, 3])
+        rows = np.array([1, 4])  # user 1 and battery 1 have no edge at t=1
+        got = gnn_encode(cfg, [layer], g, table, 1, rows).array
+        h0 = table.build().array
+        assert np.array_equal(got, np.maximum(h0[rows] @ b, 0.0))
+        full = gcn_layer_forward(layer, table.build(), g.snapshots[1]).array
+        assert np.array_equal(got, full[rows])
+
+    def test_repeated_and_unordered_targets(self, fleet):
+        g, targets = fleet
+        cfg, layers, table = fleet_encoder(g, 4)
+        t = sorted(targets)[5]
+        rows = targets[t]
+        expect = gnn_encode(cfg, layers, g, table, t, rows).array
+        picks = np.array([3, 0, 3, 1, 0])
+        got = gnn_encode(cfg, layers, g, table, t, rows[picks]).array
+        assert np.array_equal(got, expect[picks])
+
+    def test_sees_edge_added_after_lookup(self):
+        g = TemporalGraph(2, 2, 2)
+        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        h0 = np.arange(8.0).reshape(4, 2)
+        cfg = GnnConfig(dims=[2, 2], window=1)
+        layer = identity_layer(2)
+        before = encode_all(cfg, [layer], g, h0, 1).array
+        g.add_edge(SwapEdge(user(1), battery(1), 1))
+        after = encode_all(cfg, [layer], g, h0, 1).array
+        full = gcn_layer_forward(layer, Tensor(h0), g.merged_snapshot(1, 1)).array
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, full)
+
+
+class TestNodeFeatureRows:
+    def test_rows_match_build_in_any_order(self):
+        table = NodeFeatureTable(Rng(29), n_users=4, n_batteries=3, dim=2)
+        idx = np.array([5, 0, 6, 6, 2, 4])
+        assert np.array_equal(table.rows(idx).array, table.build().array[idx])
+        assert np.array_equal(table.build().array,
+                              table.rows(np.arange(7)).array)
+
+    def test_rows_gradient(self):
+        r = Rng(31)
+        table = NodeFeatureTable(r, n_users=4, n_batteries=3, dim=2)
+        idx = np.array([5, 0, 6, 6, 2])
+        c = r.normal(size=(5, 2))
+        err = grad_check_params(lambda: sum_(mul(table.rows(idx), c)),
+                                table.params())
+        assert err <= 1e-6
 
 
 def test_node_feature_table_layout():

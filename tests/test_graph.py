@@ -1,5 +1,6 @@
 """Temporal bipartite graph contracts and file round trips."""
 
+import numpy as np
 import pytest
 
 from sebrange.errors import BipartiteViolation, DuplicateEdgeError, ParseError, VersionError
@@ -140,6 +141,49 @@ def test_merged_snapshot_window_dedupes_pairs():
     assert merged.degree(battery(0)) == 1
     # window=0 is the plain snapshot
     assert g.merged_snapshot(1, window=0) is g.snapshots[1]
+
+
+def random_temporal(seed, n_users=12, n_batteries=6, horizon=6, swaps=9):
+    """Graph whose (user, battery) pairs recur across timesteps."""
+    g = TemporalGraph(n_users, n_batteries, horizon)
+    r = Rng(seed)
+    for t in range(horizon):
+        seen = set()
+        for _ in range(swaps):
+            u, b = int(r.integers(n_users)), int(r.integers(n_batteries))
+            if (u, b) not in seen:
+                seen.add((u, b))
+                g.add_edge(SwapEdge(user(u), battery(b), t))
+    return g
+
+
+@pytest.mark.parametrize("window", [0, 1, 3])
+def test_window_edges_keep_merged_snapshot_order(window):
+    g = random_temporal(41)
+    for t in range(g.horizon):
+        merged = g.merged_snapshot(t, window)
+        entry = g.window_edges(t, window)
+        pairs = [(e.user.index, e.battery.index) for e in merged.edges]
+        assert list(zip(entry.users.tolist(), entry.batteries.tolist())) == pairs
+        src, dst = merged.edge_arrays()
+        rows = np.arange(g.n_nodes)
+        got_src, owner, degree = entry.in_edges(rows)
+        for v in rows:
+            assert got_src[owner == v].tolist() == src[dst == v].tolist()
+        inv = np.zeros(g.n_nodes)
+        inv[degree > 0] = 1.0 / degree[degree > 0]
+        assert np.array_equal(inv, merged.inverse_degrees())
+        assert g.window_edges(t, window) is entry
+
+
+def test_window_edges_see_later_add_edge():
+    g = small_graph()
+    g.add_edge(SwapEdge(user(0), battery(0), 0))
+    before = g.window_edges(1, 1)
+    assert before.users.tolist() == [0]
+    g.add_edge(SwapEdge(user(2), battery(1), 1))
+    after = g.window_edges(1, 1)
+    assert list(zip(after.users.tolist(), after.batteries.tolist())) == [(0, 0), (2, 1)]
 
 
 class TestSerialization:

@@ -1,13 +1,15 @@
 """Fused model, objective, training loop, evaluation, baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sebrange.benchmark import build_model, train_model
 from sebrange.checkpoint import load_checkpoint, save_checkpoint, verify_config_hash
 from sebrange.datagen import GeneratorConfig, generate
-from sebrange.errors import AlignmentError, CheckpointMismatch, ConfigError
-from sebrange.graph import TemporalGraph
+from sebrange.errors import AlignmentError, CheckpointMismatch, ConfigError, NumericError
+from sebrange.graph import SwapEdge, TemporalGraph, battery, user
 from sebrange.model import (
     MlpBaseline,
     ModelConfig,
@@ -83,6 +85,18 @@ class TestForward:
         model = fresh_model()
         batch = model.predict(bucket, graph)
         singles = [model.forward(o, graph) for o in bucket]
+        assert np.abs(batch - singles).max() < 1e-12
+
+    def test_shared_battery_in_one_bucket(self, tiny_data):
+        orders, _ = tiny_data
+        g = TemporalGraph(TINY_GEN.n_users, TINY_GEN.n_batteries, 1)
+        g.add_edge(SwapEdge(user(0), battery(3), 0))
+        g.add_edge(SwapEdge(user(1), battery(3), 0))
+        bucket = [replace(o, user=user(u), battery=battery(3), t=0)
+                  for o, u in zip(orders[:2], (0, 1))]
+        model = fresh_model()
+        batch = model.predict(bucket, g)
+        singles = [model.forward(o, g) for o in bucket]
         assert np.abs(batch - singles).max() < 1e-12
 
 
@@ -247,6 +261,16 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train(fresh_model(), orders, graph,
                   TrainConfig(train_frac=0.9, val_frac=0.2, test_frac=0.1))
+
+    def test_non_finite_validation_raises(self, tiny_data):
+        orders, graph = tiny_data
+        nan_orders = []
+        for o in orders:
+            telemetry = o.telemetry.copy()
+            telemetry[0, 0] = np.nan
+            nan_orders.append(replace(o, telemetry=telemetry))
+        with pytest.raises(NumericError, match="non-finite in all 3 epochs"):
+            train(fresh_model(), nan_orders, graph, TINY_TRAIN)
 
     def test_empty_dataset_rejected(self, tiny_data):
         _, graph = tiny_data

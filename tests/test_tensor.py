@@ -129,6 +129,16 @@ def test_relu_and_sqrt_values():
     assert np.array_equal(sqrt(Tensor([4.0, 9.0])).array, [2.0, 3.0])
 
 
+def test_relu_passes_nan_and_keeps_finite_values():
+    x = np.array([np.nan, -1.0, -0.0, 0.0, 2.5, np.inf, -np.inf])
+    out = relu(x).array
+    assert np.isnan(out[0])
+    assert np.array_equal(out[1:], [0.0, 0.0, 0.0, 2.5, np.inf, 0.0])
+    # finite inputs, -0.0 included, give the bits of where(a > 0, a, 0)
+    finite = x[1:]
+    assert out[1:].tobytes() == np.where(finite > 0.0, finite, 0.0).tobytes()
+
+
 def test_mean_axis():
     x = np.arange(12.0).reshape(3, 4)
     assert np.allclose(mean(Tensor(x), axis=-2).array, x.mean(axis=0))
