@@ -2,7 +2,8 @@
 benchmark report and gradient audit.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or unreadable
-input, 4 checkpoint/config hash mismatch, 5 gradient audit failure.
+input, 4 checkpoint/config hash mismatch, 5 gradient audit failure,
+6 numeric failure (non-finite values, a degenerate fit).
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .benchmark import (
 from .checkpoint import load_checkpoint, save_checkpoint, verify_config_hash
 from .config import RunConfig
 from .datagen import generate, read_dataset, summarize, write_dataset
-from .errors import CheckpointMismatch, ConfigError, ParseError
+from .errors import CheckpointMismatch, ConfigError, NumericError, ParseError
 from .training import evaluate_mae, split_orders
 
 EXIT_OK = 0
@@ -29,6 +30,7 @@ EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
 EXIT_CHECKPOINT = 4
 EXIT_AUDIT = 5
+EXIT_NUMERIC = 6
 
 CHECKPOINT_FILENAME = "model.ckpt.npz"
 LOSS_FILENAME = "loss.csv"
@@ -156,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Battery range prediction over swap-fleet telemetry "
                     "and interaction graphs.",
         epilog="exit codes: 0 ok, 2 config error, 3 missing input, "
-               "4 checkpoint mismatch, 5 gradient audit failure",
+               "4 checkpoint mismatch, 5 gradient audit failure, "
+               "6 numeric failure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,6 +213,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

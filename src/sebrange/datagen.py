@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError, ParseError, VersionError
 from .graph import (
     NodeRef,
@@ -48,7 +47,7 @@ from .graph import (
     save_graph,
     user,
 )
-from .rng import Rng, derive_seed, derive_seeds
+from .rng import Rng, derive_seed, derive_seeds, splitmix64_block
 
 ORDERS_HEADER_PREFIX = "#seb-orders v1 F="
 N_FEATURES = 6
@@ -183,6 +182,19 @@ def _ar_walk(eps: np.ndarray, phi: float, sd: float) -> np.ndarray:
     return walk
 
 
+def temperature_scan(power, ambient, heat, cool, t0):
+    """Motor temperature per step for a batch of rides (rows of ``power``):
+
+        T[k] = T[k-1] + heat * power[:, k] - cool * (T[k-1] - ambient)
+    """
+    out = np.empty(power.shape, dtype=np.float64)
+    temp = t0
+    for k in range(power.shape[1]):
+        temp = temp + heat * power[:, k] - cool * (temp - ambient)
+        out[:, k] = temp
+    return out
+
+
 def _assign_slots(cfg: GeneratorConfig):
     """Deterministic (t, user, battery, station) per order.
 
@@ -230,7 +242,7 @@ def generate(cfg: GeneratorConfig):
 
     # One substream per order id; rows are that substream's uniform draws.
     seeds = derive_seeds(cfg.seed, _ORDER_KEY_BASE + np.arange(n, dtype=np.int64))
-    raw = kernels.splitmix64_block(seeds, _N_DRAWS)
+    raw = splitmix64_block(seeds, _N_DRAWS)
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     noise_scale = cfg.noise / NOISE_REF
@@ -266,7 +278,7 @@ def generate(cfg: GeneratorConfig):
         BASE_POWER + SPEED2_COEF * speed**2
         + GRADE_LOAD_COEF * grade * payload[:, None],
     )
-    temp = kernels.temperature_scan(power, ambient, HEAT_GAIN, COOL_RATE, ambient)
+    temp = temperature_scan(power, ambient, HEAT_GAIN, COOL_RATE, ambient)
     energy = power + HEAT_LOSS_COEF * np.maximum(0.0, temp - TEMP_KNEE)
 
     consumed_cum = (

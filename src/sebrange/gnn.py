@@ -25,11 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError, ShapeError
 from .graph import GraphSnapshot, TemporalGraph
 from .optim import Param, glorot_uniform
-from .tensor import Tensor, add, gather_rows, matmul, neighbor_mean, relu
+from .tensor import (
+    Tensor,
+    add,
+    gather_rows,
+    matmul,
+    neighbor_mean,
+    relu,
+    scatter_add_rows,
+)
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -178,8 +185,8 @@ class NodeFeatureTable:
         def vjp(g):
             g_batt = np.where(is_batt, g, 0.0)
             return (np.where(is_batt, 0.0, g).sum(axis=0), g_batt.sum(axis=0),
-                    kernels.scatter_add_rows(g_batt, np.arange(g.shape[0]),
-                                             bias_rows, self.n_batteries))
+                    scatter_add_rows(g_batt, np.arange(g.shape[0]), bias_rows,
+                                     self.n_batteries))
 
         return Tensor(out, (user_vec, battery_vec, bias), vjp)
 

@@ -10,19 +10,46 @@ and numpy generators are deliberately not used on data paths.
 
 import numpy as np
 
-from . import kernels
-
 _MASK64 = (1 << 64) - 1
+# splitmix64 constants (Steele, Lea & Flood's mixer).
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 # Distinct odd constant for deriving substream seeds so that a substream
 # never replays a contiguous window of its parent stream.
 _SPAWN_GAMMA = 0xD1342543DE82EF95
+
+
+def mix64(z: np.ndarray) -> np.ndarray:
+    """Finalize an array of uint64 words (any shape), modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Stream words mix64(seed + (counter+1) * gamma) for an array of counters."""
+    counters = np.asarray(counters, dtype=np.uint64)
+    return mix64(np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA))
+
+
+def splitmix64_block(seeds: np.ndarray, n_cols: int) -> np.ndarray:
+    """Row i holds the first ``n_cols`` stream words of ``seeds[i]``.
+
+    Row i equals ``splitmix64(seeds[i], arange(n_cols))``, so a batch of
+    substreams can be filled in one call.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    counters = np.arange(n_cols, dtype=np.uint64)
+    z = seeds[:, None] + (counters[None, :] + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA)
+    return mix64(z)
 
 
 def derive_seeds(seed: int, keys) -> np.ndarray:
     """Mix a parent seed with integer keys into substream seeds (vectorized)."""
     keys = np.asarray(keys, dtype=np.int64).astype(np.uint64)
     z = np.uint64(seed & _MASK64) + (keys + np.uint64(1)) * np.uint64(_SPAWN_GAMMA)
-    return kernels.mix64(z + np.uint64(kernels.SPLITMIX_GAMMA))
+    return mix64(z + np.uint64(SPLITMIX_GAMMA))
 
 
 def derive_seed(seed: int, key: int) -> int:
@@ -41,7 +68,7 @@ class Rng:
         """Next ``n`` raw uint64 words of the stream."""
         counters = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
-        return kernels.splitmix64(self.seed, counters)
+        return splitmix64(self.seed, counters)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         """Uniform float64 draws in [low, high)."""

@@ -195,7 +195,8 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
 
 
 def s3im_value(x, y, cfg: S3imConfig) -> float:
-    """Straight-line (non-autodiff) evaluation for reporting paths."""
+    """The index as a float: runs the autodiff ``s3im`` on constant inputs
+    and reads out the scalar, for reporting paths and tests."""
     return s3im(as_tensor(np.asarray(x, dtype=np.float64)),
                 as_tensor(np.asarray(y, dtype=np.float64)), cfg).item()
 

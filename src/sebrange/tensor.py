@@ -21,7 +21,6 @@ Conventions fixed repo-wide:
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractError, ShapeError
 
 
@@ -339,6 +338,17 @@ def softmax_rows(a) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
+def scatter_add_rows(x, take, put, n_out) -> np.ndarray:
+    """Accumulate rows ``x[take[e]]`` into ``out[put[e]]`` over all edges e.
+
+    ``np.add.at`` applies the updates in edge order, so each output row
+    sums its edges in that order.
+    """
+    out = np.zeros((n_out, x.shape[1]), dtype=np.float64)
+    np.add.at(out, put, x[take])
+    return out
+
+
 def gather_rows(a, indices) -> Tensor:
     """Select rows of a 2-D tensor; backward scatter-adds into the source."""
     a = as_tensor(a)
@@ -350,7 +360,7 @@ def gather_rows(a, indices) -> Tensor:
 
     def vjp(g):
         take = np.arange(idx.shape[0], dtype=np.int64)
-        return (kernels.scatter_add_rows(g, take, idx, n_rows),)
+        return (scatter_add_rows(g, take, idx, n_rows),)
 
     return Tensor(out, (a,), vjp)
 
@@ -366,10 +376,10 @@ def neighbor_mean(h, src, dst, n_out, inv_deg) -> Tensor:
     src = np.ascontiguousarray(src, dtype=np.int64)
     dst = np.ascontiguousarray(dst, dtype=np.int64)
     scale = inv_deg[:, None]
-    out = kernels.scatter_add_rows(h.array, src, dst, n_out) * scale
+    out = scatter_add_rows(h.array, src, dst, n_out) * scale
     n_in = h.shape[0]
 
     def vjp(g):
-        return (kernels.scatter_add_rows(g * scale, dst, src, n_in),)
+        return (scatter_add_rows(g * scale, dst, src, n_in),)
 
     return Tensor(out, (h,), vjp)

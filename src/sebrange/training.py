@@ -15,7 +15,7 @@ from .errors import AlignmentError, ConfigError, NumericError, ShapeError
 from .optim import AdamState, optimizer_step
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im_regularizer
-from .tensor import Tensor, add, as_tensor, mean, mul, sub
+from .tensor import add, as_tensor, mean, mul, sub
 
 _SPLIT_KEY = 101
 _SHUFFLE_KEY = 102
@@ -179,16 +179,6 @@ class MaeResult:
     residuals: np.ndarray
 
 
-def _chunk_loss(model, chunk, graph, cfg, s3im_cfg) -> Tensor:
-    preds = model.forward_batch(chunk, graph)
-    y = np.array([o.label for o in chunk])
-    diff = sub(preds, y)
-    term = mean(mul(diff, diff))
-    if cfg.s3im_enabled and len(chunk) >= 2:
-        term = add(term, mul(s3im_regularizer(preds, y, s3im_cfg), cfg.s3im_weight))
-    return term
-
-
 def _collect_predictions(model, orders, graph):
     """Per-timestep Prediction/LabelBatch pairs plus flat arrays."""
     preds, labels = [], []
@@ -206,6 +196,9 @@ def _collect_predictions(model, orders, graph):
 
 def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     """Minibatch descent on the objective; keeps the best-validation epoch.
+
+    Each step minimizes ``objective`` over one chunk, the same function that
+    validation and the gradient audit evaluate.
 
     Raises NumericError when no epoch reaches a finite validation MAE.
     With lr == 0 the loop runs without applying updates, leaving the
@@ -226,6 +219,7 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     params = model.trainable_params()
     adam = AdamState(params)
     chunks = make_chunks(train_split, cfg.batch_size)
+    chunk_labels = [LabelBatch(c[0].t, [o.label for o in c]) for c in chunks]
     shuffle = Rng(derive_seed(cfg.seed, _SHUFFLE_KEY))
 
     history = []
@@ -235,10 +229,11 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         epoch_loss = 0.0
         for ci in shuffle.permutation(len(chunks)):
-            chunk = chunks[int(ci)]
+            chunk, label = chunks[int(ci)], chunk_labels[int(ci)]
             for p in params:
                 p.zero_grad()
-            loss = _chunk_loss(model, chunk, graph, cfg, s3im_cfg)
+            pred = Prediction(label.t, model.forward_batch(chunk, graph))
+            loss = objective([pred], [label], cfg, s3im_cfg)
             loss.backward()
             if cfg.lr > 0:
                 optimizer_step(params, adam, cfg.lr)

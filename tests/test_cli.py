@@ -84,6 +84,22 @@ def test_corrupt_dataset_exit_3(dataset_dir, tmp_path):
     assert code == 3
 
 
+def test_nan_telemetry_exit_6(dataset_dir, tmp_path, capsys):
+    from sebrange.datagen import read_dataset, write_dataset
+
+    orders, graph = read_dataset(dataset_dir)
+    orders[0].telemetry[5, 2] = float("nan")
+    bad = tmp_path / "nan"
+    write_dataset(orders, graph, bad)
+    capsys.readouterr()
+    code = main(["train", *FAST, "--seed", "42", "--model", "seb",
+                 "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_train_twice_identical_loss_csv(dataset_dir, tmp_path):
     outs = (tmp_path / "t1", tmp_path / "t2")
     for out in outs:

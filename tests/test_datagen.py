@@ -98,14 +98,13 @@ def test_label_nonincreasing_in_speed():
                           n_stations=2, horizon=4, noise=0.0, seed=9)
     orders, _ = generate(cfg)
     caps = battery_capacities(cfg)
-    from sebrange.kernels import temperature_scan
 
     def label_for(o, ambient, speed):
         payload = o.telemetry[:, 4]
         grade = o.telemetry[:, 5]
         power = np.maximum(0.0, dg.BASE_POWER + dg.SPEED2_COEF * speed**2
                            + dg.GRADE_LOAD_COEF * grade * payload)
-        temp = temperature_scan(power[None, :], ambient, dg.HEAT_GAIN,
+        temp = dg.temperature_scan(power[None, :], ambient, dg.HEAT_GAIN,
                                 dg.COOL_RATE, ambient)[0]
         energy = power + dg.HEAT_LOSS_COEF * np.maximum(0.0, temp - dg.TEMP_KNEE)
         consumed = dg.KM_PER_ENERGY * (o.ride_length / dg.RIDE_REF) * energy.sum() / 64

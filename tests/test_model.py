@@ -23,6 +23,7 @@ from sebrange.training import (
     Prediction,
     TrainConfig,
     evaluate_mae,
+    make_chunks,
     objective,
     split_orders,
     train,
@@ -233,6 +234,24 @@ class TestTraining:
             if p is model.fusion.out_bias:
                 continue
             assert np.array_equal(p.value, b)
+
+    def test_trained_loss_is_the_objective(self, tiny_data):
+        # at lr=0 every step sees the initial weights, so an epoch's train
+        # loss is the objective summed over the chunks in any order
+        orders, graph = tiny_data
+        cfg = TrainConfig(epochs=1, lr=0.0, batch_size=32, seed=3,
+                          s3im_enabled=True)
+        history = train(fresh_model(seed=5), orders, graph, cfg).history
+        train_split = split_orders(orders, cfg)[0]
+        model = fresh_model(seed=5)
+        model.prepare(train_split)
+        s3cfg = cfg.make_s3im(np.array([o.label for o in train_split]))
+        expected = 0.0
+        for chunk in make_chunks(train_split, cfg.batch_size):
+            pred = Prediction(chunk[0].t, model.forward_batch(chunk, graph))
+            label = LabelBatch(chunk[0].t, [o.label for o in chunk])
+            expected += objective([pred], [label], cfg, s3cfg).item()
+        assert abs(history[0].train_loss - expected) <= 1e-12 * abs(expected)
 
     def test_fixed_seed_identical_history_and_weights(self, tiny_data):
         orders, graph = tiny_data

@@ -2,7 +2,31 @@
 
 import numpy as np
 
-from sebrange.rng import Rng, derive_seed, derive_seeds
+from sebrange.rng import Rng, derive_seed, derive_seeds, splitmix64, splitmix64_block
+
+MASK = (1 << 64) - 1
+
+
+def splitmix64_reference(seed, i):
+    """Independent big-int implementation of the stream word."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def test_splitmix64_matches_bigint_reference():
+    for seed in (0, 1, 42, 2**63 + 12345, MASK):
+        got = splitmix64(seed, np.arange(20, dtype=np.uint64))
+        expected = [splitmix64_reference(seed, i) for i in range(20)]
+        assert [int(x) for x in got] == expected
+
+
+def test_splitmix64_block_rows_match_streams():
+    seeds = np.array([3, 999, 2**40], dtype=np.uint64)
+    block = splitmix64_block(seeds, 17)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, splitmix64(int(seed), np.arange(17)))
 
 
 def test_equal_seeds_bit_identical():

@@ -16,6 +16,7 @@ from sebrange.tensor import (
     neighbor_mean,
     relu,
     reshape,
+    scatter_add_rows,
     softmax_rows,
     sqrt,
     sub,
@@ -170,6 +171,12 @@ def test_neighbor_mean_isolated_rows_zero():
     inv = np.array([0.0, 0.0, 0.5])
     out = neighbor_mean(h, src, dst, 3, inv)
     assert np.array_equal(out.array, [[0, 0], [0, 0], [1, 1]])
+
+
+def test_scatter_empty_edges():
+    out = scatter_add_rows(np.ones((3, 2)), np.array([], dtype=np.int64),
+                           np.array([], dtype=np.int64), 3)
+    assert np.array_equal(out, np.zeros((3, 2)))
 
 
 def test_transpose_and_reshape_round_trip():
