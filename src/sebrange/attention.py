@@ -18,13 +18,11 @@ from .optim import Param, glorot_uniform
 from .tensor import (
     Tensor,
     add,
+    attention_core,
+    layer_norm,
+    linear,
     matmul,
-    mean,
-    mul,
     relu,
-    softmax_rows,
-    sqrt,
-    sub,
     transpose_last,
 )
 
@@ -86,22 +84,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"Q width {q.shape} does not match K width {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"K rows {k.shape} do not match V rows {v.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = mul(matmul(q, transpose_last(k)), scale)
-    return matmul(softmax_rows(scores), v)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = mul(centered, _rsqrt(var, eps))
-    return add(mul(normed, gain), bias)
-
-
-def _rsqrt(var: Tensor, eps: float) -> Tensor:
-    return 1.0 / sqrt(add(var, eps))
+    return attention_core(q, k, v)
 
 
 class TransformerBlock:
@@ -155,8 +138,8 @@ def encode_sequence(block: TransformerBlock, x0: Tensor) -> Tensor:
         attended = add(attended, x)
     if block.use_layer_norm:
         attended = layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
-    hidden = relu(add(matmul(attended, block.w1.tensor()), block.b1.tensor()))
-    out = add(matmul(hidden, block.w2.tensor()), block.b2.tensor())
+    hidden = relu(linear(attended, block.w1.tensor(), block.b1.tensor()))
+    out = linear(hidden, block.w2.tensor(), block.b2.tensor())
     if block.residual:
         out = add(out, attended)
     if block.use_layer_norm:
@@ -197,7 +180,7 @@ def mlp_forward(head: MlpHead, x: Tensor) -> Tensor:
         )
     out = x
     for i, (w, b) in enumerate(head.layers):
-        out = add(matmul(out, w.tensor()), b.tensor())
+        out = linear(out, w.tensor(), b.tensor())
         if i < len(head.layers) - 1:
             out = relu(out)
     return out

@@ -25,9 +25,10 @@ from .gnn import GcnLayer, gcn_layer_forward
 from .gradcheck import grad_check, grad_check_params
 from .graph import SwapEdge, TemporalGraph, battery, user
 from .model import ModelConfig, SebTransformer
+from .optim import Param
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im, s3im_regularizer
-from .tensor import matmul, mul, relu, softmax_rows, sum_
+from .tensor import layer_norm, linear, matmul, mul, relu, softmax_rows, sum_
 from .training import LabelBatch, Prediction, TrainConfig, objective
 
 TOL_ELEMENTWISE = 1e-6
@@ -78,6 +79,37 @@ def _check_relu(rng, points):
         c = r.normal(size=(4, 4))
         worst = max(worst, grad_check(
             lambda t: sum_(mul(relu(t), c)), r.normal(size=(4, 4))))
+    return worst
+
+
+def _check_layer_norm(rng, points):
+    worst = 0.0
+    for i in range(points):
+        r = rng.spawn(i)
+        gain = Param(r.normal(size=(5,)))
+        bias = Param(r.normal(size=(5,)))
+        x = r.normal(size=(2, 3, 5))
+        c = r.normal(size=(2, 3, 5))
+        worst = max(worst, grad_check(
+            lambda t: sum_(mul(layer_norm(t, gain.tensor(), bias.tensor()), c)), x))
+        worst = max(worst, grad_check_params(
+            lambda: sum_(mul(layer_norm(x, gain.tensor(), bias.tensor()), c)),
+            [gain, bias]))
+    return worst
+
+
+def _check_linear(rng, points):
+    worst = 0.0
+    for i in range(points):
+        r = rng.spawn(i)
+        w = Param(r.normal(size=(4, 3)))
+        b = Param(r.normal(size=(3,)))
+        x = r.normal(size=(2, 5, 4))
+        c = r.normal(size=(2, 5, 3))
+        worst = max(worst, grad_check(
+            lambda t: sum_(mul(linear(t, w.tensor(), b.tensor()), c)), x))
+        worst = max(worst, grad_check_params(
+            lambda: sum_(mul(linear(x, w.tensor(), b.tensor()), c)), [w, b]))
     return worst
 
 
@@ -224,6 +256,8 @@ _CHECKS = (
     ("matmul", TOL_ELEMENTWISE, _check_matmul),
     ("softmax", TOL_ELEMENTWISE, _check_softmax),
     ("relu", TOL_ELEMENTWISE, _check_relu),
+    ("layer-norm", TOL_ELEMENTWISE, _check_layer_norm),
+    ("linear", TOL_COMPOSED, _check_linear),
     ("gcn-layer", TOL_COMPOSED, _check_gcn_layer),
     ("qkv", TOL_COMPOSED, _check_qkv),
     ("attention", TOL_COMPOSED, _check_attention),

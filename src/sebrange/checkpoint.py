@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import CheckpointMismatch
+from .errors import CheckpointMismatch, NumericError
 from .model import LinearBaseline, MlpBaseline, ModelConfig, SebTransformer
 from .rng import Rng
 
@@ -20,6 +20,8 @@ CKPT_FORMAT = "seb-ckpt v1"
 
 
 def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
+    """Write the model to ``path``; raises NumericError, writing nothing,
+    when any parameter is non-finite."""
     meta = {
         "format": CKPT_FORMAT,
         "kind": model.kind,
@@ -34,6 +36,9 @@ def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
         arrays["coef"] = model.coef
     else:
         for p in model.params():
+            if not np.isfinite(p.value).all():
+                raise NumericError(
+                    f"parameter {p.name} has non-finite values; checkpoint not saved")
             arrays["param:" + p.name] = p.value
         arrays["scaler_mean"] = model.scaler.mean
         arrays["scaler_sd"] = model.scaler.sd

@@ -32,6 +32,7 @@ in isolation. The assignment of orders to timesteps, users, batteries and
 stations uses dedicated substreams of the master seed.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -415,6 +416,9 @@ def read_orders(path):
             ride_length, label = float(meta[4]), float(meta[5])
         except ValueError:
             raise ParseError(path, line_no, f"bad metadata line {lines[i]!r}") from None
+        if not (math.isfinite(ride_length) and math.isfinite(label)):
+            raise ParseError(path, line_no,
+                             f"non-finite ride_length or label in {lines[i]!r}")
         if i + SEQ_LEN >= len(lines):
             raise ParseError(path, len(lines) + 1,
                              f"order {oid} truncated: expected {SEQ_LEN} telemetry rows")
@@ -430,6 +434,11 @@ def read_orders(path):
             except ValueError:
                 raise ParseError(path, row_no,
                                  f"bad telemetry value in {lines[i + 1 + k]!r}") from None
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ParseError(path, line_no + 1 + k,
+                             f"non-finite telemetry value in {lines[i + 1 + k]!r}")
         orders.append(Order(oid, user(u_idx), battery(b_idx), t, rows,
                             ride_length, label))
         i += 1 + SEQ_LEN
@@ -446,9 +455,28 @@ def write_dataset(orders, g, dirpath):
     save_graph(g, os.path.join(dirpath, GRAPH_FILENAME))
 
 
+def _check_orders_in_graph(orders, g, path):
+    """Raise ParseError at the first order whose user, battery or timestep
+    lies outside the graph's ``#dims``."""
+    cols = np.array([(o.user.index, o.battery.index, o.t) for o in orders],
+                    dtype=np.int64).reshape(-1, 3)
+    bad = ((cols < 0) | (cols >= [g.n_users, g.n_batteries, g.horizon])).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        o = orders[i]
+        # Order i's metadata line follows the header and i earlier orders.
+        raise ParseError(
+            path, 2 + i * (1 + SEQ_LEN),
+            f"order {o.order_id} (user {o.user.index}, battery {o.battery.index}, "
+            f"t {o.t}) lies outside the graph's #dims "
+            f"{g.n_users},{g.n_batteries},{g.horizon}")
+
+
 def read_dataset(dirpath):
     orders_path = os.path.join(dirpath, ORDERS_FILENAME)
     graph_path = os.path.join(dirpath, GRAPH_FILENAME)
     if not os.path.exists(orders_path) or not os.path.exists(graph_path):
         raise FileNotFoundError(f"dataset files not found under {dirpath}")
-    return read_orders(orders_path), load_graph(graph_path)
+    orders, g = read_orders(orders_path), load_graph(graph_path)
+    _check_orders_in_graph(orders, g, orders_path)
+    return orders, g

@@ -77,24 +77,6 @@ def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
     return worst
 
 
-def pack_params(params) -> np.ndarray:
-    """Flatten a param list into one vector (for whole-model checks)."""
-    return np.concatenate([p.value.reshape(-1) for p in params])
-
-
 def pack_params_grads(params) -> np.ndarray:
     """Flatten the gradient accumulators of a param list into one vector."""
     return np.concatenate([p.grad.reshape(-1) for p in params])
-
-
-def unpack_params(params, vec: np.ndarray):
-    """Write a flat vector back into the params, in order."""
-    offset = 0
-    for p in params:
-        n = p.value.size
-        p.value[...] = vec[offset:offset + n].reshape(p.value.shape)
-        offset += n
-    if offset != vec.size:
-        raise ContractError(
-            f"vector length {vec.size} does not match params ({offset})"
-        )

@@ -17,7 +17,7 @@ from .attention import MlpHead, TransformerBlock, encode_sequence, mlp_forward
 from .errors import ConfigError, NumericError, ShapeError
 from .gnn import GnnConfig, NodeFeatureTable, build_layers, gnn_encode
 from .optim import Param, glorot_uniform
-from .tensor import Tensor, add, concat, gather_rows, matmul, mean, reshape
+from .tensor import Tensor, concat, gather_rows, linear, mean, reshape
 
 
 @dataclass
@@ -129,8 +129,7 @@ class SebTransformer:
             raise ConfigError("orders in one batch must share a swap timestep")
         batch = len(orders)
         telemetry = self.scaler.apply(_stack_telemetry(orders))
-        x0 = add(matmul(Tensor(telemetry), self.proj_w.tensor()),
-                 self.proj_b.tensor())
+        x0 = linear(Tensor(telemetry), self.proj_w.tensor(), self.proj_b.tensor())
         x0_pooled = mean(x0, axis=-2)
         x2 = encode_sequence(self.block, x0)
         x2_pooled = mean(x2, axis=-2)

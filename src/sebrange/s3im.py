@@ -85,35 +85,6 @@ class S3imConfig:
         return self.c2 / 2.0 if self.c3_override is None else self.c3_override
 
 
-@dataclass
-class MomentStats:
-    """Sample mean and (n-1)-normalized standard deviation."""
-
-    mu: float
-    sigma: float
-    n: int
-
-
-def moments(x) -> MomentStats:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    n = x.size
-    if n < 2:
-        raise SampleSizeError(f"need at least 2 samples, got {n}")
-    mu = x.mean()
-    sigma = np.sqrt(((x - mu) ** 2).sum() / (n - 1))
-    return MomentStats(float(mu), float(sigma), n)
-
-
-def paired_moments(x, y):
-    """Moments of both vectors plus their (n-1)-normalized cross-covariance."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    _check_pair(x.size, y.size)
-    mx, my = moments(x), moments(y)
-    cov = ((x - mx.mu) * (y - my.mu)).sum() / (x.size - 1)
-    return mx, my, float(cov)
-
-
 def _check_pair(nx: int, ny: int):
     if nx != ny:
         raise ShapeError(f"vector lengths differ: {nx} vs {ny}")

@@ -84,16 +84,63 @@ def test_corrupt_dataset_exit_3(dataset_dir, tmp_path):
     assert code == 3
 
 
-def test_nan_telemetry_exit_6(dataset_dir, tmp_path, capsys):
-    from sebrange.datagen import read_dataset, write_dataset
+def _corrupt_field(src, dst, line_no, field, value):
+    """Copy a dataset, replacing one comma-separated field of one orders.seb
+    line (1-based)."""
+    dst.mkdir()
+    lines = (src / "orders.seb").read_text().split("\n")
+    parts = lines[line_no - 1].split(",")
+    parts[field] = value
+    lines[line_no - 1] = ",".join(parts)
+    (dst / "orders.seb").write_text("\n".join(lines))
+    (dst / "graph.seb").write_text((src / "graph.seb").read_text())
 
-    orders, graph = read_dataset(dataset_dir)
-    orders[0].telemetry[5, 2] = float("nan")
-    bad = tmp_path / "nan"
-    write_dataset(orders, graph, bad)
+
+def _input_error(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    return code, err
+
+
+# Line 2 is order 0's metadata; line 67 is order 1's; line 8 is order 0's
+# sixth telemetry row.
+@pytest.mark.parametrize("where, line_no, field, value", [
+    ("telemetry", 8, 2, "nan"),
+    ("ride_length", 2, 4, "nan"),
+    ("label", 67, 5, "inf"),
+])
+def test_non_finite_input_exit_3(dataset_dir, tmp_path, capsys,
+                                 where, line_no, field, value):
+    bad = tmp_path / where
+    _corrupt_field(dataset_dir, bad, line_no, field, value)
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"orders.seb:{line_no}: non-finite" in err
+
+
+@pytest.mark.parametrize("field, value", [(1, "-1"), (2, "30"), (3, "8")])
+def test_order_outside_graph_exit_3(dataset_dir, tmp_path, capsys, field, value):
+    # FAST has 80 users, 30 batteries and horizon 8: each value is one past
+    # the graph's #dims (or below 0) for its column.
+    bad = tmp_path / "outside"
+    _corrupt_field(dataset_dir, bad, 67, field, value)
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "orders.seb:67: order " in err and "outside the graph's #dims" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_exit_6(dataset_dir, tmp_path, capsys):
     capsys.readouterr()
     code = main(["train", *FAST, "--seed", "42", "--model", "seb",
-                 "--data", str(bad), "--out", str(tmp_path / "o")])
+                 "--lr", "1e300", "--data", str(dataset_dir),
+                 "--out", str(tmp_path / "o")])
     assert code == 6
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1

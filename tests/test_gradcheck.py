@@ -4,9 +4,27 @@ import numpy as np
 import pytest
 
 from sebrange.errors import ConfigError, ContractError
-from sebrange.gradcheck import grad_check, grad_check_params, pack_params, unpack_params
+from sebrange.gradcheck import grad_check, grad_check_params
 from sebrange.optim import AdamState, Param, optimizer_step
 from sebrange.tensor import mul, relu, sum_
+
+
+def pack_params(params) -> np.ndarray:
+    """Flatten a param list into one vector."""
+    return np.concatenate([p.value.reshape(-1) for p in params])
+
+
+def unpack_params(params, vec: np.ndarray):
+    """Write a flat vector back into the params, in order."""
+    offset = 0
+    for p in params:
+        n = p.value.size
+        p.value[...] = vec[offset:offset + n].reshape(p.value.shape)
+        offset += n
+    if offset != vec.size:
+        raise ContractError(
+            f"vector length {vec.size} does not match params ({offset})"
+        )
 
 
 def test_constant_gradient_sum():

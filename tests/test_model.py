@@ -329,6 +329,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatch):
             verify_config_hash(meta, "otherhash")
 
+    def test_non_finite_parameter_refused(self, tmp_path):
+        model = fresh_model()
+        model.block.w1.value[2, 3] = np.nan
+        path = tmp_path / "m.npz"
+        with pytest.raises(NumericError, match="block.w1"):
+            save_checkpoint(path, model, "h")
+        assert not path.exists()
+
     def test_baseline_checkpoints(self, tiny_data, tmp_path):
         orders, graph = tiny_data
         for kind in ("lr", "mlp"):

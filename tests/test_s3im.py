@@ -1,5 +1,7 @@
 """Structural-similarity index: frozen numeric cases, axioms, gradients."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,42 @@ from sebrange.s3im import (
     S3imConfig,
     contrast,
     luminance,
-    moments,
-    paired_moments,
     s3im,
     s3im_regularizer,
     s3im_value,
     structure,
 )
 from sebrange.tensor import Tensor
+
+
+@dataclass
+class MomentStats:
+    """Sample mean and (n-1)-normalized standard deviation."""
+
+    mu: float
+    sigma: float
+    n: int
+
+
+def moments(x) -> MomentStats:
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    n = x.size
+    if n < 2:
+        raise SampleSizeError(f"need at least 2 samples, got {n}")
+    mu = x.mean()
+    sigma = np.sqrt(((x - mu) ** 2).sum() / (n - 1))
+    return MomentStats(float(mu), float(sigma), n)
+
+
+def paired_moments(x, y):
+    """Moments of both vectors plus their (n-1)-normalized cross-covariance."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if x.size != y.size:
+        raise ShapeError(f"vector lengths differ: {x.size} vs {y.size}")
+    mx, my = moments(x), moments(y)
+    cov = ((x - mx.mu) * (y - my.mu)).sum() / (x.size - 1)
+    return mx, my, float(cov)
 
 
 def straight_line_index(x, y, cfg):
