@@ -113,22 +113,22 @@ def _check_linear(rng, points):
     return worst
 
 
-def _tiny_snapshot():
+def _tiny_graph():
     g = TemporalGraph(2, 2, 1)
     g.add_edge(SwapEdge(user(0), battery(0), 0, 0))
     g.add_edge(SwapEdge(user(1), battery(0), 0, 1))
-    return g.snapshots[0]
+    return g
 
 
 def _check_gcn_layer(rng, points):
-    snap = _tiny_snapshot()
+    g = _tiny_graph()
     worst = 0.0
     for i in range(points):
         r = rng.spawn(i)
         layer = GcnLayer.init(r, 3, 3, "relu")
         c = r.normal(size=(4, 3))
         worst = max(worst, grad_check(
-            lambda t: sum_(mul(gcn_layer_forward(layer, t, snap), c)),
+            lambda t: sum_(mul(gcn_layer_forward(layer, t, g, 0), c)),
             r.normal(size=(4, 3))))
     return worst
 

@@ -403,7 +403,7 @@ def read_orders(path):
     if n_features != N_FEATURES:
         raise VersionError(path, 1,
                            f"unsupported feature count {n_features} (expected {N_FEATURES})")
-    orders = []
+    orders, seen = [], set()
     i = 1
     while i < len(lines):
         line_no = i + 1
@@ -416,6 +416,9 @@ def read_orders(path):
             ride_length, label = float(meta[4]), float(meta[5])
         except ValueError:
             raise ParseError(path, line_no, f"bad metadata line {lines[i]!r}") from None
+        if oid in seen:
+            raise ParseError(path, line_no, f"duplicate order id {oid}")
+        seen.add(oid)
         if not (math.isfinite(ride_length) and math.isfinite(label)):
             raise ParseError(path, line_no,
                              f"non-finite ride_length or label in {lines[i]!r}")
@@ -457,19 +460,21 @@ def write_dataset(orders, g, dirpath):
 
 def _check_orders_in_graph(orders, g, path):
     """Raise ParseError at the first order whose user, battery or timestep
-    lies outside the graph's ``#dims``."""
+    lies outside the graph's ``#dims``, or that has no swap edge in it."""
     cols = np.array([(o.user.index, o.battery.index, o.t) for o in orders],
                     dtype=np.int64).reshape(-1, 3)
-    bad = ((cols < 0) | (cols >= [g.n_users, g.n_batteries, g.horizon])).any(axis=1)
+    outside = ((cols < 0) | (cols >= [g.n_users, g.n_batteries, g.horizon])).any(axis=1)
+    bad = outside | ~g.has_edges(cols[:, 2], cols[:, 0], cols[:, 1])
     if bad.any():
         i = int(bad.argmax())
         o = orders[i]
+        what = (f"lies outside the graph's #dims {g.n_users},{g.n_batteries},{g.horizon}"
+                if outside[i] else "has no swap edge in the graph")
         # Order i's metadata line follows the header and i earlier orders.
         raise ParseError(
             path, 2 + i * (1 + SEQ_LEN),
             f"order {o.order_id} (user {o.user.index}, battery {o.battery.index}, "
-            f"t {o.t}) lies outside the graph's #dims "
-            f"{g.n_users},{g.n_batteries},{g.horizon}")
+            f"t {o.t}) {what}")
 
 
 def read_dataset(dirpath):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .graph import GraphSnapshot, TemporalGraph
+from .graph import TemporalGraph
 from .optim import Param, glorot_uniform
 from .tensor import (
     Tensor,
@@ -110,15 +110,23 @@ def _propagate(layer: GcnLayer, h: Tensor, h_self: Tensor, src, dst,
     return out
 
 
-def gcn_layer_forward(layer: GcnLayer, h: Tensor, snapshot: GraphSnapshot) -> Tensor:
-    """One round of message passing over all of a snapshot's nodes."""
-    n = snapshot.n_nodes
+def gcn_layer_forward(layer: GcnLayer, h: Tensor, g: TemporalGraph, t: int,
+                      window: int = 0) -> Tensor:
+    """One round of message passing over every node of the (windowed)
+    snapshot t: the full-graph reference for ``gnn_encode``."""
+    n = g.n_nodes
     if h.shape[0] != n:
         raise ShapeError(
             f"feature rows ({h.shape[0]}) must equal node count ({n})"
         )
-    src, dst = snapshot.edge_arrays()
-    return _propagate(layer, h, h, src, dst, snapshot.inverse_degrees())
+    edges = g.window_edges(t, window)
+    b_rows = g.n_users + edges.batteries
+    src = np.concatenate([edges.users, b_rows])
+    dst = np.concatenate([b_rows, edges.users])
+    degree = np.bincount(dst, minlength=n)
+    inv_deg = np.zeros(n)
+    np.divide(1.0, degree, out=inv_deg, where=degree > 0)
+    return _propagate(layer, h, h, src, dst, inv_deg)
 
 
 def gnn_encode(config: GnnConfig, layers, g: TemporalGraph, features,

@@ -6,12 +6,15 @@ swapped to a battery at a station during a timestep. Edges only ever connect
 a user to a battery, and a given (user, battery) pair appears at most once
 per timestep; the same pair swapping again later is a distinct edge.
 
-A finalized graph is immutable by convention and safe to share read-only.
-Message passing reads a (windowed) snapshot through :class:`WindowEdges`,
-a numpy edge index grouped by destination row that the graph builds on
-first use per ``(t, window)`` and drops whenever an edge is added. Two
-readers that fill the same entry at once build equal values, so sharing
-stays safe.
+The graph stores its edges once, as four int64 columns (t, user, battery,
+station) in snapshot order, so an empty graph costs nothing per node or
+timestep. A finalized graph is immutable by convention and safe to share
+read-only. Message passing reads a (windowed) snapshot through
+:class:`WindowEdges`, a numpy edge index grouped by destination row that
+the graph builds from a slice of the columns on first use per
+``(t, window)``; the columns and every index are dropped whenever an edge
+is added. Two readers that fill the same entry at once build equal values,
+so sharing stays safe.
 """
 
 import enum
@@ -56,80 +59,6 @@ class SwapEdge:
     station: int = 0
 
 
-class GraphSnapshot:
-    """Edges of a single timestep plus both-direction adjacency lists."""
-
-    def __init__(self, t: int, n_users: int, n_batteries: int):
-        self.t = t
-        self.n_users = n_users
-        self.n_batteries = n_batteries
-        self.edges = []
-        self._user_nb = [[] for _ in range(n_users)]
-        self._batt_nb = [[] for _ in range(n_batteries)]
-        self._pairs = set()
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_users + self.n_batteries
-
-    def _add(self, edge: SwapEdge):
-        pair = (edge.user.index, edge.battery.index)
-        if pair in self._pairs:
-            raise DuplicateEdgeError(
-                f"edge (user {pair[0]}, battery {pair[1]}) already present at t={self.t}"
-            )
-        self._pairs.add(pair)
-        self.edges.append(edge)
-        self._user_nb[edge.user.index].append(edge.battery.index)
-        self._batt_nb[edge.battery.index].append(edge.user.index)
-
-    def neighbors(self, v: NodeRef):
-        """Opposite-kind neighbors of v, ascending by index."""
-        if v.kind is NodeKind.USER:
-            self._check_index(v.index, self.n_users, "user")
-            return tuple(battery(i) for i in sorted(self._user_nb[v.index]))
-        self._check_index(v.index, self.n_batteries, "battery")
-        return tuple(user(i) for i in sorted(self._batt_nb[v.index]))
-
-    def degree(self, v: NodeRef) -> int:
-        if v.kind is NodeKind.USER:
-            return len(self._user_nb[v.index])
-        return len(self._batt_nb[v.index])
-
-    @staticmethod
-    def _check_index(index, count, kind):
-        if not 0 <= index < count:
-            raise IndexError(f"{kind} index {index} out of range [0, {count})")
-
-    def edge_arrays(self):
-        """(src, dst) global-index arrays covering both directions.
-
-        Global row layout: users occupy rows [0, n_users), batteries
-        [n_users, n_users + n_batteries). Each edge contributes user->battery
-        and battery->user entries, in insertion order.
-        """
-        m = len(self.edges)
-        src = np.empty(2 * m, dtype=np.int64)
-        dst = np.empty(2 * m, dtype=np.int64)
-        for i, e in enumerate(self.edges):
-            u = e.user.index
-            b = self.n_users + e.battery.index
-            src[i], dst[i] = u, b
-            src[m + i], dst[m + i] = b, u
-        return src, dst
-
-    def inverse_degrees(self) -> np.ndarray:
-        """1/degree per global node row, 0 for isolated nodes."""
-        deg = np.zeros(self.n_nodes, dtype=np.float64)
-        for e in self.edges:
-            deg[e.user.index] += 1.0
-            deg[self.n_users + e.battery.index] += 1.0
-        out = np.zeros_like(deg)
-        nz = deg > 0
-        out[nz] = 1.0 / deg[nz]
-        return out
-
-
 class Hop(NamedTuple):
     """One round of message passing over a receptive field.
 
@@ -145,14 +74,14 @@ class Hop(NamedTuple):
 
 
 class WindowEdges:
-    """Both-direction edges of ``merged_snapshot(t, window)`` by destination.
+    """Both-direction edges of the snapshots ``t - window .. t`` by destination.
 
-    ``users`` and ``batteries`` are the merged (user, battery) pairs in
-    ``merged_snapshot`` order. ``nodes`` holds the distinct destination rows,
-    ascending; destination ``nodes[i]`` has ``degree[i]`` in-edges whose
-    source rows are ``src[start[i]:start[i] + degree[i]]``, in the order
-    ``GraphSnapshot.edge_arrays`` lists them. Every array is sized by the
-    window's edges, not by the node count.
+    ``users`` and ``batteries`` are the window's distinct (user, battery)
+    pairs, each at its first occurrence scanning old to new. ``nodes`` holds
+    the distinct destination rows, ascending; destination ``nodes[i]`` has
+    ``degree[i]`` in-edges whose source rows are
+    ``src[start[i]:start[i] + degree[i]]``, in pair order. Every array is
+    sized by the window's edges, not by the node count.
     """
 
     def __init__(self, users: np.ndarray, batteries: np.ndarray, n_users: int):
@@ -217,20 +146,32 @@ class WindowEdges:
         return self.src[edge], owner, degree
 
 
-class TemporalGraph:
-    """Snapshot sequence for t = 0..horizon-1 over fixed node populations."""
+class EdgeColumns(NamedTuple):
+    """Every edge as int64 columns, sorted by ``t`` and in insertion order
+    within a ``t`` (snapshot order)."""
 
-    node_kinds = (NodeKind.USER, NodeKind.BATTERY)
+    t: np.ndarray
+    user: np.ndarray
+    battery: np.ndarray
+    station: np.ndarray
+
+
+class TemporalGraph:
+    """Swap edges for t = 0..horizon-1 over fixed node populations.
+
+    Edges are stored once, as :class:`EdgeColumns`; snapshot ``t`` is the
+    slice of the columns whose ``t`` column equals ``t``.
+    """
 
     def __init__(self, n_users: int, n_batteries: int, horizon: int):
-        if min(n_users, n_batteries, horizon) <= 0:
-            raise ValueError("node counts and horizon must be positive")
+        if min(n_users, n_batteries, horizon) <= 0 or n_users * n_batteries * horizon >= 2**63:
+            raise ValueError("node counts and horizon must be positive, their "
+                             "product below 2**63 so int64 edge keys are exact")
         self.n_users = n_users
         self.n_batteries = n_batteries
         self.horizon = horizon
-        self.snapshots = [
-            GraphSnapshot(t, n_users, n_batteries) for t in range(horizon)
-        ]
+        self._edges = {}  # (t, user, battery) -> station, in insertion order
+        self._columns = None
         self._windows = {}
 
     @property
@@ -240,9 +181,9 @@ class TemporalGraph:
     def node_row(self, v: NodeRef) -> int:
         """Global embedding-row index of a node."""
         if v.kind is NodeKind.USER:
-            GraphSnapshot._check_index(v.index, self.n_users, "user")
+            _check_index(v.index, self.n_users, "user")
             return v.index
-        GraphSnapshot._check_index(v.index, self.n_batteries, "battery")
+        _check_index(v.index, self.n_batteries, "battery")
         return self.n_users + v.index
 
     def _check_t(self, t: int):
@@ -255,67 +196,60 @@ class TemporalGraph:
                 f"edge endpoints must be (user, battery), got "
                 f"({edge.user.kind.value}, {edge.battery.kind.value})"
             )
-        GraphSnapshot._check_index(edge.user.index, self.n_users, "user")
-        GraphSnapshot._check_index(edge.battery.index, self.n_batteries, "battery")
+        _check_index(edge.user.index, self.n_users, "user")
+        _check_index(edge.battery.index, self.n_batteries, "battery")
         self._check_t(edge.t)
-        self.snapshots[edge.t]._add(edge)
+        if not -2**63 <= edge.station < 2**63:
+            raise IndexError(f"station {edge.station} out of int64 range")
+        key = (edge.t, edge.user.index, edge.battery.index)
+        if key in self._edges:
+            raise DuplicateEdgeError(
+                f"edge (user {key[1]}, battery {key[2]}) already present at t={key[0]}"
+            )
+        self._edges[key] = edge.station
+        self._columns = None
         self._windows.clear()
 
-    def neighbors(self, v: NodeRef, t: int):
-        self._check_t(t)
-        return self.snapshots[t].neighbors(v)
+    def columns(self) -> EdgeColumns:
+        """The edge columns, built on first use after the last ``add_edge``."""
+        if self._columns is None:
+            rec = np.array([(*key, station) for key, station in self._edges.items()],
+                           dtype=np.int64).reshape(-1, 4)
+            rec = rec[np.argsort(rec[:, 0], kind="stable")]
+            self._columns = EdgeColumns(*np.ascontiguousarray(rec.T))
+        return self._columns
 
-    def degree_histogram(self, t: int) -> dict:
-        """Map degree -> node count at snapshot t; counts sum to all nodes."""
-        self._check_t(t)
-        snap = self.snapshots[t]
-        hist = {}
-        for kind, count in ((NodeKind.USER, self.n_users),
-                            (NodeKind.BATTERY, self.n_batteries)):
-            for i in range(count):
-                d = snap.degree(NodeRef(kind, i))
-                hist[d] = hist.get(d, 0) + 1
-        return hist
+    def has_edges(self, t, users, batteries) -> np.ndarray:
+        """Whether each in-range ``(t[i], users[i], batteries[i])`` is an edge."""
+        c = self.columns()
+        return np.isin(self._key(t, users, batteries),
+                       self._key(c.t, c.user, c.battery))
 
-    def edge_count(self) -> int:
-        return sum(len(s.edges) for s in self.snapshots)
-
-    def merged_snapshot(self, t: int, window: int = 0) -> GraphSnapshot:
-        """Union of snapshots t-window..t with (user, battery) pairs deduped.
-
-        window=0 returns snapshot t itself. The merged snapshot keeps the
-        earliest occurrence of each pair, scanning old-to-new.
-        """
-        self._check_t(t)
-        if window == 0:
-            return self.snapshots[t]
-        merged = GraphSnapshot(t, self.n_users, self.n_batteries)
-        for ti in range(max(0, t - window), t + 1):
-            for e in self.snapshots[ti].edges:
-                pair = (e.user.index, e.battery.index)
-                if pair not in merged._pairs:
-                    merged._add(e)
-        return merged
+    def _key(self, t, users, batteries):
+        return (np.asarray(t) * self.n_users + users) * self.n_batteries + batteries
 
     def window_edges(self, t: int, window: int = 0) -> WindowEdges:
-        """Edge index of ``merged_snapshot(t, window)``, built on first use.
+        """Edge index of the snapshots ``t - window .. t``, built on first use.
 
         Keeps the first occurrence of each (user, battery) pair, scanning
-        snapshots old to new, as ``merged_snapshot`` does.
+        snapshots old to new and each in insertion order.
         """
         self._check_t(t)
         entry = self._windows.get((t, window))
         if entry is None:
-            pairs = np.array(
-                [(e.user.index, e.battery.index)
-                 for ti in range(max(0, t - window), t + 1)
-                 for e in self.snapshots[ti].edges],
-                dtype=np.int64).reshape(-1, 2)
-            keys = pairs[:, 0] * self.n_batteries + pairs[:, 1]
-            first = np.sort(np.unique(keys, return_index=True)[1])
-            entry = WindowEdges(pairs[first, 0], pairs[first, 1], self.n_users)
+            c = self.columns()
+            lo, hi = np.searchsorted(c.t, [t - window, t + 1])
+            users, batteries = c.user[lo:hi], c.battery[lo:hi]
+            first = np.sort(np.unique(self._key(0, users, batteries),
+                                      return_index=True)[1])
+            entry = WindowEdges(users[first], batteries[first], self.n_users)
             self._windows[(t, window)] = entry
         return entry
+
+
+def _check_index(index, count, kind):
+    if not 0 <= index < count:
+        raise IndexError(f"{kind} index {index} out of range [0, {count})")
 
 
 def save_graph(g: TemporalGraph, path):
@@ -326,9 +260,7 @@ def save_graph(g: TemporalGraph, path):
     ``t,user,battery,station`` record per edge in snapshot order.
     """
     lines = [GRAPH_HEADER, f"#dims,{g.n_users},{g.n_batteries},{g.horizon}"]
-    for snap in g.snapshots:
-        for e in snap.edges:
-            lines.append(f"{e.t},{e.user.index},{e.battery.index},{e.station}")
+    lines += (f"{t},{u},{b},{s}" for t, u, b, s in np.column_stack(g.columns()).tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -344,10 +276,9 @@ def load_graph(path) -> TemporalGraph:
     if len(lines) < 2 or not lines[1].startswith("#dims,"):
         raise ParseError(path, 2, "missing #dims line")
     try:
-        n_users, n_batteries, horizon = (int(x) for x in lines[1][6:].split(","))
-    except ValueError:
+        g = TemporalGraph(*(int(x) for x in lines[1][6:].split(",")))
+    except (TypeError, ValueError):
         raise ParseError(path, 2, f"bad #dims line: {lines[1]!r}") from None
-    g = TemporalGraph(n_users, n_batteries, horizon)
     for line_no, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
         if len(parts) != 4:
@@ -356,5 +287,8 @@ def load_graph(path) -> TemporalGraph:
             t, u, b, station = (int(x) for x in parts)
         except ValueError:
             raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-        g.add_edge(SwapEdge(user(u), battery(b), t, station))
+        try:
+            g.add_edge(SwapEdge(user(u), battery(b), t, station))
+        except (IndexError, DuplicateEdgeError) as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     return g

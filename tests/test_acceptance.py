@@ -85,18 +85,18 @@ def test_criterion_03_gcn_oracle_and_permutation():
             if (u, b) not in seen:
                 seen.add((u, b))
                 g.add_edge(SwapEdge(user(u), battery(b), 0))
-        snap = g.snapshots[0]
-        n = snap.n_nodes
+        edges = g.columns()
+        n = g.n_nodes
         d_in, d_out = 1 + int(rr.integers(3)), 1 + int(rr.integers(3))
         h = rr.normal(size=(n, d_in))
         act = "relu" if i % 2 else "identity"
         layer = GcnLayer(Param(rr.normal(size=(d_in, d_out))),
                          Param(rr.normal(size=(d_in, d_out))), act)
-        got = gcn_layer_forward(layer, Tensor(h), snap).array
+        got = gcn_layer_forward(layer, Tensor(h), g, 0).array
 
         adj = np.zeros((n, n))
-        for e in snap.edges:
-            a, b2 = e.user.index, n_users + e.battery.index
+        for u, b in zip(edges.user, edges.battery):
+            a, b2 = u, n_users + b
             adj[a, b2] = adj[b2, a] = 1.0
         deg = adj.sum(axis=1)
         inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
@@ -109,13 +109,12 @@ def test_criterion_03_gcn_oracle_and_permutation():
         # permutation consistency
         pu, pb = rr.permutation(n_users), rr.permutation(n_batteries)
         g2 = TemporalGraph(n_users, n_batteries, 1)
-        for e in snap.edges:
-            g2.add_edge(SwapEdge(user(int(pu[e.user.index])),
-                                 battery(int(pb[e.battery.index])), 0))
+        for u, b in zip(edges.user, edges.battery):
+            g2.add_edge(SwapEdge(user(int(pu[u])), battery(int(pb[b])), 0))
         h2 = np.empty_like(h)
         h2[pu] = h[:n_users]
         h2[n_users + pb] = h[n_users:]
-        out2 = gcn_layer_forward(layer, Tensor(h2), g2.snapshots[0]).array
+        out2 = gcn_layer_forward(layer, Tensor(h2), g2, 0).array
         expected = np.empty_like(got)
         expected[pu] = got[:n_users]
         expected[n_users + pb] = got[n_users:]

@@ -1,6 +1,7 @@
 """CLI command flows, exit codes, output files."""
 
 import os
+import shutil
 
 import pytest
 
@@ -133,6 +134,53 @@ def test_order_outside_graph_exit_3(dataset_dir, tmp_path, capsys, field, value)
         "--data", str(bad), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "orders.seb:67: order " in err and "outside the graph's #dims" in err
+
+
+# Line 3 of graph.seb is its first swap record; each case rewrites line 4,
+# the second, and None makes it repeat the first.
+@pytest.mark.parametrize("field, value, why", [
+    (1, "80", "user index 80 out of range"),
+    (2, "-1", "battery index -1 out of range"),
+    (0, "8", "timestep 8 out of range"),
+    (None, None, "already present"),
+])
+def test_bad_graph_record_exit_3(dataset_dir, tmp_path, capsys, field, value, why):
+    bad = tmp_path / "graph"
+    shutil.copytree(dataset_dir, bad)
+    lines = (bad / "graph.seb").read_text().split("\n")
+    parts = lines[2 if field is None else 3].split(",")
+    if field is not None:
+        parts[field] = value
+    lines[3] = ",".join(parts)
+    (bad / "graph.seb").write_text("\n".join(lines))
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "graph.seb:4: " in err and why in err
+
+
+def test_duplicate_order_id_exit_3(dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "dup"
+    _corrupt_field(dataset_dir, bad, 67, 0, "0")  # order 1 takes order 0's id
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "orders.seb:67: duplicate order id 0" in err
+
+
+def test_order_without_swap_edge_exit_3(dataset_dir, tmp_path, capsys):
+    # A battery serves one user per timestep, so order 1's battery with
+    # another in-range user has no swap edge.
+    meta = (dataset_dir / "orders.seb").read_text().split("\n")[66].split(",")
+    bad = tmp_path / "no_edge"
+    _corrupt_field(dataset_dir, bad, 67, 1, str((int(meta[1]) + 1) % 80))
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "orders.seb:67: order 1 " in err and "has no swap edge" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -34,7 +34,8 @@ def test_same_seed_bit_identical(small_dataset):
         assert np.array_equal(a.telemetry, b.telemetry)
         assert a.label == b.label and a.ride_length == b.ride_length
         assert a.user == b.user and a.battery == b.battery and a.t == b.t
-    assert graph.edge_count() == graph2.edge_count()
+    for a, b in zip(graph.columns(), graph2.columns()):
+        assert np.array_equal(a, b)
 
 
 def test_different_seed_differs(small_dataset):
@@ -57,12 +58,12 @@ def test_labels_nonnegative_and_within_full_charge(small_dataset):
 
 def test_every_order_has_exactly_one_edge(small_dataset):
     orders, graph = small_dataset
-    assert graph.edge_count() == len(orders)
+    edges = graph.columns()
+    assert edges.t.size == len(orders)
     for o in orders:
-        snap = graph.snapshots[o.t]
-        matching = [e for e in snap.edges
-                    if e.user == o.user and e.battery == o.battery]
-        assert len(matching) == 1
+        matching = ((edges.t == o.t) & (edges.user == o.user.index)
+                    & (edges.battery == o.battery.index))
+        assert np.count_nonzero(matching) == 1
 
 
 def test_battery_reuse_across_snapshots(small_dataset):

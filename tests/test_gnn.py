@@ -13,12 +13,14 @@ from sebrange.rng import Rng
 from sebrange.tensor import Tensor, gather_rows, mul, sum_
 
 
-def dense_reference(h, snap, w, b, activation):
-    """sigma(D^-1 A h W + h B) with 0^-1 := 0, built from dense matrices."""
-    n = snap.n_nodes
+def dense_reference(h, g, w, b, activation):
+    """sigma(D^-1 A h W + h B) at snapshot 0, with 0^-1 := 0, built from
+    dense matrices."""
+    n = g.n_nodes
     a = np.zeros((n, n))
-    for e in snap.edges:
-        i, j = e.user.index, snap.n_users + e.battery.index
+    edges = g.columns()
+    for u, bt in zip(edges.user, edges.battery):
+        i, j = u, g.n_users + bt
         a[i, j] = a[j, i] = 1.0
     deg = a.sum(axis=1)
     d_inv = np.diag(np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0))
@@ -66,14 +68,14 @@ class TestGcnLayer:
         h = r.normal(size=(2, 3))
         b = r.normal(size=(3, 3))
         layer = GcnLayer(Param(r.normal(size=(3, 3))), Param(b), "identity")
-        out = gcn_layer_forward(layer, Tensor(h), g.snapshots[0])
+        out = gcn_layer_forward(layer, Tensor(h), g, 0)
         assert np.abs(out.array - h @ b).max() < 1e-14
 
     def test_single_edge_identity_weights(self):
         g = TemporalGraph(1, 1, 1)
         g.add_edge(SwapEdge(user(0), battery(0), 0))
         h = np.array([[1.0, 2.0], [10.0, 20.0]])
-        out = gcn_layer_forward(identity_layer(2), Tensor(h), g.snapshots[0])
+        out = gcn_layer_forward(identity_layer(2), Tensor(h), g, 0)
         # each endpoint's mean neighborhood is exactly the other row
         assert np.array_equal(out.array, [[11.0, 22.0], [11.0, 22.0]])
 
@@ -82,31 +84,29 @@ class TestGcnLayer:
         for i in range(50):
             rr = r.spawn(i)
             g = random_bipartite(rr)
-            snap = g.snapshots[0]
             d_in, d_out = int(rr.integers(3)) + 1, int(rr.integers(3)) + 1
-            h = rr.normal(size=(snap.n_nodes, d_in))
+            h = rr.normal(size=(g.n_nodes, d_in))
             act = "relu" if i % 2 == 0 else "identity"
             layer = GcnLayer(Param(rr.normal(size=(d_in, d_out))),
                              Param(rr.normal(size=(d_in, d_out))), act)
-            got = gcn_layer_forward(layer, Tensor(h), snap).array
-            ref = dense_reference(h, snap, layer.w.value, layer.b.value, act)
+            got = gcn_layer_forward(layer, Tensor(h), g, 0).array
+            ref = dense_reference(h, g, layer.w.value, layer.b.value, act)
             assert np.abs(got - ref).max() <= 1e-10
 
     def test_row_count_mismatch(self):
         g = TemporalGraph(2, 2, 1)
         layer = identity_layer(3)
         with pytest.raises(ShapeError):
-            gcn_layer_forward(layer, Tensor(np.ones((3, 3))), g.snapshots[0])
+            gcn_layer_forward(layer, Tensor(np.ones((3, 3))), g, 0)
 
     def test_gradient_through_layer(self):
         r = Rng(9)
         g = random_bipartite(r)
-        snap = g.snapshots[0]
         layer = GcnLayer.init(r, 3, 3, "relu")
-        c = r.normal(size=(snap.n_nodes, 3))
+        c = r.normal(size=(g.n_nodes, 3))
         err = grad_check(
-            lambda t: sum_(mul(gcn_layer_forward(layer, t, snap), c)),
-            r.normal(size=(snap.n_nodes, 3)))
+            lambda t: sum_(mul(gcn_layer_forward(layer, t, g, 0), c)),
+            r.normal(size=(g.n_nodes, 3)))
         assert err <= 1e-4
 
     def test_locality_bit_for_bit(self):
@@ -115,10 +115,10 @@ class TestGcnLayer:
         r = Rng(11)
         layer = GcnLayer.init(r, 3, 2, "relu")
         h = r.normal(size=(5, 3))
-        base = gcn_layer_forward(layer, Tensor(h), g.snapshots[0]).array
+        base = gcn_layer_forward(layer, Tensor(h), g, 0).array
         h2 = h.copy()
         h2[2] += 100.0  # user 2 is not a neighbor of user 0 or battery 0
-        pert = gcn_layer_forward(layer, Tensor(h2), g.snapshots[0]).array
+        pert = gcn_layer_forward(layer, Tensor(h2), g, 0).array
         assert np.array_equal(base[0], pert[0])
         assert np.array_equal(base[3], pert[3])
 
@@ -127,21 +127,20 @@ class TestGcnLayer:
         for i in range(10):
             rr = r.spawn(i)
             g = random_bipartite(rr)
-            snap = g.snapshots[0]
-            nu, nb = snap.n_users, snap.n_batteries
+            nu, nb = g.n_users, g.n_batteries
             layer = GcnLayer.init(rr, 3, 3, "relu")
             h = rr.normal(size=(nu + nb, 3))
-            base = gcn_layer_forward(layer, Tensor(h), snap).array
+            base = gcn_layer_forward(layer, Tensor(h), g, 0).array
             pu = rr.permutation(nu)  # pu[old] = new index
             pb = rr.permutation(nb)
             g2 = TemporalGraph(nu, nb, 1)
-            for e in snap.edges:
-                g2.add_edge(SwapEdge(user(int(pu[e.user.index])),
-                                     battery(int(pb[e.battery.index])), 0))
+            edges = g.columns()
+            for u, b in zip(edges.user, edges.battery):
+                g2.add_edge(SwapEdge(user(int(pu[u])), battery(int(pb[b])), 0))
             h2 = np.empty_like(h)
             h2[pu] = h[:nu]
             h2[nu + pb] = h[nu:]
-            out2 = gcn_layer_forward(layer, Tensor(h2), g2.snapshots[0]).array
+            out2 = gcn_layer_forward(layer, Tensor(h2), g2, 0).array
             expected = np.empty_like(base)
             expected[pu] = base[:nu]
             expected[nu + pb] = base[nu:]
@@ -175,8 +174,8 @@ class TestGnnEncode:
         layers = build_layers(r, cfg)
         h0 = r.normal(size=(4, 3))
         got = encode_all(cfg, layers, g, h0, 0).array
-        step1 = gcn_layer_forward(layers[0], Tensor(h0), g.snapshots[0])
-        step2 = gcn_layer_forward(layers[1], step1, g.snapshots[0])
+        step1 = gcn_layer_forward(layers[0], Tensor(h0), g, 0)
+        step2 = gcn_layer_forward(layers[1], step1, g, 0)
         assert np.array_equal(got, step2.array)
 
     def test_dim_chain_validation(self):
@@ -229,10 +228,9 @@ class TestReceptiveField:
         cfg, layers, table = fleet_encoder(g, window)
         assert g.n_users >= 2000
         for t, rows in targets.items():
-            snap = g.merged_snapshot(t, window)
             full = table.build()
             for layer in layers:
-                full = gcn_layer_forward(layer, full, snap)
+                full = gcn_layer_forward(layer, full, g, t, window)
             got = gnn_encode(cfg, layers, g, table, t, rows)
             assert got.shape[0] == rows.size
             assert np.array_equal(got.array, full.array[rows])
@@ -270,7 +268,7 @@ class TestReceptiveField:
         got = gnn_encode(cfg, [layer], g, table, 1, rows).array
         h0 = table.build().array
         assert np.array_equal(got, np.maximum(h0[rows] @ b, 0.0))
-        full = gcn_layer_forward(layer, table.build(), g.snapshots[1]).array
+        full = gcn_layer_forward(layer, table.build(), g, 1).array
         assert np.array_equal(got, full[rows])
 
     def test_repeated_and_unordered_targets(self, fleet):
@@ -292,7 +290,7 @@ class TestReceptiveField:
         before = encode_all(cfg, [layer], g, h0, 1).array
         g.add_edge(SwapEdge(user(1), battery(1), 1))
         after = encode_all(cfg, [layer], g, h0, 1).array
-        full = gcn_layer_forward(layer, Tensor(h0), g.merged_snapshot(1, 1)).array
+        full = gcn_layer_forward(layer, Tensor(h0), g, 1, 1).array
         assert not np.array_equal(before, after)
         assert np.array_equal(after, full)
 

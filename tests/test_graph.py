@@ -1,5 +1,8 @@
 """Temporal bipartite graph contracts and file round trips."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,12 +24,36 @@ def small_graph():
     return TemporalGraph(n_users=3, n_batteries=2, horizon=4)
 
 
+def in_rows(g, row, t, window=0):
+    """Source rows of global row ``row``'s in-edges, in summation order."""
+    return g.window_edges(t, window).in_edges([row])[0].tolist()
+
+
+def degree_histogram(g, t):
+    """Map degree -> node count at snapshot t."""
+    degree = g.window_edges(t).in_edges(np.arange(g.n_nodes))[2]
+    return dict(Counter(degree.tolist()))
+
+
+def merged_pairs(edges, t, window):
+    """Reference for ``window_edges``: the (user, battery) pairs of the
+    snapshots t - window .. t, scanned old to new (insertion order within a
+    timestep), each kept at its first occurrence."""
+    pairs, seen = [], set()
+    for e in sorted(edges, key=lambda e: e.t):
+        pair = (e.user.index, e.battery.index)
+        if t - window <= e.t <= t and pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+    return pairs
+
+
 class TestAddEdge:
     def test_single_edge_neighbors(self):
         g = small_graph()
         g.add_edge(SwapEdge(user(0), battery(0), 0, station=5))
-        assert g.neighbors(battery(0), 0) == (user(0),)
-        assert g.neighbors(user(0), 0) == (battery(0),)
+        assert in_rows(g, g.node_row(battery(0)), 0) == [0]
+        assert in_rows(g, 0, 0) == [g.node_row(battery(0))]
 
     def test_same_kind_is_bipartite_violation(self):
         g = small_graph()
@@ -50,48 +77,48 @@ class TestAddEdge:
         g = small_graph()
         g.add_edge(SwapEdge(user(0), battery(0), 0))
         g.add_edge(SwapEdge(user(1), battery(0), 1))
-        assert g.snapshots[0].degree(battery(0)) == 1
-        assert g.snapshots[1].degree(battery(0)) == 1
+        assert len(in_rows(g, g.node_row(battery(0)), 0)) == 1
+        assert len(in_rows(g, g.node_row(battery(0)), 1)) == 1
 
 
 class TestNeighbors:
     def test_isolated_node_empty(self):
         g = small_graph()
-        assert g.neighbors(user(2), 0) == ()
+        assert in_rows(g, 2, 0) == []
 
     def test_star_enumeration(self):
         g = small_graph()
         for u in (2, 0, 1):  # insertion order differs from index order
             g.add_edge(SwapEdge(user(u), battery(0), 1))
-        assert g.neighbors(battery(0), 1) == (user(0), user(1), user(2))
+        # a destination sums its neighbours in insertion order
+        assert in_rows(g, g.node_row(battery(0)), 1) == [2, 0, 1]
 
     def test_neighbors_opposite_kind(self):
         g = small_graph()
         g.add_edge(SwapEdge(user(1), battery(1), 2))
-        for n in g.neighbors(user(1), 2):
-            assert n.kind is NodeKind.BATTERY
-        for n in g.neighbors(battery(1), 2):
-            assert n.kind is NodeKind.USER
+        assert all(r >= g.n_users for r in in_rows(g, 1, 2))
+        assert all(r < g.n_users for r in in_rows(g, g.node_row(battery(1)), 2))
 
     def test_invalid_timestep(self):
         g = small_graph()
         with pytest.raises(IndexError):
-            g.neighbors(user(0), 7)
+            g.window_edges(7)
 
 
 class TestDegreeHistogram:
     def test_empty_snapshot(self):
         g = small_graph()
-        assert g.degree_histogram(3) == {0: 5}
+        assert degree_histogram(g, 3) == {0: 5}
 
     def test_single_edge(self):
         g = small_graph()
         g.add_edge(SwapEdge(user(0), battery(0), 0))
-        assert g.degree_histogram(0) == {0: 3, 1: 2}
+        assert degree_histogram(g, 0) == {0: 3, 1: 2}
 
     def test_matches_brute_force_recount(self):
         g = TemporalGraph(6, 4, 3)
         r = Rng(17)
+        edges = []
         for t in range(3):
             pairs = set()
             for _ in range(8):
@@ -99,16 +126,18 @@ class TestDegreeHistogram:
                 if (u, b) in pairs:
                     continue
                 pairs.add((u, b))
-                g.add_edge(SwapEdge(user(u), battery(b), t))
+                edges.append(SwapEdge(user(u), battery(b), t))
+                g.add_edge(edges[-1])
         for t in range(3):
             counts = {}
             for kind, n in ((NodeKind.USER, 6), (NodeKind.BATTERY, 4)):
                 for i in range(n):
-                    d = sum(1 for e in g.snapshots[t].edges
-                            if (kind is NodeKind.USER and e.user.index == i)
-                            or (kind is NodeKind.BATTERY and e.battery.index == i))
+                    d = sum(1 for e in edges
+                            if e.t == t and (
+                                (kind is NodeKind.USER and e.user.index == i)
+                                or (kind is NodeKind.BATTERY and e.battery.index == i)))
                     counts[d] = counts.get(d, 0) + 1
-            hist = g.degree_histogram(t)
+            hist = degree_histogram(g, t)
             assert hist == counts
             assert sum(hist.values()) == 10
 
@@ -125,10 +154,9 @@ def test_degree_sums_match_edge_count():
             seen.add((u, b))
             g.add_edge(SwapEdge(user(u), battery(b), t))
     for t in range(2):
-        snap = g.snapshots[t]
-        user_deg = sum(snap.degree(user(i)) for i in range(5))
-        batt_deg = sum(snap.degree(battery(i)) for i in range(5))
-        assert user_deg == batt_deg == len(snap.edges)
+        degree = g.window_edges(t).in_edges(np.arange(g.n_nodes))[2]
+        user_deg, batt_deg = degree[:5].sum(), degree[5:].sum()
+        assert user_deg == batt_deg == np.count_nonzero(g.columns().t == t)
 
 
 def test_merged_snapshot_window_dedupes_pairs():
@@ -136,44 +164,82 @@ def test_merged_snapshot_window_dedupes_pairs():
     g.add_edge(SwapEdge(user(0), battery(0), 0, station=1))
     g.add_edge(SwapEdge(user(0), battery(0), 1, station=2))
     g.add_edge(SwapEdge(user(1), battery(1), 1, station=3))
-    merged = g.merged_snapshot(1, window=1)
-    assert len(merged.edges) == 2
-    assert merged.degree(battery(0)) == 1
+    merged = g.window_edges(1, window=1)
+    assert merged.users.size == 2
+    assert len(in_rows(g, g.node_row(battery(0)), 1, window=1)) == 1
     # window=0 is the plain snapshot
-    assert g.merged_snapshot(1, window=0) is g.snapshots[1]
+    plain = g.window_edges(1, window=0)
+    assert list(zip(plain.users.tolist(), plain.batteries.tolist())) == [(0, 0), (1, 1)]
 
 
 def random_temporal(seed, n_users=12, n_batteries=6, horizon=6, swaps=9):
-    """Graph whose (user, battery) pairs recur across timesteps."""
+    """Graph whose (user, battery) pairs recur across timesteps, with its
+    edges in insertion order."""
     g = TemporalGraph(n_users, n_batteries, horizon)
     r = Rng(seed)
+    edges = []
     for t in range(horizon):
         seen = set()
         for _ in range(swaps):
             u, b = int(r.integers(n_users)), int(r.integers(n_batteries))
             if (u, b) not in seen:
                 seen.add((u, b))
-                g.add_edge(SwapEdge(user(u), battery(b), t))
-    return g
+                edges.append(SwapEdge(user(u), battery(b), t))
+                g.add_edge(edges[-1])
+    return g, edges
 
 
 @pytest.mark.parametrize("window", [0, 1, 3])
 def test_window_edges_keep_merged_snapshot_order(window):
-    g = random_temporal(41)
+    g, edges = random_temporal(41)
     for t in range(g.horizon):
-        merged = g.merged_snapshot(t, window)
+        pairs = merged_pairs(edges, t, window)
         entry = g.window_edges(t, window)
-        pairs = [(e.user.index, e.battery.index) for e in merged.edges]
         assert list(zip(entry.users.tolist(), entry.batteries.tolist())) == pairs
-        src, dst = merged.edge_arrays()
+        users = np.array([p[0] for p in pairs], dtype=np.int64)
+        b_rows = g.n_users + np.array([p[1] for p in pairs], dtype=np.int64)
+        src, dst = np.concatenate([users, b_rows]), np.concatenate([b_rows, users])
         rows = np.arange(g.n_nodes)
         got_src, owner, degree = entry.in_edges(rows)
         for v in rows:
             assert got_src[owner == v].tolist() == src[dst == v].tolist()
         inv = np.zeros(g.n_nodes)
         inv[degree > 0] = 1.0 / degree[degree > 0]
-        assert np.array_equal(inv, merged.inverse_degrees())
+        expect = np.bincount(dst, minlength=g.n_nodes).astype(float)
+        expect[expect > 0] = 1.0 / expect[expect > 0]
+        assert np.array_equal(inv, expect)
         assert g.window_edges(t, window) is entry
+
+
+def test_columns_in_snapshot_order():
+    g = small_graph()
+    records = [(2, 0, 1, 7), (0, 1, 0, 3), (2, 2, 0, 5), (0, 0, 0, 4)]
+    for t, u, b, s in records:
+        g.add_edge(SwapEdge(user(u), battery(b), t, s))
+    c = g.columns()
+    assert all(col.dtype == np.int64 for col in c)
+    assert np.column_stack(c).tolist() == [
+        [0, 1, 0, 3], [0, 0, 0, 4], [2, 0, 1, 7], [2, 2, 0, 5]]
+
+
+def test_has_edges_matches_records():
+    g = small_graph()
+    g.add_edge(SwapEdge(user(1), battery(0), 2))
+    g.add_edge(SwapEdge(user(2), battery(1), 3))
+    got = g.has_edges([2, 3, 2, 3], [1, 2, 2, 1], [0, 1, 0, 1])
+    assert got.tolist() == [True, True, False, False]
+
+
+def test_empty_graph_allocates_under_1mb():
+    # One city-sized fleet over 50 timesteps; nothing is stored per node or
+    # per timestep until an edge arrives.
+    tracemalloc.start()
+    try:
+        TemporalGraph(40000, 12000, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"empty graph peaked at {peak} bytes"
 
 
 def test_window_edges_see_later_add_edge():
@@ -204,14 +270,8 @@ class TestSerialization:
         g2 = load_graph(p1)
         save_graph(g2, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        for t in range(5):
-            assert [
-                (e.user.index, e.battery.index, e.t, e.station)
-                for e in g.snapshots[t].edges
-            ] == [
-                (e.user.index, e.battery.index, e.t, e.station)
-                for e in g2.snapshots[t].edges
-            ]
+        for a, b in zip(g.columns(), g2.columns()):
+            assert np.array_equal(a, b)
 
     def test_version_error(self, tmp_path):
         p = tmp_path / "bad.seb"
@@ -223,6 +283,29 @@ class TestSerialization:
         p = tmp_path / "bad.seb"
         p.write_text("#seb-graph v1\n#dims,2,2,2\n0,0,0,0\n1,zap,0,0\n")
         with pytest.raises(ParseError, match=":4:"):
+            load_graph(p)
+
+    @pytest.mark.parametrize("dims", [
+        "#dims,0,2,2", "#dims,2,2", "#dims,2,x,2",
+        "#dims,4294967296,4294967296,1",  # edge keys would overflow int64
+    ])
+    def test_bad_dims_is_parse_error(self, tmp_path, dims):
+        p = tmp_path / "bad.seb"
+        p.write_text(f"#seb-graph v1\n{dims}\n")
+        with pytest.raises(ParseError, match="bad.seb:2: bad #dims line"):
+            load_graph(p)
+
+    @pytest.mark.parametrize("record, why", [
+        ("0,2,0,0", "user index 2"),
+        ("0,0,-1,0", "battery index -1"),
+        ("2,0,0,0", "timestep 2"),
+        ("0,0,0,3", "already present"),
+        ("0,0,0,9223372036854775808", "station 9223372036854775808"),
+    ])
+    def test_bad_record_is_parse_error(self, tmp_path, record, why):
+        p = tmp_path / "bad.seb"
+        p.write_text(f"#seb-graph v1\n#dims,2,2,2\n0,0,0,0\n{record}\n")
+        with pytest.raises(ParseError, match=f"bad.seb:4: .*{why}"):
             load_graph(p)
 
 

@@ -67,7 +67,7 @@ class TestForward:
         orders, graph = tiny_data
         model = fresh_model()
         order = orders[0]
-        assert graph.neighbors(order.battery, order.t)
+        assert graph.window_edges(order.t).in_edges([graph.node_row(order.battery)])[0].size
         full = model.forward_batch([order], graph).item()
         ablated = model.forward_batch([order], graph,
                                       zero_graph_slice=True).item()
@@ -358,10 +358,9 @@ def test_graph_sensitivity_smoke(tiny_data):
     train(model, orders, graph, cfg)
     order = orders[0]
     pruned = TemporalGraph(graph.n_users, graph.n_batteries, graph.horizon)
-    for snap in graph.snapshots:
-        for e in snap.edges:
-            if e.battery != order.battery:
-                pruned.add_edge(e)
+    for t, u, b, s in np.column_stack(graph.columns()).tolist():
+        if b != order.battery.index:
+            pruned.add_edge(SwapEdge(user(u), battery(b), t, s))
     assert model.forward(order, graph) != model.forward(order, pruned)
 
 
