@@ -461,9 +461,14 @@ def write_dataset(orders, g, dirpath):
 def _check_orders_in_graph(orders, g, path):
     """Raise ParseError at the first order whose user, battery or timestep
     lies outside the graph's ``#dims``, or that has no swap edge in it."""
-    cols = np.array([(o.user.index, o.battery.index, o.t) for o in orders],
+    dims = (g.n_users, g.n_batteries, g.horizon)
+    rows = [(o.user.index, o.battery.index, o.t) for o in orders]
+    # The range check runs on Python ints, so an index beyond int64 is
+    # reported here instead of overflowing the int64 columns.
+    outside = np.array([not all(0 <= x < n for x, n in zip(r, dims)) for r in rows],
+                       dtype=bool)
+    cols = np.array([(0, 0, 0) if out else r for r, out in zip(rows, outside)],
                     dtype=np.int64).reshape(-1, 3)
-    outside = ((cols < 0) | (cols >= [g.n_users, g.n_batteries, g.horizon])).any(axis=1)
     bad = outside | ~g.has_edges(cols[:, 2], cols[:, 0], cols[:, 1])
     if bad.any():
         i = int(bad.argmax())

@@ -120,7 +120,7 @@ class SebTransformer:
         labels = np.array([o.label for o in train_orders])
         self.fusion.out_bias.value[...] = labels.mean()
 
-    def forward_batch(self, orders, graph, zero_graph_slice=False) -> Tensor:
+    def forward_batch(self, orders, graph) -> Tensor:
         """Predictions (B,) for a batch of orders sharing one swap timestep."""
         if not orders:
             raise ConfigError("forward_batch needs at least one order")
@@ -133,7 +133,7 @@ class SebTransformer:
         x0_pooled = mean(x0, axis=-2)
         x2 = encode_sequence(self.block, x0)
         x2_pooled = mean(x2, axis=-2)
-        if self.cfg.use_graph and not zero_graph_slice:
+        if self.cfg.use_graph:
             rows = [graph.node_row(o.battery) for o in orders]
             rows += [graph.node_row(o.user) for o in orders]
             targets = sorted(set(rows))
@@ -180,7 +180,7 @@ class MlpBaseline:
         labels = np.array([o.label for o in train_orders])
         self.mlp.out_bias.value[...] = labels.mean()
 
-    def forward_batch(self, orders, graph=None, zero_graph_slice=False) -> Tensor:
+    def forward_batch(self, orders, graph=None) -> Tensor:
         flat = self.scaler.apply(_stack_telemetry(orders)).reshape(
             len(orders), self.in_dim)
         return reshape(mlp_forward(self.mlp, Tensor(flat)), (len(orders),))

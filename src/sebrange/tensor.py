@@ -212,10 +212,15 @@ def neg(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """max(a, 0) that passes NaN through instead of zeroing it."""
+    """max(a, 0) that passes NaN through instead of zeroing it.
+
+    ``np.maximum`` may keep -0.0; adding +0.0 folds it to +0.0, so the bits
+    equal ``np.where(a <= 0.0, 0.0, a)`` for every input.
+    """
     a = as_tensor(a)
-    return Tensor(np.where(a.array <= 0.0, 0.0, a.array), (a,),
-                  lambda g: (g * (a.array > 0.0),))
+    out = np.maximum(a.array, 0.0)
+    out += 0.0
+    return Tensor(out, (a,), lambda g: (g * (a.array > 0.0),))
 
 
 def sqrt(a) -> Tensor:
@@ -391,18 +396,28 @@ def softmax_rows(a) -> Tensor:
 def attention_core(q, k, v) -> Tensor:
     """Scaled dot-product attention ``softmax(q k^T / sqrt(d_qk)) v``.
 
-    One tape node: the forward keeps only the row weights, and the backward
-    applies the softmax Jacobian in closed form, a FlashAttention-style fused
-    backward (Dao et al., 2022) without tiling.
+    One tape node: the forward keeps only the softmax weights, and the
+    backward applies the softmax Jacobian in closed form, a
+    FlashAttention-style fused backward (Dao et al., 2022) without tiling.
+
+    The forward works key-major: ``k q^T`` of shape (..., S_k, S_q) is the
+    transpose of ``q k^T`` bit for bit, and its max and broadcasts run over
+    axis -2, which numpy does in long contiguous loops rather than one short
+    loop per query row. The row sums are taken from a row-major copy,
+    because numpy's pairwise summation order holds only along a contiguous
+    axis; a sum over axis -2 would change the last bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = np.matmul(q.array, np.swapaxes(k.array, -1, -2))
-    scores *= scale
-    weights = _softmax(scores)
-    out = np.matmul(weights, v.array)
+    st = np.matmul(k.array, np.swapaxes(q.array, -1, -2))
+    st *= scale
+    st -= st.max(axis=-2, keepdims=True)
+    np.exp(st, out=st)
+    st /= np.ascontiguousarray(np.swapaxes(st, -1, -2)).sum(axis=-1)[..., None, :]
+    out = np.matmul(np.swapaxes(st, -1, -2), v.array)
 
     def vjp(g):
+        weights = np.ascontiguousarray(np.swapaxes(st, -1, -2))
         # The scale is applied to the narrow (S, D) products, not the (S, S) rows.
         gs = _softmax_vjp(weights, np.matmul(g, np.swapaxes(v.array, -1, -2)))
         return (

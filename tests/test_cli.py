@@ -123,10 +123,13 @@ def test_non_finite_input_exit_3(dataset_dir, tmp_path, capsys,
     assert f"orders.seb:{line_no}: non-finite" in err
 
 
-@pytest.mark.parametrize("field, value", [(1, "-1"), (2, "30"), (3, "8")])
+@pytest.mark.parametrize("field, value", [
+    (1, "-1"), (2, "30"), (3, "8"),
+    (1, "100000000000000000000"), (2, "-100000000000000000000"),
+])
 def test_order_outside_graph_exit_3(dataset_dir, tmp_path, capsys, field, value):
     # FAST has 80 users, 30 batteries and horizon 8: each value is one past
-    # the graph's #dims (or below 0) for its column.
+    # the graph's #dims (or below 0) for its column, or beyond int64.
     bad = tmp_path / "outside"
     _corrupt_field(dataset_dir, bad, 67, field, value)
     code, err = _input_error(capsys, [

@@ -174,6 +174,22 @@ class TestAttentionCore:
         k, v = r.normal(size=(6, 4)), r.normal(size=(6, 3))
         assert_matches(attention_core, composed_attention, [q, k, v])
 
+    @pytest.mark.parametrize("q_shape, k_shape, v_shape, logit_scale", [
+        ((5, 4), (9, 4), (9, 3), 1.0),
+        ((2, 9, 4), (2, 5, 4), (2, 5, 3), 1.0),
+        ((3, 7, 4), (11, 4), (11, 2), 1.0),
+        ((3, 6, 4), (3, 6, 4), (3, 6, 3), 1e3),
+        ((2, 5, 4), (8, 4), (8, 3), 1e3),
+    ])
+    def test_forward_bits_over_key_shapes(self, q_shape, k_shape, v_shape,
+                                          logit_scale):
+        # Large logits make the max shift decide which weights underflow.
+        r = Rng(9)
+        q = r.normal(size=q_shape) * np.sqrt(logit_scale)
+        k = r.normal(size=k_shape) * np.sqrt(logit_scale)
+        v = r.normal(size=v_shape)
+        assert_matches(attention_core, composed_attention, [q, k, v])
+
     def test_attend_is_one_tape_node(self):
         q, k, v = (Tensor(np.ones((4, 3))) for _ in range(3))
         assert attend(q, k, v)._parents == (q, k, v)

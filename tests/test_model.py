@@ -69,8 +69,10 @@ class TestForward:
         order = orders[0]
         assert graph.window_edges(order.t).in_edges([graph.node_row(order.battery)])[0].size
         full = model.forward_batch([order], graph).item()
-        ablated = model.forward_batch([order], graph,
-                                      zero_graph_slice=True).item()
+        # The same weights with the graph branch off, as the transformer
+        # baseline runs them.
+        model.cfg = replace(model.cfg, use_graph=False)
+        ablated = model.forward_batch([order], graph).item()
         assert full != ablated
 
     def test_mixed_timesteps_rejected(self, tiny_data):

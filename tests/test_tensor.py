@@ -140,6 +140,16 @@ def test_relu_passes_nan_and_keeps_finite_values():
     assert out[1:].tobytes() == np.where(finite > 0.0, finite, 0.0).tobytes()
 
 
+def test_relu_bits_match_where_on_special_values():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  1.5, -2.0])
+    x = np.stack([x, x[::-1]])  # every value at two alignments
+    with np.errstate(all="raise"):
+        out = relu(x).array
+        oracle = np.where(x <= 0.0, 0.0, x)
+    assert out.tobytes() == oracle.tobytes()
+
+
 def test_mean_axis():
     x = np.arange(12.0).reshape(3, 4)
     assert np.allclose(mean(Tensor(x), axis=-2).array, x.mean(axis=0))
