@@ -22,19 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SampleSizeError, ShapeError
-from .tensor import (
-    Tensor,
-    as_tensor,
-    div,
-    mean,
-    mul,
-    pow_const,
-    relu,
-    reshape,
-    sqrt,
-    sub,
-    sum_,
-)
+from .tensor import Tensor, as_tensor, sub
 
 SIGN_MODES = ("one_minus", "literal")
 C1_MODES = ("squared", "linear")
@@ -92,95 +80,78 @@ def _check_pair(nx: int, ny: int):
         raise SampleSizeError(f"need at least 2 samples, got {nx}")
 
 
-def _stats(t: Tensor):
-    """Differentiable mean, (n-1) variance and centered values of a vector."""
-    n = t.size
-    mu = mean(t)
-    centered = sub(t, mu)
-    var = div(sum_(mul(centered, centered)), n - 1)
-    return mu, centered, var
+def _power(r, p: float, clamp: bool):
+    """``r ** p`` and a function that returns its derivative in ``r``.
 
-
-def _as_vector(x) -> Tensor:
-    t = as_tensor(x)
-    return t if t.ndim == 1 else reshape(t, (-1,))
-
-
-def luminance(x, y, cfg: S3imConfig) -> Tensor:
-    """Mean-agreement term; 1 exactly when the two means coincide."""
-    x, y = _as_vector(x), _as_vector(y)
-    _check_pair(x.size, y.size)
-    mu_x, mu_y = mean(x), mean(y)
-    c1 = cfg.c1
-    num = mul(mul(mu_x, mu_y), 2.0) + c1
-    den = mul(mu_x, mu_x) + mul(mu_y, mu_y) + c1
-    return div(num, den)
-
-
-def contrast(x, y, cfg: S3imConfig) -> Tensor:
-    """Spread-agreement term; 1 exactly when the two deviations coincide."""
-    x, y = _as_vector(x), _as_vector(y)
-    _check_pair(x.size, y.size)
-    _, _, var_x = _stats(x)
-    _, _, var_y = _stats(y)
-    sd_x, sd_y = sqrt(var_x), sqrt(var_y)
-    c2 = cfg.c2
-    num = mul(mul(sd_x, sd_y), 2.0) + c2
-    den = var_x + var_y + c2
-    return div(num, den)
-
-
-def structure(x, y, cfg: S3imConfig) -> Tensor:
-    """Normalized-covariance term; at most 1, reached on matched variation."""
-    x, y = _as_vector(x), _as_vector(y)
-    _check_pair(x.size, y.size)
-    _, cx, var_x = _stats(x)
-    _, cy, var_y = _stats(y)
-    cov = div(sum_(mul(cx, cy)), x.size - 1)
-    c3 = cfg.c3
-    return div(cov + c3, mul(sqrt(var_x), sqrt(var_y)) + c3)
-
-
-def _clamp01(t: Tensor) -> Tensor:
-    return sub(1.0, relu(sub(1.0, relu(t))))
-
-
-def _apply_exponent(term: Tensor, p: float, clamp: bool) -> Tensor:
+    Under ``clamp`` and a non-integer ``p``, ``r`` is first clamped to
+    [0, 1] as ``1 - relu(1 - relu(r))``, which is flat outside (0, 1).
+    """
     if p == 1.0:
-        return term
+        return r, lambda: 1.0
+    inside = True
     if clamp and p != np.floor(p):
-        term = _clamp01(term)
-    return pow_const(term, p)
+        inside = 0.0 < r < 1.0
+        r = 1.0 - np.maximum(1.0 - np.maximum(r, 0.0), 0.0)
+    r = np.asarray(r)
+    return r**p, lambda: p * r ** (p - 1.0) if inside else 0.0
 
 
 def s3im(x, y, cfg: S3imConfig) -> Tensor:
-    """Similarity index in (-M, M] with M = 1; differentiable in both args.
+    """Similarity index in (-M, M] with M = 1, as one tape node.
 
-    The structure term can be negative; under a non-integer exponent it is
-    clamped to [0, 1] first so the power stays real.
+    ``y`` is a constant: the gradient flows into ``x`` only, in closed form
+    through the two means, the deviation of ``x`` and the covariance (Wang
+    et al., 2004). The structure term can be negative; under a non-integer
+    exponent it is clamped to [0, 1] first so the power stays real.
     """
-    r1 = _apply_exponent(luminance(x, y, cfg), cfg.alpha, clamp=False)
-    r2 = _apply_exponent(contrast(x, y, cfg), cfg.beta, clamp=False)
-    r3 = _apply_exponent(structure(x, y, cfg), cfg.gamma, clamp=True)
-    return mul(mul(r1, r2), r3)
+    x = as_tensor(x)
+    xv, yv = x.array.reshape(-1), as_tensor(y).array.reshape(-1)
+    _check_pair(xv.size, yv.size)
+    n = xv.size
+    scale = 1.0 / n
+    mx, my = xv.sum() * scale, yv.sum() * scale
+    cx, cy = xv - mx, yv - my
+    vx, vy = (cx * cx).sum() / (n - 1), (cy * cy).sum() / (n - 1)
+    cov = (cx * cy).sum() / (n - 1)
+    sx, sy = np.sqrt(vx), np.sqrt(vy)
+    d1 = mx * mx + my * my + cfg.c1
+    d2 = vx + vy + cfg.c2
+    d3 = sx * sy + cfg.c3
+    r1 = ((mx * my) * 2.0 + cfg.c1) / d1
+    r2 = ((sx * sy) * 2.0 + cfg.c2) / d2
+    r3 = (cov + cfg.c3) / d3
+    p1, slope1 = _power(r1, cfg.alpha, clamp=False)
+    p2, slope2 = _power(r2, cfg.beta, clamp=False)
+    p3, slope3 = _power(r3, cfg.gamma, clamp=True)
+    out = (p1 * p2) * p3
+
+    def vjp(g):
+        g1 = g * (p2 * p3) * slope1()
+        g2 = g * (p1 * p3) * slope2()
+        g3 = g * (p1 * p2) * slope3()
+        # Chain rule through dmx/dx = 1/n, dsx/dx = cx / ((n-1) sx) and
+        # dcov/dx = cy / (n-1).
+        g_mx = g1 * 2.0 * (my - r1 * mx) / d1
+        g_sx = g2 * 2.0 * (sy - r2 * sx) / d2 - g3 * r3 * sy / d3
+        gx = g_mx * scale + (g_sx / sx * cx + g3 / d3 * cy) / (n - 1)
+        return (gx.reshape(x.shape),)
+
+    return Tensor(out, (x,), vjp)
 
 
 def s3im_value(x, y, cfg: S3imConfig) -> float:
-    """The index as a float: runs the autodiff ``s3im`` on constant inputs
-    and reads out the scalar, for reporting paths and tests."""
-    return s3im(as_tensor(np.asarray(x, dtype=np.float64)),
-                as_tensor(np.asarray(y, dtype=np.float64)), cfg).item()
+    """The index as a float, for reporting paths and tests."""
+    return s3im(x, y, cfg).item()
 
 
 def s3im_regularizer(pred, target, cfg: S3imConfig) -> Tensor:
     """Loss form of the index: zero at elementwise-equal prediction.
 
-    ``target`` is treated as a constant, so gradients flow to ``pred`` only.
+    ``target`` is a constant, so gradients flow to ``pred`` only.
     With ``cfg.sign == "literal"`` the raw index is returned instead (the
     sign-ablation mode, which rewards dissimilarity when minimized).
     """
-    target = np.asarray(target, dtype=np.float64)
-    value = s3im(pred, Tensor(target), cfg)
+    value = s3im(pred, target, cfg)
     if cfg.sign == "literal":
         return value
     return sub(1.0, value)

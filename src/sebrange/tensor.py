@@ -100,20 +100,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -193,24 +181,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.array / b.array
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.array, a.shape),
-            _unbroadcast(-g * a.array / (b.array * b.array), b.shape),
-        )
-
-    return Tensor(out, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(-a.array, (a,), lambda g: (-g,))
-
-
 def relu(a) -> Tensor:
     """max(a, 0) that passes NaN through instead of zeroing it.
 
@@ -221,20 +191,6 @@ def relu(a) -> Tensor:
     out = np.maximum(a.array, 0.0)
     out += 0.0
     return Tensor(out, (a,), lambda g: (g * (a.array > 0.0),))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.array)
-    return Tensor(out, (a,), lambda g: (g * (0.5 / out),))
-
-
-def pow_const(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant (non-differentiated) exponent."""
-    a = as_tensor(a)
-    p = float(exponent)
-    out = a.array**p
-    return Tensor(out, (a,), lambda g: (g * p * a.array ** (p - 1.0),))
 
 
 # ---------------------------------------------------------------------------

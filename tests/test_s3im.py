@@ -1,6 +1,7 @@
 """Structural-similarity index: frozen numeric cases, axioms, gradients."""
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,21 @@ import pytest
 from sebrange.errors import ConfigError, SampleSizeError, ShapeError
 from sebrange.gradcheck import grad_check
 from sebrange.rng import Rng
-from sebrange.s3im import (
-    S3imConfig,
-    contrast,
-    luminance,
-    s3im,
-    s3im_regularizer,
-    s3im_value,
-    structure,
-)
+from sebrange.s3im import S3imConfig, s3im, s3im_regularizer, s3im_value
 from sebrange.tensor import Tensor
+
+
+# One term of the index: the other two exponents are 0 and r ** 0.0 == 1.0.
+def luminance(x, y, cfg):
+    return s3im_value(x, y, replace(cfg, beta=0.0, gamma=0.0))
+
+
+def contrast(x, y, cfg):
+    return s3im_value(x, y, replace(cfg, alpha=0.0, gamma=0.0))
+
+
+def structure(x, y, cfg):
+    return s3im_value(x, y, replace(cfg, alpha=0.0, beta=0.0))
 
 
 @dataclass
@@ -94,18 +100,18 @@ class TestLuminance:
         cfg = S3imConfig(dynamic_range=5.0)
         x = [1.0, 2.0, 3.0]
         y = [3.0, 2.0, 1.0]
-        assert abs(luminance(x, y, cfg).item() - 1.0) <= 1e-15
+        assert abs(luminance(x, y, cfg) - 1.0) <= 1e-15
 
     def test_zero_means_stabilizer_only(self):
         cfg = S3imConfig(dynamic_range=5.0)
-        v = luminance([-1.0, 1.0], [-2.0, 2.0], cfg).item()
+        v = luminance([-1.0, 1.0], [-2.0, 2.0], cfg)
         assert v == 1.0
 
     def test_frozen_numeric_case(self):
         # C1 = (K1 L)^2 = 0.01 via K1 = 0.01, L = 10
         cfg = S3imConfig(k1=0.01, dynamic_range=10.0)
         assert abs(cfg.c1 - 0.01) < 1e-15
-        v = luminance([1.0, 1.0], [3.0, 3.0], cfg).item()
+        v = luminance([1.0, 1.0], [3.0, 3.0], cfg)
         assert abs(v - 6.01 / 10.01) <= 1e-15
 
     def test_length_mismatch(self):
@@ -117,12 +123,12 @@ class TestLuminance:
 class TestContrast:
     def test_equal_spreads_is_one(self):
         cfg = S3imConfig(dynamic_range=5.0)
-        v = contrast([0.0, 2.0], [10.0, 12.0], cfg).item()
+        v = contrast([0.0, 2.0], [10.0, 12.0], cfg)
         assert abs(v - 1.0) <= 1e-15
 
     def test_both_constant_stabilizer_only(self):
         cfg = S3imConfig(dynamic_range=5.0)
-        assert contrast([3.0, 3.0], [8.0, 8.0], cfg).item() == 1.0
+        assert contrast([3.0, 3.0], [8.0, 8.0], cfg) == 1.0
 
     def test_frozen_numeric_case(self):
         # C2 = (K2 L)^2 = 0.03 via K2 = sqrt(0.03)/10, L = 10
@@ -131,7 +137,7 @@ class TestContrast:
         # sigma_x = 1, sigma_y = 2
         x = [0.0, np.sqrt(2.0)]
         y = [0.0, 2.0 * np.sqrt(2.0)]
-        v = contrast(x, y, cfg).item()
+        v = contrast(x, y, cfg)
         assert abs(v - 4.03 / 5.03) <= 1e-12
 
 
@@ -139,12 +145,12 @@ class TestStructure:
     def test_identical_vectors(self):
         cfg = S3imConfig(dynamic_range=5.0)
         x = [1.0, 4.0, 2.0]
-        assert abs(structure(x, x, cfg).item() - 1.0) <= 1e-12
+        assert abs(structure(x, x, cfg) - 1.0) <= 1e-12
 
     def test_sign_flip_below_one(self):
         cfg = S3imConfig(dynamic_range=5.0)
         x = np.array([-2.0, 0.0, 2.0])
-        v = structure(x, -x, cfg).item()
+        v = structure(x, -x, cfg)
         var = ((x - x.mean()) ** 2).sum() / 2
         expect = (cfg.c3 - var) / (var + cfg.c3)
         assert abs(v - expect) <= 1e-12
@@ -157,7 +163,7 @@ class TestStructure:
         _, _, cov = paired_moments(x, y)
         sx, sy = moments(x).sigma, moments(y).sigma
         assert abs(cov - sx * sy) < 1e-15  # exact affine alignment
-        assert abs(structure(x, y, cfg).item() - 1.0) <= 1e-12
+        assert abs(structure(x, y, cfg) - 1.0) <= 1e-12
 
 
 class TestS3im:
@@ -192,9 +198,9 @@ class TestS3im:
             n = int(r.integers(40)) + 2
             x, y = r.normal(size=(n,)), r.normal(size=(n,))
             lhs = s3im(x, y, cfg).item()
-            rhs = (luminance(x, y, cfg).item()
-                   * contrast(x, y, cfg).item()
-                   * structure(x, y, cfg).item())
+            rhs = (luminance(x, y, cfg)
+                   * contrast(x, y, cfg)
+                   * structure(x, y, cfg))
             assert abs(lhs - rhs) <= 1e-15
 
     def test_exponents_weight_terms(self):
@@ -233,17 +239,42 @@ class TestRegularizer:
             x, y = rr.normal(size=(n,)), rr.normal(size=(n,))
             assert s3im_regularizer(Tensor(x), y, cfg).item() >= 0.0
 
-    def test_gradient_small_tolerance(self):
-        cfg = S3imConfig(dynamic_range=8.0)
+    @pytest.mark.parametrize("kwargs, coupled", [
+        ({}, False),
+        ({"alpha": 2.0, "beta": 0.5, "gamma": 3.0}, False),
+        ({"gamma": 0.5}, True),
+        ({"c1_mode": "linear"}, False),
+        ({"sign": "literal"}, False),
+    ], ids=["default", "exponents", "gamma-half", "c1-linear", "literal"])
+    def test_gradient_small_tolerance(self, kwargs, coupled):
+        cfg = S3imConfig(dynamic_range=8.0, **kwargs)
         r = Rng(8)
         worst = 0.0
         for i in range(20):
             rr = r.spawn(i)
             y = rr.normal(25.0, 4.0, size=(10,))
-            err = grad_check(lambda t: s3im_regularizer(t, y, cfg),
-                             rr.normal(25.0, 4.0, size=(10,)))
+            x = rr.normal(25.0, 4.0, size=(10,))
+            if coupled:
+                # A structure term inside (0, 1), where the clamp is not flat.
+                x = (x + y) / 2.0
+                mx, my, cov = paired_moments(x, y)
+                assert 0.0 < (cov + cfg.c3) / (mx.sigma * my.sigma + cfg.c3) < 1.0
+            err = grad_check(lambda t: s3im_regularizer(t, y, cfg), x)
             worst = max(worst, err)
         assert worst <= 1e-6
+
+    def test_constant_target(self):
+        # Labels can be equal across a chunk; the target's deviation is then
+        # 0, which must not reach the backward as a division.
+        cfg = S3imConfig(dynamic_range=10.0)
+        x = Tensor([1.0, 2.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss = s3im_regularizer(x, [5.0, 5.0, 5.0], cfg)
+            loss.backward()
+        assert abs(loss.item() - 0.971533010347157) <= 1e-12
+        expect = [-0.018273648390437002, -0.0065266100192500813, 0.016967466723123761]
+        assert np.abs(x.grad - expect).max() <= 1e-12
 
     def test_literal_sign_mode_returns_raw_index(self):
         cfg = S3imConfig(dynamic_range=6.0, sign="literal")
