@@ -39,15 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError, VersionError
-from .graph import (
-    NodeRef,
-    SwapEdge,
-    TemporalGraph,
-    battery,
-    load_graph,
-    save_graph,
-    user,
-)
+from .graph import NodeRef, TemporalGraph, battery, load_graph, save_graph, user
 from .rng import Rng, derive_seed, derive_seeds, splitmix64_block
 
 ORDERS_HEADER_PREFIX = "#seb-orders v1 F="
@@ -304,19 +296,10 @@ def generate(cfg: GeneratorConfig):
     )
 
     g = TemporalGraph(cfg.n_users, cfg.n_batteries, cfg.horizon)
-    orders = []
-    for i in range(n):
-        orders.append(Order(
-            order_id=i,
-            user=user(int(user_of[i])),
-            battery=battery(int(batt_of[i])),
-            t=int(t_of[i]),
-            telemetry=telemetry[i],
-            ride_length=float(ride[i]),
-            label=float(labels[i]),
-        ))
-        g.add_edge(SwapEdge(orders[-1].user, orders[-1].battery,
-                            int(t_of[i]), int(station_of[i])))
+    g.add_edges(t_of, user_of, batt_of, station_of)
+    cols = (c.tolist() for c in (user_of, batt_of, t_of, ride, labels))
+    orders = [Order(i, user(u), battery(b), t, telemetry[i], ride_i, label)
+              for i, (u, b, t, ride_i, label) in enumerate(zip(*cols))]
     return orders, g
 
 
@@ -461,25 +444,22 @@ def write_dataset(orders, g, dirpath):
 def _check_orders_in_graph(orders, g, path):
     """Raise ParseError at the first order whose user, battery or timestep
     lies outside the graph's ``#dims``, or that has no swap edge in it."""
-    dims = (g.n_users, g.n_batteries, g.horizon)
-    rows = [(o.user.index, o.battery.index, o.t) for o in orders]
-    # The range check runs on Python ints, so an index beyond int64 is
-    # reported here instead of overflowing the int64 columns.
-    outside = np.array([not all(0 <= x < n for x, n in zip(r, dims)) for r in rows],
-                       dtype=bool)
-    cols = np.array([(0, 0, 0) if out else r for r, out in zip(rows, outside)],
-                    dtype=np.int64).reshape(-1, 3)
-    bad = outside | ~g.has_edges(cols[:, 2], cols[:, 0], cols[:, 1])
-    if bad.any():
-        i = int(bad.argmax())
-        o = orders[i]
-        what = (f"lies outside the graph's #dims {g.n_users},{g.n_batteries},{g.horizon}"
-                if outside[i] else "has no swap edge in the graph")
-        # Order i's metadata line follows the header and i earlier orders.
-        raise ParseError(
-            path, 2 + i * (1 + SEQ_LEN),
-            f"order {o.order_id} (user {o.user.index}, battery {o.battery.index}, "
-            f"t {o.t}) {what}")
+    cols = ([o.t for o in orders], [o.user.index for o in orders],
+            [o.battery.index for o in orders])
+    i, outside = g.first_outside(*cols)
+    missing = ~g.has_edges(*(c[:i] for c in cols))
+    if missing.any():
+        i, what = int(missing.argmax()), "has no swap edge in the graph"
+    elif outside is not None:
+        what = f"lies outside the graph's #dims {g.n_users},{g.n_batteries},{g.horizon}"
+    else:
+        return
+    o = orders[i]
+    # Order i's metadata line follows the header and i earlier orders.
+    raise ParseError(
+        path, 2 + i * (1 + SEQ_LEN),
+        f"order {o.order_id} (user {o.user.index}, battery {o.battery.index}, "
+        f"t {o.t}) {what}")
 
 
 def read_dataset(dirpath):

@@ -197,7 +197,3 @@ class NodeFeatureTable:
                                      self.n_batteries))
 
         return Tensor(out, (user_vec, battery_vec, bias), vjp)
-
-    def build(self) -> Tensor:
-        """All-node feature matrix in global row order."""
-        return self.rows(np.arange(self.n_users + self.n_batteries))

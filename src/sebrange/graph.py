@@ -8,13 +8,13 @@ per timestep; the same pair swapping again later is a distinct edge.
 
 The graph stores its edges once, as four int64 columns (t, user, battery,
 station) in snapshot order, so an empty graph costs nothing per node or
-timestep. A finalized graph is immutable by convention and safe to share
-read-only. Message passing reads a (windowed) snapshot through
-:class:`WindowEdges`, a numpy edge index grouped by destination row that
-the graph builds from a slice of the columns on first use per
-``(t, window)``; the columns and every index are dropped whenever an edge
-is added. Two readers that fill the same entry at once build equal values,
-so sharing stays safe.
+timestep, and every edge enters through one batch check and merge,
+:meth:`TemporalGraph.add_edges`. A finalized graph is immutable by convention
+and safe to share read-only. Message passing reads a (windowed) snapshot
+through :class:`WindowEdges`, a numpy edge index grouped by destination row
+that the graph builds from a slice of the columns on first use per
+``(t, window)``; every index is dropped when edges are added. Two readers
+that fill the same entry at once build equal values, so sharing stays safe.
 """
 
 import enum
@@ -170,8 +170,7 @@ class TemporalGraph:
         self.n_users = n_users
         self.n_batteries = n_batteries
         self.horizon = horizon
-        self._edges = {}  # (t, user, battery) -> station, in insertion order
-        self._columns = None
+        self._columns = EdgeColumns(*(np.empty(0, dtype=np.int64) for _ in range(4)))
         self._windows = {}
 
     @property
@@ -180,15 +179,11 @@ class TemporalGraph:
 
     def node_row(self, v: NodeRef) -> int:
         """Global embedding-row index of a node."""
-        if v.kind is NodeKind.USER:
-            _check_index(v.index, self.n_users, "user")
-            return v.index
-        _check_index(v.index, self.n_batteries, "battery")
-        return self.n_users + v.index
-
-    def _check_t(self, t: int):
-        if not 0 <= t < self.horizon:
-            raise IndexError(f"timestep {t} out of range [0, {self.horizon})")
+        count, base = ((self.n_users, 0) if v.kind is NodeKind.USER
+                       else (self.n_batteries, self.n_users))
+        if not 0 <= v.index < count:
+            raise IndexError(f"{v.kind.value} index {v.index} out of range [0, {count})")
+        return base + v.index
 
     def add_edge(self, edge: SwapEdge):
         if edge.user.kind is not NodeKind.USER or edge.battery.kind is not NodeKind.BATTERY:
@@ -196,37 +191,64 @@ class TemporalGraph:
                 f"edge endpoints must be (user, battery), got "
                 f"({edge.user.kind.value}, {edge.battery.kind.value})"
             )
-        _check_index(edge.user.index, self.n_users, "user")
-        _check_index(edge.battery.index, self.n_batteries, "battery")
-        self._check_t(edge.t)
-        if not -2**63 <= edge.station < 2**63:
-            raise IndexError(f"station {edge.station} out of int64 range")
-        key = (edge.t, edge.user.index, edge.battery.index)
-        if key in self._edges:
-            raise DuplicateEdgeError(
-                f"edge (user {key[1]}, battery {key[2]}) already present at t={key[0]}"
-            )
-        self._edges[key] = edge.station
-        self._columns = None
+        self.add_edges([edge.t], [edge.user.index], [edge.battery.index], [edge.station])
+
+    def add_edges(self, t, users, batteries, stations):
+        """Store the records ``(t[i], users[i], batteries[i], stations[i])``
+        in order, or none of them: the first record outside the graph (see
+        :meth:`first_outside`) or repeating the ``(t, user, battery)`` of an
+        earlier record or a stored edge raises, its index as ``record``."""
+        i, message = self.first_outside(t, users, batteries, stations)
+        new = EdgeColumns(*(np.asarray(c[:i], dtype=np.int64)
+                            for c in (t, users, batteries, stations)))
+        repeat = np.ones(i, dtype=bool)
+        repeat[np.unique(self._key(*new[:3]), return_index=True)[1]] = False
+        repeat |= self.has_edges(*new[:3])
+        error = None if message is None else IndexError(message)
+        if repeat.any():
+            i = int(repeat.argmax())
+            error = DuplicateEdgeError(f"edge (user {new.user[i]}, battery "
+                                       f"{new.battery[i]}) already present at t={new.t[i]}")
+        if error is not None:
+            error.record = i
+            raise error
+        merged = [np.concatenate(pair) for pair in zip(self._columns, new)]
+        order = np.argsort(merged[0], kind="stable")  # stored edges first within a t
+        self._columns = EdgeColumns(*(c[order] for c in merged))
         self._windows.clear()
 
+    def first_outside(self, t, users, batteries, stations=None):
+        """``(i, message)`` for the first record with a user, battery or
+        timestep outside the graph or a station outside int64, checked in
+        that order, else ``(len(t), None)``. Values compare as Python ints,
+        so one beyond int64 is reported, not overflowed."""
+        fields = [(users, 0, self.n_users, "user index {} out of range [0, {})"),
+                  (batteries, 0, self.n_batteries, "battery index {} out of range [0, {})"),
+                  (t, 0, self.horizon, "timestep {} out of range [0, {})")]
+        if stations is not None:
+            fields.append((stations, -2**63, 2**63, "station {} out of int64 range"))
+        i, message = len(t), None
+        for values, lo, hi, text in fields:
+            v = np.asarray(values[:i], dtype=object)
+            bad = np.flatnonzero((v < lo) | (v >= hi))
+            if bad.size:
+                i = int(bad[0])
+                message = text.format(values[i], hi)
+        return i, message
+
     def columns(self) -> EdgeColumns:
-        """The edge columns, built on first use after the last ``add_edge``."""
-        if self._columns is None:
-            rec = np.array([(*key, station) for key, station in self._edges.items()],
-                           dtype=np.int64).reshape(-1, 4)
-            rec = rec[np.argsort(rec[:, 0], kind="stable")]
-            self._columns = EdgeColumns(*np.ascontiguousarray(rec.T))
+        """The stored edge columns; read-only by convention."""
         return self._columns
 
     def has_edges(self, t, users, batteries) -> np.ndarray:
         """Whether each in-range ``(t[i], users[i], batteries[i])`` is an edge."""
-        c = self.columns()
+        c = self._columns
         return np.isin(self._key(t, users, batteries),
                        self._key(c.t, c.user, c.battery))
 
     def _key(self, t, users, batteries):
-        return (np.asarray(t) * self.n_users + users) * self.n_batteries + batteries
+        t, users, batteries = (np.asarray(v, dtype=np.int64) for v in (t, users, batteries))
+        return (t * self.n_users + users) * self.n_batteries + batteries
 
     def window_edges(self, t: int, window: int = 0) -> WindowEdges:
         """Edge index of the snapshots ``t - window .. t``, built on first use.
@@ -234,10 +256,11 @@ class TemporalGraph:
         Keeps the first occurrence of each (user, battery) pair, scanning
         snapshots old to new and each in insertion order.
         """
-        self._check_t(t)
+        if not 0 <= t < self.horizon:
+            raise IndexError(f"timestep {t} out of range [0, {self.horizon})")
         entry = self._windows.get((t, window))
         if entry is None:
-            c = self.columns()
+            c = self._columns
             lo, hi = np.searchsorted(c.t, [t - window, t + 1])
             users, batteries = c.user[lo:hi], c.battery[lo:hi]
             first = np.sort(np.unique(self._key(0, users, batteries),
@@ -245,11 +268,6 @@ class TemporalGraph:
             entry = WindowEdges(users[first], batteries[first], self.n_users)
             self._windows[(t, window)] = entry
         return entry
-
-
-def _check_index(index, count, kind):
-    if not 0 <= index < count:
-        raise IndexError(f"{kind} index {index} out of range [0, {count})")
 
 
 def save_graph(g: TemporalGraph, path):
@@ -279,16 +297,22 @@ def load_graph(path) -> TemporalGraph:
         g = TemporalGraph(*(int(x) for x in lines[1][6:].split(",")))
     except (TypeError, ValueError):
         raise ParseError(path, 2, f"bad #dims line: {lines[1]!r}") from None
+    # Records before the first unparsable line go in as one batch; their errors come first.
+    records, error = [], None
     for line_no, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
         if len(parts) != 4:
-            raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
+            error = ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
+            break
         try:
-            t, u, b, station = (int(x) for x in parts)
+            records.append([int(x) for x in parts])
         except ValueError:
-            raise ParseError(path, line_no, f"non-integer field in {line!r}") from None
-        try:
-            g.add_edge(SwapEdge(user(u), battery(b), t, station))
-        except (IndexError, DuplicateEdgeError) as exc:
-            raise ParseError(path, line_no, str(exc)) from None
+            error = ParseError(path, line_no, f"non-integer field in {line!r}")
+            break
+    try:
+        g.add_edges(*(list(zip(*records)) or [()] * 4))
+    except (IndexError, DuplicateEdgeError) as exc:
+        raise ParseError(path, 3 + exc.record, str(exc)) from None
+    if error is not None:
+        raise error
     return g

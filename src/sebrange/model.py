@@ -136,9 +136,7 @@ class SebTransformer:
         if self.cfg.use_graph:
             rows = [graph.node_row(o.battery) for o in orders]
             rows += [graph.node_row(o.user) for o in orders]
-            targets = sorted(set(rows))
-            position = {r: i for i, r in enumerate(targets)}
-            at = [position[r] for r in rows]
+            targets, at = np.unique(rows, return_inverse=True)
             x1 = gnn_encode(self.gnn_cfg, self.gcn_layers, graph, self.nodes,
                             t, targets)
             graph_slice = concat(

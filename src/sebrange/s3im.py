@@ -130,10 +130,11 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
         g2 = g * (p1 * p3) * slope2()
         g3 = g * (p1 * p2) * slope3()
         # Chain rule through dmx/dx = 1/n, dsx/dx = cx / ((n-1) sx) and
-        # dcov/dx = cy / (n-1).
+        # dcov/dx = cy / (n-1); at sx = 0 every cx is 0 and so is that term.
         g_mx = g1 * 2.0 * (my - r1 * mx) / d1
         g_sx = g2 * 2.0 * (sy - r2 * sx) / d2 - g3 * r3 * sy / d3
-        gx = g_mx * scale + (g_sx / sx * cx + g3 / d3 * cy) / (n - 1)
+        g_dev = g_sx / sx * cx if sx > 0 else 0.0
+        gx = g_mx * scale + (g_dev + g3 / d3 * cy) / (n - 1)
         return (gx.reshape(x.shape),)
 
     return Tensor(out, (x,), vjp)

@@ -228,7 +228,7 @@ class TestReceptiveField:
         cfg, layers, table = fleet_encoder(g, window)
         assert g.n_users >= 2000
         for t, rows in targets.items():
-            full = table.build()
+            full = table.rows(np.arange(g.n_nodes))
             for layer in layers:
                 full = gcn_layer_forward(layer, full, g, t, window)
             got = gnn_encode(cfg, layers, g, table, t, rows)
@@ -266,9 +266,9 @@ class TestReceptiveField:
         cfg = GnnConfig(dims=[3, 3])
         rows = np.array([1, 4])  # user 1 and battery 1 have no edge at t=1
         got = gnn_encode(cfg, [layer], g, table, 1, rows).array
-        h0 = table.build().array
+        h0 = table.rows(np.arange(g.n_nodes)).array
         assert np.array_equal(got, np.maximum(h0[rows] @ b, 0.0))
-        full = gcn_layer_forward(layer, table.build(), g, 1).array
+        full = gcn_layer_forward(layer, table.rows(np.arange(g.n_nodes)), g, 1).array
         assert np.array_equal(got, full[rows])
 
     def test_repeated_and_unordered_targets(self, fleet):
@@ -299,9 +299,10 @@ class TestNodeFeatureRows:
     def test_rows_match_build_in_any_order(self):
         table = NodeFeatureTable(Rng(29), n_users=4, n_batteries=3, dim=2)
         idx = np.array([5, 0, 6, 6, 2, 4])
-        assert np.array_equal(table.rows(idx).array, table.build().array[idx])
-        assert np.array_equal(table.build().array,
-                              table.rows(np.arange(7)).array)
+        full = table.rows(np.arange(7)).array
+        assert np.array_equal(table.rows(idx).array, full[idx])
+        assert np.array_equal(full[:4], np.tile(table.user_vec.value, (4, 1)))
+        assert np.array_equal(full[4:], table.battery_bias.value + table.battery_vec.value)
 
     def test_rows_gradient(self):
         r = Rng(31)
@@ -316,7 +317,7 @@ class TestNodeFeatureRows:
 def test_node_feature_table_layout():
     r = Rng(8)
     table = NodeFeatureTable(r, n_users=3, n_batteries=2, dim=4)
-    h0 = table.build().array
+    h0 = table.rows(np.arange(5)).array
     assert h0.shape == (5, 4)
     # all user rows share the user vector
     assert np.array_equal(h0[0], table.user_vec.value)

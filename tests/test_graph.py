@@ -1,5 +1,6 @@
 """Temporal bipartite graph contracts and file round trips."""
 
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -307,6 +308,106 @@ class TestSerialization:
         p.write_text(f"#seb-graph v1\n#dims,2,2,2\n0,0,0,0\n{record}\n")
         with pytest.raises(ParseError, match=f"bad.seb:4: .*{why}"):
             load_graph(p)
+
+
+# Records that break one rule each, as (field, value); fields are t, user,
+# battery, station. The values beyond int64 must be reported, not overflowed.
+OUT_OF_RANGE = [(0, 3), (0, -1), (1, 4), (1, 2**64), (2, -1), (2, 3),
+                (3, 2**63), (3, -2**63 - 1)]
+
+
+def edge_stream(r, stored):
+    """A shuffled stream of fresh records for a 4-user, 3-battery, 3-step
+    graph holding ``stored``, with 0-3 injected faults: an out-of-range
+    value, a repeat of an earlier record or a repeat of a stored edge."""
+    fresh = [k for k in itertools.product(range(3), range(4), range(3))
+             if k not in {tuple(e[:3]) for e in stored}]
+    stream = [[*fresh[j], int(r.integers(9)) - 4]
+              for j in r.permutation(len(fresh))[:1 + int(r.integers(12))].tolist()]
+    for _ in range(int(r.integers(4))):
+        j, kind = int(r.integers(len(stream))), int(r.integers(3))
+        if kind == 0:
+            field, value = OUT_OF_RANGE[int(r.integers(len(OUT_OF_RANGE)))]
+            stream[j][field] = value
+        elif kind == 1 and j > 0:
+            stream[j][:3] = stream[int(r.integers(j))][:3]
+        elif kind == 2 and stored:
+            stream[j][:3] = stored[int(r.integers(len(stored)))][:3]
+    return stream
+
+
+def first_bad(stream, stored):
+    """Sequential reference: index and error type of the first bad record."""
+    seen = {tuple(e[:3]) for e in stored}
+    for i, (t, u, b, s) in enumerate(stream):
+        if not (0 <= t < 3 and 0 <= u < 4 and 0 <= b < 3 and -2**63 <= s < 2**63):
+            return i, IndexError
+        if (t, u, b) in seen:
+            return i, DuplicateEdgeError
+        seen.add((t, u, b))
+    return len(stream), None
+
+
+def test_add_edge_add_edges_and_load_graph_agree(tmp_path):
+    r = Rng(77)
+    path = tmp_path / "g.seb"
+    faults = 0
+    for _ in range(120):
+        stored = [[*k, 0] for k in [(2, 1, 0), (0, 3, 2), (1, 0, 0)][:int(r.integers(4))]]
+        stream = edge_stream(r, stored)
+        expect = first_bad(stream, stored)
+        faults += expect[1] is not None
+
+        def graph_with_stored():
+            g = TemporalGraph(4, 3, 3)
+            for t, u, b, s in stored:
+                g.add_edge(SwapEdge(user(u), battery(b), t, s))
+            return g
+
+        looped, got_loop, loop_error = graph_with_stored(), (len(stream), None), None
+        for i, (t, u, b, s) in enumerate(stream):
+            try:
+                looped.add_edge(SwapEdge(user(u), battery(b), t, s))
+            except (IndexError, DuplicateEdgeError) as exc:
+                got_loop, loop_error = (i, type(exc)), exc
+                break
+        bulk, got_bulk = graph_with_stored(), (len(stream), None)
+        before = bulk.columns()
+        try:
+            bulk.add_edges(*zip(*stream))
+        except (IndexError, DuplicateEdgeError) as exc:
+            got_bulk = (exc.record, type(exc))
+            assert str(exc) == str(loop_error)
+            assert all(np.array_equal(a, b) for a, b in zip(bulk.columns(), before))
+        path.write_text("\n".join(["#seb-graph v1", "#dims,4,3,3"] + [
+            ",".join(map(str, rec)) for rec in stored + stream]) + "\n")
+        try:
+            loaded = load_graph(path)
+        except ParseError as exc:
+            assert exc.line_no == 3 + len(stored) + expect[0]
+            assert str(exc).endswith(str(loop_error))
+        else:
+            assert expect[1] is None
+            for a, b, c in zip(looped.columns(), bulk.columns(), loaded.columns()):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+        assert got_loop == got_bulk == expect
+    assert 30 <= faults <= 100
+
+
+BAD_RECORDS = {
+    "unparsable": ("1,x,0,0", "non-integer field"),
+    "out of range": ("0,0,5,0", "battery index 5"),
+    "duplicate": ("0,0,0,7", "already present"),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(BAD_RECORDS, 2))
+def test_load_graph_reports_earlier_of_two_bad_lines(tmp_path, first, second):
+    p = tmp_path / "bad.seb"
+    p.write_text("#seb-graph v1\n#dims,2,2,2\n0,0,0,0\n1,1,1,1\n"
+                 f"{BAD_RECORDS[first][0]}\n1,0,1,0\n{BAD_RECORDS[second][0]}\n")
+    with pytest.raises(ParseError, match=f"bad.seb:5: .*{BAD_RECORDS[first][1]}"):
+        load_graph(p)
 
 
 def test_node_row_layout():

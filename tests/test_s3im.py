@@ -276,6 +276,23 @@ class TestRegularizer:
         expect = [-0.018273648390437002, -0.0065266100192500813, 0.016967466723123761]
         assert np.abs(x.grad - expect).max() <= 1e-12
 
+    def test_constant_prediction_gradient_is_finite(self):
+        # Equal predictions have zero deviation and zero centred values, so
+        # the deviation term drops out and the mean and covariance terms stay.
+        cfg = S3imConfig(dynamic_range=60.0)
+        x = Tensor([30.0, 30.0, 30.0])
+        y = np.array([28.0, 31.0, 33.0])
+        with np.errstate(all="raise"):
+            s3im_regularizer(x, y, cfg).backward()
+        n, mx, my, cy = 3, 30.0, y.mean(), y - y.mean()
+        d1 = mx * mx + my * my + cfg.c1
+        r1 = (2.0 * mx * my + cfg.c1) / d1
+        r2 = cfg.c2 / ((cy * cy).sum() / (n - 1) + cfg.c2)  # r3 = c3 / c3 = 1
+        mean_term = -r2 * 2.0 * (my - r1 * mx) / d1 / n
+        cov_term = -(r1 * r2) / cfg.c3 * cy / (n - 1)
+        assert np.all(np.isfinite(x.grad))
+        assert np.abs(x.grad - (mean_term + cov_term)).max() <= 1e-12 * np.abs(cov_term).max()
+
     def test_literal_sign_mode_returns_raw_index(self):
         cfg = S3imConfig(dynamic_range=6.0, sign="literal")
         x = Rng(9).normal(size=(8,))
