@@ -21,9 +21,8 @@ from .tensor import (
     attention_core,
     layer_norm,
     linear,
-    matmul,
+    matmul_t,
     relu,
-    transpose_last,
 )
 
 
@@ -66,16 +65,15 @@ class AttentionHead:
 
 
 def project_qkv(head: AttentionHead, x: Tensor):
-    """Linear projections Q = X W_Q^T, K = X W_K^T, V = X W_V^T."""
+    """Linear projections Q = X W_Q^T, K = X W_K^T, V = X W_V^T, one tape
+    node each."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.shape[-1] != head.d:
         raise ShapeError(
             f"input width {x.shape[-1]} does not match head dim {head.d}"
         )
-    q = matmul(x, transpose_last(head.wq.tensor()))
-    k = matmul(x, transpose_last(head.wk.tensor()))
-    v = matmul(x, transpose_last(head.wv.tensor()))
-    return q, k, v
+    return (matmul_t(x, head.wq.tensor()), matmul_t(x, head.wk.tensor()),
+            matmul_t(x, head.wv.tensor()))
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

@@ -35,7 +35,6 @@ from .tensor import (
     matmul,
     neighbor_mean,
     relu,
-    scatter_add_rows,
 )
 
 ACTIVATIONS = ("relu", "identity")
@@ -179,21 +178,20 @@ class NodeFeatureTable:
         """Feature rows for global node rows ``idx`` (any order), as one op.
 
         A user row is the user vector; battery row ``n_users + j`` is
-        ``battery_bias[j] + battery_vec``.
+        ``battery_bias[j] + battery_vec``. The bias rows come through one
+        row leaf, so a backward touches only the batteries in ``idx``.
         """
-        bias_rows = np.asarray(idx, dtype=np.int64) - self.n_users
-        is_batt = bias_rows[:, None] >= 0
-        bias_rows = np.maximum(bias_rows, 0)
+        idx = np.asarray(idx, dtype=np.int64)
+        is_batt = idx >= self.n_users
         user_vec = self.user_vec.tensor()
         battery_vec = self.battery_vec.tensor()
-        bias = self.battery_bias.tensor()
-        out = np.where(is_batt, bias.array[bias_rows] + battery_vec.array,
-                       0.0 + user_vec.array)
+        bias = self.battery_bias.rows(idx[is_batt] - self.n_users)
+        out = np.empty((idx.shape[0], self.dim))
+        out[is_batt] = bias.array + battery_vec.array
+        out[~is_batt] = 0.0 + user_vec.array
 
         def vjp(g):
-            g_batt = np.where(is_batt, g, 0.0)
-            return (np.where(is_batt, 0.0, g).sum(axis=0), g_batt.sum(axis=0),
-                    scatter_add_rows(g_batt, np.arange(g.shape[0]), bias_rows,
-                                     self.n_batteries))
+            g_batt = g[is_batt]
+            return g[~is_batt].sum(axis=0), g_batt.sum(axis=0), g_batt
 
         return Tensor(out, (user_vec, battery_vec, bias), vjp)

@@ -12,25 +12,55 @@ class Param:
     ``grad`` always has the same shape as ``value`` and is all zeros right
     after :meth:`zero_grad`. Backward passes add into ``grad``; the caller
     zeroes it between steps.
+
+    A param read through :meth:`rows` is a row table from then on: it
+    records in ``touched`` the rows backward passes added into since the
+    last :meth:`zero_grad`, which clears only those rows, so its ``grad``
+    must change only through backward passes.
     """
 
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "grad", "name", "touched")
 
     def __init__(self, value, name: str = ""):
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.name = name
+        self.touched = None  # None, or the row indices added into since zero_grad
 
     @property
     def shape(self):
         return self.value.shape
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self.touched is None:
+            self.grad[...] = 0.0
+            return
+        for rows in self.touched:
+            self.grad[rows] = 0.0
+        self.touched.clear()
 
     def tensor(self) -> Tensor:
         """Leaf tensor sharing this param's storage; backward deposits here."""
         return Tensor(self.value, _param=self)
+
+    def rows(self, idx) -> Tensor:
+        """Leaf tensor holding rows ``idx`` (repeats allowed); backward adds
+        its gradient into only those rows of ``grad``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.touched is None:
+            self.touched = [slice(None)] if self.grad.any() else []
+        return Tensor(self.value[idx], _param=self, _rows=idx)
+
+    def accumulate(self, g: np.ndarray, rows=None):
+        """Add a leaf's gradient into ``grad``: into the whole array, or
+        into ``rows`` only, in their order."""
+        if rows is None:
+            self.grad += g.reshape(self.grad.shape)
+            rows = slice(None)
+        else:
+            np.add.at(self.grad, rows, g)
+        if self.touched is not None:
+            self.touched.append(rows)
 
     def __repr__(self):
         return f"Param({self.name or 'unnamed'}, shape={self.shape})"
@@ -42,36 +72,94 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+class _RowMoments:
+    """Adam moments of a row table, kept for its live rows only."""
+
+    def __init__(self, param: Param):
+        self.param = param
+        self.live = np.zeros(param.shape[0], dtype=bool)
+        self.idx = np.zeros(0, dtype=np.int64)  # the live rows, ascending
+        self.m = np.zeros((0,) + param.shape[1:])
+        self.v = np.zeros((0,) + param.shape[1:])
+
+    def grow(self):
+        """Add the rows backward reached since the last zero_grad; a new
+        row starts with zero moments."""
+        for rows in self.param.touched:
+            self.live[rows] = True
+        if np.count_nonzero(self.live) == self.idx.size:
+            return
+        idx = np.flatnonzero(self.live)
+        at = np.searchsorted(idx, self.idx)
+        m = np.zeros((idx.size,) + self.m.shape[1:])
+        v = np.zeros_like(m)
+        m[at] = self.m
+        v[at] = self.v
+        self.idx, self.m, self.v = idx, m, v
+
+
 class AdamState:
     """First/second moment buffers for a fixed list of params.
 
     Decay rates 0.9 / 0.999 with epsilon 1e-8; moments are bias-corrected.
+
+    A row table (a param read through :meth:`Param.rows`) is updated on its
+    live rows only: the rows any backward has reached. Any other row has
+    m = v = 0 and a zero gradient, for which the update leaves its value, m
+    and v unchanged bit for bit, so skipping it is exact, not lazy Adam. The
+    other params share one flat moment buffer, updated in one pass. Which
+    params are tables is settled at the first step, after a forward has
+    read them.
     """
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
+        self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.dense = None   # params in the flat buffer
+        self.bounds = None  # their offsets in it
+        self.m = None
+        self.v = None
+        self.tables = None  # a _RowMoments per row table
+
+    def _lay_out(self):
+        self.dense = [p for p in self.params if p.touched is None]
+        self.bounds = np.cumsum([0] + [p.value.size for p in self.dense])
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
+        self.tables = [_RowMoments(p) for p in self.params if p.touched is not None]
+
+    def _decrement(self, g, m, v, lr):
+        """Advance ``m`` and ``v`` in place by gradient ``g``; returns the
+        amount to subtract from the values."""
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        return (lr * (m / (1.0 - b1**self.step))
+                / (np.sqrt(v / (1.0 - b2**self.step)) + self.eps))
 
 
 def optimizer_step(params, state: AdamState, lr: float = 1e-3):
     """One adaptive-moment update. Gradients are left untouched."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(state.m):
+    if len(params) != len(state.params) or any(
+            p is not q for p, q in zip(params, state.params)):
         raise ConfigError("optimizer state does not match the param list")
+    if state.dense is None:
+        state._lay_out()
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    if state.dense:
+        g = np.concatenate([p.grad.reshape(-1) for p in state.dense])
+        dec = state._decrement(g, state.m, state.v, lr)
+        for p, lo, hi in zip(state.dense, state.bounds[:-1], state.bounds[1:]):
+            p.value -= dec[lo:hi].reshape(p.shape)
+    for table in state.tables:
+        table.grow()
+        p, idx = table.param, table.idx
+        p.value[idx] -= state._decrement(p.grad[idx], table.m, table.v, lr)

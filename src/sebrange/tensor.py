@@ -5,7 +5,7 @@ entry that produced it: its parent tensors and a vector-Jacobian-product
 closure. Calling :meth:`Tensor.backward` on a scalar output walks the tape
 in reverse topological order and accumulates gradients; leaf tensors built
 from a :class:`~sebrange.optim.Param` deposit their gradient into the
-param's accumulator.
+param's accumulator, a row leaf into only the rows it holds.
 
 Tensors are treated as immutable once constructed: ops never write into
 operand or result arrays, so values can be shared freely across threads
@@ -27,14 +27,15 @@ from .errors import ContractError, ShapeError
 class Tensor:
     """A float64 array plus the tape entry that produced it."""
 
-    __slots__ = ("array", "grad", "_parents", "_vjp", "_param")
+    __slots__ = ("array", "grad", "_parents", "_vjp", "_param", "_rows")
 
-    def __init__(self, array, _parents=(), _vjp=None, _param=None):
+    def __init__(self, array, _parents=(), _vjp=None, _param=None, _rows=None):
         self.array = np.asarray(array, dtype=np.float64)
         self.grad = None
         self._parents = _parents
         self._vjp = _vjp
         self._param = _param
+        self._rows = _rows
 
     @property
     def shape(self):
@@ -59,8 +60,9 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar output.
 
-        Populates ``.grad`` on every tensor in this graph and adds into the
-        ``grad`` accumulator of every Param leaf encountered.
+        Populates ``.grad`` on every tensor in this graph. A Param leaf adds
+        its gradient into the param's ``grad`` accumulator: the whole array
+        for ``Param.tensor()``, only the rows it holds for ``Param.rows()``.
         """
         if self.array.size != 1:
             raise ContractError(
@@ -74,7 +76,7 @@ class Tensor:
             if t.grad is None:
                 continue
             if t._param is not None:
-                t._param.grad += t.grad.reshape(t._param.grad.shape)
+                t._param.accumulate(t.grad, t._rows)
             if t._vjp is None:
                 continue
             for parent, g in zip(t._parents, t._vjp(t.grad)):
@@ -249,6 +251,27 @@ def linear(x, w, b) -> Tensor:
         )
 
     return Tensor(out, (x, w, b), vjp)
+
+
+def matmul_t(x, w) -> Tensor:
+    """Product ``x @ w^T`` for a 2-D ``w``, on the trailing axes, as one
+    tape node.
+
+    The backward makes the numpy calls of ``matmul(x, transpose_last(w))``:
+    the weight gradient is the batched ``x^T g`` summed over the leading
+    axes, then transposed, so its bits match that composition's. Unlike
+    ``linear`` it does not fold the leading axes into one product.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"matmul_t inner dimensions disagree: {x.shape} @ {w.shape}^T")
+    out = np.matmul(x.array, w.array.T)
+
+    def vjp(g):
+        gw = _sum_leading(np.matmul(np.swapaxes(x.array, -1, -2), g), 2)
+        return np.matmul(g, w.array), gw.T
+
+    return Tensor(out, (x, w), vjp)
 
 
 def transpose_last(a) -> Tensor:

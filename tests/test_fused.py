@@ -23,6 +23,7 @@ from sebrange.tensor import (
     layer_norm,
     linear,
     matmul,
+    matmul_t,
     mean,
     mul,
     relu,
@@ -149,6 +150,33 @@ class TestLinear:
             linear(x, w, Tensor(np.ones(3)))
 
 
+class TestMatmulT:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_composed(self, shape):
+        # The projection's gradients must keep the composition's bits.
+        r = Rng(10)
+        arrays = [r.normal(size=shape), r.normal(size=(5, shape[-1]))]
+        out_f, grads_f = run(matmul_t, arrays, 11)
+        out_c, grads_c = run(lambda x, w: matmul(x, transpose_last(w)), arrays, 11)
+        assert np.array_equal(out_f, out_c)
+        for gf, gc in zip(grads_f, grads_c):
+            assert gf.tobytes() == gc.tobytes()
+
+    def test_project_qkv_is_three_tape_nodes(self):
+        block = TransformerBlock.init(Rng(12), 4, 3, 4, 5, seq_len=6)
+        x = Tensor(np.ones((6, 4)))
+        for out, w in zip(project_qkv(block.head, x), block.head.params()):
+            assert len(out._parents) == 2
+            assert out._parents[0] is x
+            assert out._parents[1]._param is w
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            matmul_t(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeError):
+            matmul_t(Tensor(np.ones(4)), Tensor(np.ones((2, 4))))
+
+
 class TestLayerNorm:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_composed(self, shape):
@@ -240,15 +268,13 @@ def tape_nodes(root):
     return len(seen)
 
 
-def test_seb_s3im_step_tape_nodes():
-    # The composed ops gave 194 nodes per seb-s3im step at the default
-    # architecture; the fused ones give 74, one of them the S3IM term.
+def step_tape_nodes(kind):
+    """Tape nodes of one training step's loss on a chunk of >= 2 orders."""
     orders, graph = generate(GeneratorConfig(
         n_orders=120, n_users=60, n_batteries=20, n_stations=4, horizon=8,
         seed=3))
-    cfg = TrainConfig(batch_size=32, seed=3, s3im_enabled=True)
-    model = build_model("seb-s3im", ModelConfig(), graph.n_users,
-                        graph.n_batteries, 3)
+    cfg = TrainConfig(batch_size=32, seed=3, s3im_enabled=kind == "seb-s3im")
+    model = build_model(kind, ModelConfig(), graph.n_users, graph.n_batteries, 3)
     train_split = split_orders(orders, cfg)[0]
     model.prepare(train_split)
     chunk = next(c for c in make_chunks(train_split, cfg.batch_size)
@@ -256,4 +282,16 @@ def test_seb_s3im_step_tape_nodes():
     label = LabelBatch(chunk[0].t, [o.label for o in chunk])
     loss = objective([Prediction(label.t, model.forward_batch(chunk, graph))],
                      [label], cfg)
-    assert tape_nodes(loss) <= 74
+    return tape_nodes(loss)
+
+
+def test_seb_s3im_step_tape_nodes():
+    # The composed ops gave 194 nodes per seb-s3im step at the default
+    # architecture; the fused ones give 71, one of them the S3IM term and
+    # one per Q, K and V projection.
+    assert step_tape_nodes("seb-s3im") <= 71
+
+
+def test_seb_step_tape_nodes():
+    # The seb-s3im step without the S3IM term, its weight and the add.
+    assert step_tape_nodes("seb") <= 65

@@ -106,6 +106,14 @@ class TestOptimizer:
             with pytest.raises(ConfigError):
                 optimizer_step([p], state, lr=bad)
 
+    def test_param_list_checked_by_identity(self):
+        a, b = Param(np.array([1.0])), Param(np.array([2.0]))
+        state = AdamState([a, b])
+        optimizer_step([a, b], state, lr=0.01)
+        for other in ([a, Param(np.array([2.0]))], [b, a], [a]):
+            with pytest.raises(ConfigError):
+                optimizer_step(other, state, lr=0.01)
+
     def test_grads_untouched_by_step(self):
         p = Param(np.array([1.0]))
         state = AdamState([p])
