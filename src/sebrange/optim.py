@@ -73,29 +73,24 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 class _RowMoments:
-    """Adam moments of a row table, kept for its live rows only."""
+    """Adam moments of a row table's live rows, in the order the rows
+    became live: row ``idx[i]`` has moments ``m[i]`` and ``v[i]``."""
 
     def __init__(self, param: Param):
         self.param = param
         self.live = np.zeros(param.shape[0], dtype=bool)
-        self.idx = np.zeros(0, dtype=np.int64)  # the live rows, ascending
-        self.m = np.zeros((0,) + param.shape[1:])
-        self.v = np.zeros((0,) + param.shape[1:])
+        self.idx = np.zeros(0, dtype=np.int64)
+        self.m = np.zeros_like(param.value)  # rows past idx.size are unused zeros
+        self.v = np.zeros_like(param.value)
+        self._all = np.arange(param.shape[0])
 
     def grow(self):
-        """Add the rows backward reached since the last zero_grad; a new
-        row starts with zero moments."""
+        """Append the rows backward reached since the last zero_grad that
+        were not live yet; their moments start at zero."""
         for rows in self.param.touched:
-            self.live[rows] = True
-        if np.count_nonzero(self.live) == self.idx.size:
-            return
-        idx = np.flatnonzero(self.live)
-        at = np.searchsorted(idx, self.idx)
-        m = np.zeros((idx.size,) + self.m.shape[1:])
-        v = np.zeros_like(m)
-        m[at] = self.m
-        v[at] = self.v
-        self.idx, self.m, self.v = idx, m, v
+            new = np.unique(self._all[rows][~self.live[rows]])
+            self.live[new] = True
+            self.idx = np.concatenate([self.idx, new])
 
 
 class AdamState:
@@ -162,4 +157,5 @@ def optimizer_step(params, state: AdamState, lr: float = 1e-3):
     for table in state.tables:
         table.grow()
         p, idx = table.param, table.idx
-        p.value[idx] -= state._decrement(p.grad[idx], table.m, table.v, lr)
+        p.value[idx] -= state._decrement(p.grad[idx], table.m[:idx.size],
+                                         table.v[:idx.size], lr)
