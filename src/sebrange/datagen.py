@@ -35,6 +35,7 @@ stations uses dedicated substreams of the master seed.
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -216,8 +217,8 @@ def _assign_slots(cfg: GeneratorConfig):
         if not ids:
             continue
         k = len(ids)
-        batts = rng.permutation(cfg.n_batteries)[:k]
-        users = rng.permutation(cfg.n_users)[:k]
+        batts = rng.permutation_prefix(cfg.n_batteries, k)
+        users = rng.permutation_prefix(cfg.n_users, k)
         stations = rng.integers(cfg.n_stations, size=(k,))
         for j, oid in enumerate(ids):
             user_of[oid] = users[j]
@@ -357,60 +358,92 @@ def summarize(orders) -> SummaryStats:
 # dataset files: orders + graph in one directory, bit-exact round trip
 # ---------------------------------------------------------------------------
 
+# orders.seb is read this many orders at a time: one np.loadtxt call per block.
+_BLOCK_ORDERS = 64
+_ORDER_LINES = 1 + SEQ_LEN
+# A block's telemetry goes to np.loadtxt only if it holds nothing but these
+# bytes. On plain decimals loadtxt and float() agree bit for bit (both call
+# PyOS_string_to_double); on other text they may not (loadtxt rejects
+# ``1_0`` and accepts a trailing ``\x1c``, float() the reverse).
+_DECIMAL_BYTES = b"0123456789.eE+-,"
+
+
 def write_orders(orders, path):
-    lines = [f"{ORDERS_HEADER_PREFIX}{N_FEATURES}"]
-    for o in orders:
-        lines.append(
-            f"{o.order_id},{o.user.index},{o.battery.index},{o.t},"
-            f"{float(o.ride_length)!r},{float(o.label)!r}"
-        )
-        for row in o.telemetry:
-            lines.append(",".join(repr(float(v)) for v in row))
+    """Write ``orders`` one at a time, every float as its ``repr``."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{ORDERS_HEADER_PREFIX}{N_FEATURES}\n")
+        for o in orders:
+            fh.write(f"{o.order_id},{o.user.index},{o.battery.index},{o.t},"
+                     f"{float(o.ride_length)!r},{float(o.label)!r}\n")
+            # repr of a list of floats writes each as repr(float(v)).
+            rows = repr(o.telemetry.tolist())[2:-2]
+            fh.write(rows.replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 def read_orders(path):
+    """Parse ``path`` in blocks of ``_BLOCK_ORDERS`` orders.
+
+    A block whose telemetry is all plain finite decimals in the right shape
+    goes through one ``np.loadtxt``; any other block is parsed line by line,
+    which accepts what ``float()`` accepts and raises the ParseError of the
+    block's earliest bad line. Either way the orders equal a line-by-line
+    parse of the whole file.
+    """
     with open(path, newline="\n") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[0].startswith(ORDERS_HEADER_PREFIX):
-        found = lines[0] if lines else "<empty file>"
-        raise VersionError(path, 1,
-                           f"expected header {ORDERS_HEADER_PREFIX}<F>, found {found!r}")
-    try:
-        n_features = int(lines[0][len(ORDERS_HEADER_PREFIX):])
-    except ValueError:
-        raise VersionError(path, 1, f"bad feature count in header {lines[0]!r}") from None
-    if n_features != N_FEATURES:
-        raise VersionError(path, 1,
-                           f"unsupported feature count {n_features} (expected {N_FEATURES})")
-    orders, seen = [], set()
-    i = 1
-    while i < len(lines):
-        line_no = i + 1
-        meta = lines[i].split(",")
-        if len(meta) != 6:
-            raise ParseError(path, line_no,
-                             f"expected 6 metadata fields, got {len(meta)}")
+        first = fh.readline()
+        header = first.rstrip("\n")
+        if not header.startswith(ORDERS_HEADER_PREFIX):
+            found = header if first else "<empty file>"
+            raise VersionError(path, 1,
+                               f"expected header {ORDERS_HEADER_PREFIX}<F>, found {found!r}")
         try:
-            oid, u_idx, b_idx, t = (int(x) for x in meta[:4])
-            ride_length, label = float(meta[4]), float(meta[5])
+            n_features = int(header[len(ORDERS_HEADER_PREFIX):])
         except ValueError:
-            raise ParseError(path, line_no, f"bad metadata line {lines[i]!r}") from None
-        if oid in seen:
-            raise ParseError(path, line_no, f"duplicate order id {oid}")
-        seen.add(oid)
-        if not (math.isfinite(ride_length) and math.isfinite(label)):
-            raise ParseError(path, line_no,
-                             f"non-finite ride_length or label in {lines[i]!r}")
+            raise VersionError(path, 1, f"bad feature count in header {header!r}") from None
+        if n_features != N_FEATURES:
+            raise VersionError(path, 1,
+                               f"unsupported feature count {n_features} (expected {N_FEATURES})")
+        orders, seen, line_no = [], set(), 2
+        while block := [line.rstrip("\n")
+                        for line in islice(fh, _BLOCK_ORDERS * _ORDER_LINES)]:
+            orders += _read_block(path, block, line_no, seen)
+            line_no += len(block)
+    return orders
+
+
+def _read_block(path, lines, line_no, seen):
+    """Orders from one block of ``lines``, the first on line ``line_no``."""
+    n = len(lines) // _ORDER_LINES
+    rows = lines.copy()
+    del rows[::_ORDER_LINES]
+    text = ",".join(rows)
+    # loadtxt skips blank lines, and warns when nothing else is left.
+    if (n * _ORDER_LINES == len(lines) and "" not in rows and text.isascii()
+            and not text.encode().translate(None, _DECIMAL_BYTES)):
+        try:
+            values = np.loadtxt(rows, delimiter=",", comments=None)
+        except ValueError:
+            values = None
+        if (values is not None and values.shape == (n * SEQ_LEN, N_FEATURES)
+                and np.isfinite(values).all()):
+            values = values.reshape(n, SEQ_LEN, N_FEATURES)
+            return [_order(_parse_meta(path, lines[k * _ORDER_LINES],
+                                       line_no + k * _ORDER_LINES, seen), values[k])
+                    for k in range(n)]
+    return _read_lines(path, lines, line_no, seen)
+
+
+def _read_lines(path, lines, line_no, seen):
+    """The line-by-line parser of a block: every value through float()."""
+    orders = []
+    for i in range(0, len(lines), _ORDER_LINES):
+        meta = _parse_meta(path, lines[i], line_no + i, seen)
         if i + SEQ_LEN >= len(lines):
-            raise ParseError(path, len(lines) + 1,
-                             f"order {oid} truncated: expected {SEQ_LEN} telemetry rows")
+            raise ParseError(path, line_no + len(lines),
+                             f"order {meta[0]} truncated: expected {SEQ_LEN} telemetry rows")
         rows = np.empty((SEQ_LEN, N_FEATURES))
         for k in range(SEQ_LEN):
-            row_no = line_no + 1 + k
+            row_no = line_no + i + 1 + k
             parts = lines[i + 1 + k].split(",")
             if len(parts) != N_FEATURES:
                 raise ParseError(path, row_no,
@@ -423,12 +456,33 @@ def read_orders(path):
         bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
             k = int(bad.argmax())
-            raise ParseError(path, line_no + 1 + k,
+            raise ParseError(path, line_no + i + 1 + k,
                              f"non-finite telemetry value in {lines[i + 1 + k]!r}")
-        orders.append(Order(oid, user(u_idx), battery(b_idx), t, rows,
-                            ride_length, label))
-        i += 1 + SEQ_LEN
+        orders.append(_order(meta, rows))
     return orders
+
+
+def _parse_meta(path, line, line_no, seen):
+    """(order_id, user, battery, t, ride_length, label) of a metadata line."""
+    meta = line.split(",")
+    if len(meta) != 6:
+        raise ParseError(path, line_no, f"expected 6 metadata fields, got {len(meta)}")
+    try:
+        oid, u_idx, b_idx, t = (int(x) for x in meta[:4])
+        ride_length, label = float(meta[4]), float(meta[5])
+    except ValueError:
+        raise ParseError(path, line_no, f"bad metadata line {line!r}") from None
+    if oid in seen:
+        raise ParseError(path, line_no, f"duplicate order id {oid}")
+    seen.add(oid)
+    if not (math.isfinite(ride_length) and math.isfinite(label)):
+        raise ParseError(path, line_no, f"non-finite ride_length or label in {line!r}")
+    return oid, u_idx, b_idx, t, ride_length, label
+
+
+def _order(meta, telemetry):
+    oid, u_idx, b_idx, t, ride_length, label = meta
+    return Order(oid, user(u_idx), battery(b_idx), t, telemetry, ride_length, label)
 
 
 ORDERS_FILENAME = "orders.seb"

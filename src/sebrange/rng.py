@@ -109,6 +109,22 @@ class Rng:
         """Uniform random permutation of range(n) (argsort of raw keys)."""
         return np.argsort(self.raw(n), kind="stable").astype(np.int64)
 
+    def permutation_prefix(self, n: int, k: int) -> np.ndarray:
+        """``permutation(n)[:k]`` for k >= 0 in O(n): the same ``raw(n)``
+        keys, of which only the k smallest are sorted, ties by index."""
+        if k < 0:
+            raise ValueError(f"prefix length must be nonnegative, got {k}")
+        keys = self.raw(n)
+        if k >= n:
+            return np.argsort(keys, kind="stable").astype(np.int64)
+        if k == 0:
+            return np.empty(0, dtype=np.int64)
+        kth = np.partition(keys, k - 1)[k - 1]
+        below = np.flatnonzero(keys < kth)
+        ties = np.flatnonzero(keys == kth)[:k - below.size]
+        picked = np.concatenate([below, ties])
+        return picked[np.argsort(keys[picked], kind="stable")].astype(np.int64)
+
     def spawn(self, key: int) -> "Rng":
         """Independent substream keyed by an integer."""
         return Rng(derive_seed(self.seed, int(key)))

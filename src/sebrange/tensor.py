@@ -234,6 +234,7 @@ def linear(x, w, b) -> Tensor:
 
     ``x`` is (..., d_in), ``w`` (d_in, d_out) and ``b`` (d_out,). The weight
     and bias gradients fold the leading axes of ``x`` into one 2-D product.
+    A constant leaf ``x`` (no tape entry, no param) gets no gradient.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -241,11 +242,12 @@ def linear(x, w, b) -> Tensor:
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
     out = np.matmul(x.array, w.array) + b.array
+    x_constant = x._vjp is None and x._param is None
 
     def vjp(g):
         rows = g.reshape(-1, g.shape[-1])
         return (
-            np.matmul(g, w.array.T),
+            None if x_constant else np.matmul(g, w.array.T),
             x.array.reshape(-1, x.shape[-1]).T @ rows,
             rows.sum(axis=0),
         )

@@ -1,9 +1,12 @@
 """Scenario generator: determinism, physics contracts, file round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import sebrange.datagen as dg
+from sebrange.config import RunConfig
 from sebrange.errors import ConfigError, ParseError, VersionError
 from sebrange.datagen import (
     GeneratorConfig,
@@ -157,6 +160,19 @@ class TestRoundTrip:
         for a, b in zip(orders, ro):
             assert np.array_equal(a.telemetry, b.telemetry)
             assert a.label == b.label and a.ride_length == b.ride_length
+
+    @pytest.mark.parametrize("overrides, orders_sha, graph_sha", [
+        ((), "64984e83856c5aa7889406833711e995fc59414107d54f5406460b957a266a0d",
+         "9b4d49898048838d0eeba8522e4b0286563688eed32216743a3c4f9526650979"),
+        (("gen.users=40000", "gen.batteries=12000"),
+         "ebb376537fccb46a5470934c6aa8628b92fab2b21db1391535692ecc15199e4e",
+         "12c1c5db8591902a181d441317600b4d85275b96add7f11bdefdaf518fa1f969"),
+    ], ids=["default", "bigfleet"])
+    def test_seed_42_files_pinned(self, tmp_path, overrides, orders_sha, graph_sha):
+        orders, graph = generate(RunConfig.load(None, overrides).generator_config())
+        write_dataset(orders, graph, tmp_path)
+        for name, sha in (("orders.seb", orders_sha), ("graph.seb", graph_sha)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
 
     def test_truncated_file_names_line(self, tmp_path, small_dataset):
         orders, _ = small_dataset

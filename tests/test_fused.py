@@ -142,6 +142,17 @@ class TestLinear:
         b = r.normal(size=(5,))
         assert_matches(linear, composed_linear, [x, w, b])
 
+    def test_constant_input_gets_no_gradient(self):
+        r = Rng(4)
+        x = r.normal(size=(3, 6, 4))
+        w, b = Param(r.normal(size=(4, 5))), Param(r.normal(size=(5,)))
+        x_leaf = Tensor(x)
+        out = linear(x_leaf, w.tensor(), b.tensor())
+        sum_(mul(out, Rng(0).normal(size=out.shape))).backward()
+        assert x_leaf.grad is None
+        _, grads = run(linear, [x, w.value, b.value], 0)
+        assert np.array_equal(w.grad, grads[1]) and np.array_equal(b.grad, grads[2])
+
     def test_shape_errors(self):
         x, w = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2)))
         with pytest.raises(ShapeError):

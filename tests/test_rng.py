@@ -1,6 +1,7 @@
 """Deterministic counter-based stream contracts."""
 
 import numpy as np
+import pytest
 
 from sebrange.rng import Rng, derive_seed, derive_seeds, splitmix64, splitmix64_block
 
@@ -69,6 +70,38 @@ def test_integers_range():
 def test_permutation_is_permutation():
     p = Rng(9).permutation(128)
     assert sorted(p) == list(range(128))
+
+
+def assert_prefix_matches(seed, n, k):
+    full, prefix = Rng(seed), Rng(seed)
+    expect = full.permutation(n)[:k]
+    got = prefix.permutation_prefix(n, k)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
+    assert prefix.counter == full.counter
+    assert np.array_equal(prefix.raw(4), full.raw(4))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+def test_permutation_prefix_is_permutation_head(n):
+    for k in sorted({0, 1, n // 2, max(n - 1, 0), n, n + 1, n + 50}):
+        assert_prefix_matches(n + k, n, k)
+
+
+def test_permutation_prefix_keeps_tie_order(monkeypatch):
+    # Keys from {0, 1, 2} tie everywhere; both must break ties by index.
+    r = Rng(12)
+    sizes = [(n, int(r.integers(n + 3))) for n in (1 + r.integers(60, size=(40,))).tolist()]
+    raw = Rng.raw
+    monkeypatch.setattr(Rng, "raw", lambda self, n: raw(self, n) % np.uint64(3))
+    assert (Rng(5).raw(6) < 3).all()
+    for seed, (n, k) in enumerate(sizes):
+        assert_prefix_matches(seed, n, k)
+    assert sum(0 < k < n for n, k in sizes) >= 20
+
+
+def test_permutation_prefix_rejects_negative_length():
+    with pytest.raises(ValueError):
+        Rng(1).permutation_prefix(5, -1)
 
 
 def test_spawn_streams_are_independent():
