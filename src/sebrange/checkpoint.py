@@ -12,9 +12,9 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .benchmark import BENCH_MODELS, build_model
 from .errors import CheckpointMismatch, NumericError
-from .model import LinearBaseline, MlpBaseline, ModelConfig, SebTransformer
-from .rng import Rng
+from .model import ModelConfig
 
 CKPT_FORMAT = "seb-ckpt v1"
 
@@ -53,20 +53,16 @@ def load_checkpoint(path):
             raise CheckpointMismatch(
                 f"unsupported checkpoint format {meta.get('format')!r}"
             )
-        cfg = ModelConfig(**meta["model_config"])
+        # Init values are fully overwritten below; the seed is a placeholder.
+        # A saved kind is a model's own kind, so "seb-s3im" (a seb) is unknown.
         kind = meta["kind"]
+        model = build_model(kind, ModelConfig(**meta["model_config"]), meta["n_users"],
+                            meta["n_batteries"], seed=0) if kind in BENCH_MODELS else None
+        if getattr(model, "kind", None) != kind:
+            raise CheckpointMismatch(f"unknown model kind {kind!r}")
         if kind == "lr":
-            model = LinearBaseline(cfg)
             model.coef = np.array(data["coef"], dtype=np.float64)
             return model, meta
-        # Init values are fully overwritten below; the rng is a placeholder.
-        rng = Rng(0)
-        if kind == "mlp":
-            model = MlpBaseline(cfg, rng)
-        elif kind in ("seb", "transformer"):
-            model = SebTransformer(cfg, meta["n_users"], meta["n_batteries"], rng)
-        else:
-            raise CheckpointMismatch(f"unknown model kind {kind!r}")
         for p in model.params():
             key = "param:" + p.name
             if key not in data:

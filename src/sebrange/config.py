@@ -6,62 +6,56 @@ flags (``--seed``, ``--orders``, ...) override both. Unknown keys are
 rejected. The fully resolved configuration serializes to a canonical sorted
 text block that is echoed into every output directory as ``config.resolved``
 and hashed into checkpoints.
+
+Each key sets one field of a config dataclass (``seed`` sets two), and its
+default is that field's default: this module holds the key names and the
+text format, the dataclasses hold the values.
 """
 
 import hashlib
 import os
 
 from .datagen import GeneratorConfig
-from .errors import ConfigError
+from .errors import ConfigError, utf8_error
 from .model import ModelConfig
+from .s3im import C1_MODES, SIGN_MODES, S3imConfig
 from .training import TrainConfig
 
-DEFAULTS = {
-    "seed": 42,
-    "gen.orders": 2000,
-    "gen.users": 1200,
-    "gen.batteries": 400,
-    "gen.stations": 25,
-    "gen.horizon": 50,
-    "gen.ride_mean": 275.0,
-    "gen.ride_sd": 40.0,
-    "gen.noise": 0.02,
-    "train.epochs": 25,
-    "train.lr": 3e-3,
-    "train.batch": 64,
-    "train.train_frac": 0.7,
-    "train.val_frac": 0.15,
-    "train.test_frac": 0.15,
-    "train.s3im_weight": 1.0,
-    "model.embed_dim": 16,
-    "model.dqk": 16,
-    "model.dv": 16,
-    "model.ffn_dim": 32,
-    "model.node_dim": 8,
-    "model.gnn_layers": 2,
-    "model.gnn_hidden": 8,
-    "model.window": 0,
-    "model.mlp_hidden": 32,
-    "model.baseline_hidden": 64,
-    "model.residual": True,
-    "model.layer_norm": True,
-    "s3im.alpha": 1.0,
-    "s3im.beta": 1.0,
-    "s3im.gamma": 1.0,
-    "s3im.k1": 0.01,
-    "s3im.k2": 0.03,
-    "s3im.L": "auto",
-    "s3im.c3": "auto",
-    "s3im.sign": "one_minus",
-    "s3im.c1_mode": "squared",
+
+def _same(group, *names):
+    """Keys ``group.name`` that set the field of the same name."""
+    return {f"{group}.{name}": name for name in names}
+
+
+# Config key -> the field it sets, per dataclass. ``seed`` seeds both the
+# generator and the split/shuffle streams.
+KEY_FIELDS = {
+    GeneratorConfig: {
+        "seed": "seed", "gen.orders": "n_orders", "gen.users": "n_users",
+        "gen.batteries": "n_batteries", "gen.stations": "n_stations",
+        **_same("gen", "horizon", "ride_mean", "ride_sd", "noise"),
+    },
+    TrainConfig: {
+        "seed": "seed", "train.batch": "batch_size", "s3im.L": "s3im_L",
+        **_same("train", "epochs", "lr", "train_frac", "val_frac", "test_frac",
+                "s3im_weight"),
+    },
+    S3imConfig: {
+        "s3im.c3": "c3_override",
+        **_same("s3im", "alpha", "beta", "gamma", "k1", "k2", "sign", "c1_mode"),
+    },
+    ModelConfig: _same("model", "embed_dim", "dqk", "dv", "ffn_dim", "node_dim",
+                       "gnn_layers", "gnn_hidden", "window", "mlp_hidden",
+                       "baseline_hidden", "residual", "layer_norm"),
 }
 
+# A field that defaults to None is derived unless set; its key reads "auto".
+DEFAULTS = {key: "auto" if getattr(cls, name) is None else getattr(cls, name)
+            for cls, keys in KEY_FIELDS.items() for key, name in keys.items()}
+
 # Keys that accept either "auto" or a float.
-_AUTO_FLOAT_KEYS = {"s3im.L", "s3im.c3"}
-_CHOICE_KEYS = {
-    "s3im.sign": ("one_minus", "literal"),
-    "s3im.c1_mode": ("squared", "linear"),
-}
+_AUTO_FLOAT_KEYS = {key for key, value in DEFAULTS.items() if value == "auto"}
+_CHOICE_KEYS = {"s3im.sign": SIGN_MODES, "s3im.c1_mode": C1_MODES}
 
 RESOLVED_FILENAME = "config.resolved"
 
@@ -136,8 +130,10 @@ class RunConfig:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file not found: {path}")
         out = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
+                if bad := utf8_error(line):
+                    raise ConfigError(f"{path}:{line_no}: {bad}")
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -172,54 +168,19 @@ class RunConfig:
 
     # -- dataclass factories -------------------------------------------------
 
+    def _build(self, cls, **extra):
+        """A ``cls`` whose keyed fields take this config's values."""
+        kwargs = {}
+        for key, name in KEY_FIELDS[cls].items():
+            value = self.get(key)
+            kwargs[name] = None if value == "auto" and getattr(cls, name) is None else value
+        return cls(**kwargs, **extra)
+
     def generator_config(self) -> GeneratorConfig:
-        return GeneratorConfig(
-            n_orders=self.get("gen.orders"),
-            n_users=self.get("gen.users"),
-            n_batteries=self.get("gen.batteries"),
-            n_stations=self.get("gen.stations"),
-            horizon=self.get("gen.horizon"),
-            ride_mean=self.get("gen.ride_mean"),
-            ride_sd=self.get("gen.ride_sd"),
-            noise=self.get("gen.noise"),
-            seed=self.get("seed"),
-        )
+        return self._build(GeneratorConfig)
 
-    def train_config(self, s3im_enabled: bool = False) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.get("train.epochs"),
-            lr=self.get("train.lr"),
-            batch_size=self.get("train.batch"),
-            train_frac=self.get("train.train_frac"),
-            val_frac=self.get("train.val_frac"),
-            test_frac=self.get("train.test_frac"),
-            seed=self.get("seed"),
-            s3im_enabled=s3im_enabled,
-            s3im_weight=self.get("train.s3im_weight"),
-            s3im_alpha=self.get("s3im.alpha"),
-            s3im_beta=self.get("s3im.beta"),
-            s3im_gamma=self.get("s3im.gamma"),
-            s3im_k1=self.get("s3im.k1"),
-            s3im_k2=self.get("s3im.k2"),
-            s3im_L=self.get("s3im.L"),
-            s3im_c3=self.get("s3im.c3"),
-            s3im_sign=self.get("s3im.sign"),
-            s3im_c1_mode=self.get("s3im.c1_mode"),
-        )
+    def train_config(self) -> TrainConfig:
+        return self._build(TrainConfig, s3im=self._build(S3imConfig))
 
-    def model_config(self, use_graph: bool = True) -> ModelConfig:
-        return ModelConfig(
-            embed_dim=self.get("model.embed_dim"),
-            dqk=self.get("model.dqk"),
-            dv=self.get("model.dv"),
-            ffn_dim=self.get("model.ffn_dim"),
-            node_dim=self.get("model.node_dim"),
-            gnn_layers=self.get("model.gnn_layers"),
-            gnn_hidden=self.get("model.gnn_hidden"),
-            window=self.get("model.window"),
-            mlp_hidden=self.get("model.mlp_hidden"),
-            baseline_hidden=self.get("model.baseline_hidden"),
-            residual=self.get("model.residual"),
-            layer_norm=self.get("model.layer_norm"),
-            use_graph=use_graph,
-        )
+    def model_config(self) -> ModelConfig:
+        return self._build(ModelConfig)

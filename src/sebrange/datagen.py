@@ -39,7 +39,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, VersionError
+from .errors import ConfigError, ParseError, VersionError, utf8_error
 from .graph import NodeRef, TemporalGraph, battery, load_graph, save_graph, user
 from .rng import Rng, derive_seed, derive_seeds, splitmix64_block
 
@@ -389,7 +389,7 @@ def read_orders(path):
     block's earliest bad line. Either way the orders equal a line-by-line
     parse of the whole file.
     """
-    with open(path, newline="\n") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         first = fh.readline()
         header = first.rstrip("\n")
         if not header.startswith(ORDERS_HEADER_PREFIX):
@@ -444,6 +444,8 @@ def _read_lines(path, lines, line_no, seen):
         rows = np.empty((SEQ_LEN, N_FEATURES))
         for k in range(SEQ_LEN):
             row_no = line_no + i + 1 + k
+            if bad := utf8_error(lines[i + 1 + k]):
+                raise ParseError(path, row_no, bad)
             parts = lines[i + 1 + k].split(",")
             if len(parts) != N_FEATURES:
                 raise ParseError(path, row_no,
@@ -464,6 +466,8 @@ def _read_lines(path, lines, line_no, seen):
 
 def _parse_meta(path, line, line_no, seen):
     """(order_id, user, battery, t, ride_length, label) of a metadata line."""
+    if bad := utf8_error(line):
+        raise ParseError(path, line_no, bad)
     meta = line.split(",")
     if len(meta) != 6:
         raise ParseError(path, line_no, f"expected 6 metadata fields, got {len(meta)}")

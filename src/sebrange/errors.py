@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers' UTF-8 check."""
 
 
 class SebrangeError(Exception):
@@ -52,3 +52,19 @@ class ParseError(SebrangeError, ValueError):
 
 class VersionError(ParseError):
     """A data file header declares an unsupported format version."""
+
+
+def utf8_error(line: str):
+    """A message naming the first byte of ``line`` that is not UTF-8, or None.
+
+    Data and config files are read with ``errors="surrogateescape"``, which
+    turns each such byte into a lone surrogate instead of raising mid-read,
+    so the reader can report it at its line and after any earlier error.
+    """
+    if line.isascii():
+        return None
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"invalid UTF-8 byte 0x{ord(line[exc.start]) - 0xDC00:02x}"
+    return None

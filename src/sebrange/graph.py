@@ -23,7 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BipartiteViolation, DuplicateEdgeError, ParseError, VersionError
+from .errors import (
+    BipartiteViolation,
+    DuplicateEdgeError,
+    ParseError,
+    VersionError,
+    utf8_error,
+)
 
 GRAPH_HEADER = "#seb-graph v1"
 
@@ -284,7 +290,7 @@ def save_graph(g: TemporalGraph, path):
 
 
 def load_graph(path) -> TemporalGraph:
-    with open(path, newline="\n") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -300,6 +306,9 @@ def load_graph(path) -> TemporalGraph:
     # Records before the first unparsable line go in as one batch; their errors come first.
     records, error = [], None
     for line_no, line in enumerate(lines[2:], start=3):
+        if bad := utf8_error(line):
+            error = ParseError(path, line_no, bad)
+            break
         parts = line.split(",")
         if len(parts) != 4:
             error = ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")

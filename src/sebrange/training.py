@@ -7,7 +7,7 @@ moment minibatch descent over the chunks, records train/validation loss per
 epoch, and returns the parameters of the best-validation-MAE epoch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class Prediction:
 
     t: int
     values: object  # Tensor during training, ndarray for reporting
-    order_ids: list = field(default_factory=list)
 
 
 @dataclass
@@ -54,15 +53,8 @@ class TrainConfig:
     seed: int = 42
     s3im_enabled: bool = False
     s3im_weight: float = 1.0
-    s3im_alpha: float = 1.0
-    s3im_beta: float = 1.0
-    s3im_gamma: float = 1.0
-    s3im_k1: float = 0.01
-    s3im_k2: float = 0.03
     s3im_L: object = "auto"
-    s3im_c3: object = "auto"
-    s3im_sign: str = "one_minus"
-    s3im_c1_mode: str = "squared"
+    s3im: S3imConfig = field(default_factory=S3imConfig)
 
     def validate(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
@@ -74,20 +66,17 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be nonnegative, got {self.lr}")
         if self.s3im_weight < 0:
             raise ConfigError("regularizer weight must be nonnegative")
+        if self.s3im_L != "auto" and self.s3im_L <= 0:
+            raise ConfigError(f"s3im.L must be 'auto' or positive, got {self.s3im_L}")
 
     def make_s3im(self, train_labels) -> S3imConfig:
-        """Resolve the similarity config; L='auto' uses the label range."""
+        """``s3im`` with its dynamic range; L='auto' uses the label range."""
         if self.s3im_L == "auto":
             labels = np.asarray(train_labels, dtype=np.float64)
             dynamic_range = max(float(labels.max() - labels.min()), 1e-6)
         else:
             dynamic_range = float(self.s3im_L)
-        c3 = None if self.s3im_c3 == "auto" else float(self.s3im_c3)
-        return S3imConfig(
-            alpha=self.s3im_alpha, beta=self.s3im_beta, gamma=self.s3im_gamma,
-            k1=self.s3im_k1, k2=self.s3im_k2, dynamic_range=dynamic_range,
-            c3_override=c3, sign=self.s3im_sign, c1_mode=self.s3im_c1_mode,
-        )
+        return replace(self.s3im, dynamic_range=dynamic_range)
 
 
 def objective(preds, labels, cfg: TrainConfig, s3im_cfg: S3imConfig = None):
@@ -185,8 +174,7 @@ def _collect_predictions(model, orders, graph):
     flat_pred, flat_label = [], []
     for bucket in bucket_by_t(orders):
         values = model.predict(bucket, graph)
-        preds.append(Prediction(bucket[0].t, values,
-                                [o.order_id for o in bucket]))
+        preds.append(Prediction(bucket[0].t, values))
         y = np.array([o.label for o in bucket])
         labels.append(LabelBatch(bucket[0].t, y))
         flat_pred.append(values)

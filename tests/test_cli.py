@@ -275,3 +275,52 @@ def test_gradcheck_impossible_tolerance_exit_5():
 def test_unknown_set_key_exit_2(tmp_path):
     code = main(["gen", "--set", "bogus.key=1", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def _with_byte(src, dst, name, line_no, byte=b"\xff"):
+    """Copy a dataset, putting ``byte`` after the first comma of one line of ``name``."""
+    shutil.copytree(src, dst)
+    lines = (dst / name).read_bytes().split(b"\n")
+    lines[line_no - 1] = lines[line_no - 1].replace(b",", b"," + byte, 1)
+    (dst / name).write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("name, line_no", [
+    ("orders.seb", 6), ("orders.seb", 67), ("graph.seb", 6),
+])
+def test_non_utf8_byte_exit_3(dataset_dir, tmp_path, capsys, name, line_no):
+    bad = tmp_path / "bytes"
+    _with_byte(dataset_dir, bad, name, line_no)
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"{name}:{line_no}: invalid UTF-8 byte 0xff" in err
+
+
+def test_non_utf8_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=4\xff2\n")
+    capsys.readouterr()
+    code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: {cfg}:1: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("s3im.k1=0.5", "K1, K2 must lie in (0, 0.1]"),
+    ("s3im.c3=0", "C3 must be positive, got 0.0"),
+    ("s3im.L=-3", "s3im.L must be 'auto' or positive, got -3.0"),
+    ("s3im.L=0", "s3im.L must be 'auto' or positive, got 0.0"),
+])
+@pytest.mark.parametrize("kind", ["lr", "mlp", "transformer", "seb", "seb-s3im"])
+def test_out_of_range_s3im_setting_exit_2_for_every_model(
+        dataset_dir, tmp_path, capsys, kind, setting, message):
+    capsys.readouterr()
+    code = main(["train", *FAST, "--set", setting, "--model", kind,
+                 "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

@@ -1,9 +1,15 @@
 """Run configuration: parsing, overrides, strict keys, canonical hashing."""
 
+from dataclasses import MISSING, fields, replace
+
 import pytest
 
-from sebrange.config import DEFAULTS, RunConfig
+from sebrange.config import DEFAULTS, KEY_FIELDS, RunConfig
+from sebrange.datagen import GeneratorConfig
 from sebrange.errors import ConfigError
+from sebrange.model import ModelConfig
+from sebrange.s3im import S3imConfig
+from sebrange.training import TrainConfig
 
 
 def test_defaults_load():
@@ -95,8 +101,87 @@ def test_factories_produce_valid_dataclasses():
     gcfg = rc.generator_config()
     gcfg.validate()
     assert gcfg.n_orders == 300
-    tcfg = rc.train_config(s3im_enabled=True)
+    tcfg = replace(rc.train_config(), s3im_enabled=True)
     tcfg.validate()
     assert tcfg.s3im_enabled
     mcfg = rc.model_config()
     assert mcfg.fusion_in == mcfg.embed_dim + 2 * mcfg.gnn_hidden + mcfg.dv
+
+
+# One value off its default for every key, distinct within each dataclass
+# wherever the type allows; booleans can only flip.
+OFF_DEFAULT = {
+    "seed": "7", "gen.orders": "300", "gen.users": "50", "gen.batteries": "30",
+    "gen.stations": "5", "gen.horizon": "20", "gen.ride_mean": "250.5",
+    "gen.ride_sd": "30.25", "gen.noise": "0.05",
+    "train.epochs": "3", "train.lr": "0.01", "train.batch": "16",
+    "train.train_frac": "0.5", "train.val_frac": "0.3", "train.test_frac": "0.2",
+    "train.s3im_weight": "0.75",
+    "model.embed_dim": "8", "model.dqk": "12", "model.dv": "10", "model.ffn_dim": "24",
+    "model.node_dim": "6", "model.gnn_layers": "3", "model.gnn_hidden": "5",
+    "model.window": "2", "model.mlp_hidden": "20", "model.baseline_hidden": "40",
+    "model.residual": "false", "model.layer_norm": "false",
+    "s3im.alpha": "2.0", "s3im.beta": "0.5", "s3im.gamma": "3.0", "s3im.k1": "0.02",
+    "s3im.k2": "0.05", "s3im.L": "25.0", "s3im.c3": "0.4", "s3im.sign": "literal",
+    "s3im.c1_mode": "linear",
+}
+
+
+def _off(*keys):
+    return RunConfig.load(overrides=[f"{k}={OFF_DEFAULT[k]}" for k in keys])
+
+
+def _built(rc):
+    tcfg = rc.train_config()
+    return {GeneratorConfig: rc.generator_config(), TrainConfig: tcfg,
+            S3imConfig: tcfg.s3im, ModelConfig: rc.model_config()}
+
+
+def test_resolved_hashes_pinned():
+    # config.resolved, and so every checkpoint's config hash, is the same
+    # text whichever module holds the defaults.
+    assert RunConfig.load().hash() == (
+        "b51ca6e11ff979e9ff846f1081823373aa26127b744adecbaf5b7037148ba74c")
+    assert _off(*OFF_DEFAULT).hash() == (
+        "081897a1612079de4d2ea22a7ad79612cd372147263ca401f7a84bc2adb093aa")
+
+
+def test_each_key_sets_only_its_field():
+    assert set(OFF_DEFAULT) == set(DEFAULTS)
+    base = _built(RunConfig.load())
+    for cls, obj in base.items():
+        for f in fields(cls):
+            if f.default is not MISSING:
+                assert getattr(obj, f.name) == f.default, (cls, f.name)
+    for key in OFF_DEFAULT:
+        rc = _off(key)
+        built = _built(rc)
+        changed = {(cls, f.name) for cls, obj in built.items() for f in fields(cls)
+                   if f.name != "s3im" and getattr(obj, f.name) != getattr(base[cls], f.name)}
+        named = {(cls, keys[key]) for cls, keys in KEY_FIELDS.items() if key in keys}
+        assert changed == named and len(named) == (2 if key == "seed" else 1), key
+        for cls, name in named:
+            assert getattr(built[cls], name) == rc.get(key) != DEFAULTS[key], key
+
+
+def test_fields_without_a_key():
+    keyed = {(cls, name) for cls, keys in KEY_FIELDS.items() for name in keys.values()}
+    unkeyed = {(cls.__name__, f.name) for cls in KEY_FIELDS for f in fields(cls)
+               if (cls, f.name) not in keyed}
+    assert unkeyed == {
+        ("ModelConfig", "seq_len"), ("ModelConfig", "n_features"),
+        ("ModelConfig", "use_graph"), ("TrainConfig", "s3im_enabled"),
+        ("TrainConfig", "s3im"), ("S3imConfig", "dynamic_range"),
+    }
+
+
+def test_non_utf8_config_file_names_its_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"# seeds\nseed=4\xff2\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: invalid UTF-8 byte 0xff"):
+        RunConfig.load(path)
+    path.write_bytes(b"gen.bogus=1\nseed=4\xff2\n")
+    with pytest.raises(ConfigError, match="unknown config key 'gen.bogus'"):
+        RunConfig.load(path)
+    path.write_bytes("seed=4  # café\n".encode())
+    assert RunConfig.load(path).get("seed") == 4

@@ -421,3 +421,17 @@ def test_node_row_layout():
 def test_node_ref_identity():
     assert NodeRef(NodeKind.USER, 3) == user(3)
     assert user(3) != battery(3)
+
+
+@pytest.mark.parametrize("bad", BAD_RECORDS)
+def test_load_graph_non_utf8_byte_keeps_line_order(tmp_path, bad):
+    # A stray byte is a ParseError at its line, after an earlier bad line's.
+    p = tmp_path / "bad.seb"
+    head = b"#seb-graph v1\n#dims,2,2,2\n0,0,0,0\n"
+    record, why = BAD_RECORDS[bad][0].encode(), BAD_RECORDS[bad][1]
+    p.write_bytes(head + record + b"\n1,\xe91,0,0\n")
+    with pytest.raises(ParseError, match=f"bad.seb:4: .*{why}"):
+        load_graph(p)
+    p.write_bytes(head + b"1,\xe91,0,0\n" + record + b"\n")
+    with pytest.raises(ParseError, match="bad.seb:4: invalid UTF-8 byte 0xe9"):
+        load_graph(p)

@@ -1,5 +1,6 @@
 """Fused model, objective, training loop, evaluation, baselines."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -350,6 +351,30 @@ class TestCheckpoint:
             loaded, _ = load_checkpoint(path)
             assert np.array_equal(model.predict(orders[:7], graph),
                                   loaded.predict(orders[:7], graph))
+
+    def test_transformer_checkpoint_rebuilds_without_graph(self, tiny_data, tmp_path):
+        orders, graph = tiny_data
+        model = build_model("transformer", TINY_MODEL, graph.n_users,
+                            graph.n_batteries, 3)
+        train_model("transformer", model, orders, graph, TINY_TRAIN)
+        path = tmp_path / "t.npz"
+        save_checkpoint(path, model, "h")
+        loaded, meta = load_checkpoint(path)
+        assert meta["kind"] == "transformer" and not loaded.cfg.use_graph
+        bucket = [o for o in orders if o.t == 1][:5]
+        assert np.array_equal(model.predict(bucket, graph),
+                              loaded.predict(bucket, graph))
+
+    def test_unknown_kind_is_a_mismatch(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, fresh_model(), "h")
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays.pop("__meta__")))
+        for kind in ("bogus", "seb-s3im"):
+            np.savez(path, __meta__=json.dumps({**meta, "kind": kind}), **arrays)
+            with pytest.raises(CheckpointMismatch, match=f"unknown model kind '{kind}'"):
+                load_checkpoint(path)
 
 
 def test_graph_sensitivity_smoke(tiny_data):

@@ -296,3 +296,25 @@ def test_write_and_read_peaks_stay_far_below_the_file(tmp_path):
     assert write_peak < 0.25 * size, f"write_orders peaked at {write_peak} bytes"
     transient = read_peak - max(kept, before)
     assert transient < 0.25 * size, f"read_orders held {transient} bytes beyond its result"
+
+
+@pytest.mark.parametrize("block_orders", [2, 64])
+def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, monkeypatch, seven_orders,
+                                                    block_orders):
+    # Index 1 is order 0's metadata, 70 a telemetry row of order 1 and 200
+    # one of order 3; "oops" makes a line bad without a stray byte.
+    monkeypatch.setattr(dg, "_BLOCK_ORDERS", block_orders)
+    path = tmp_path / "orders.seb"
+    for byte_at, oops_at, first in [(1, None, 1), (70, None, 70), (200, None, 200),
+                                    (200, 70, 70), (70, 200, 70), (131, 130, 130)]:
+        lines = [line.encode() for line in seven_orders]
+        lines[byte_at] = lines[byte_at].replace(b",", b",\xfe", 1)
+        if oops_at is not None:
+            lines[oops_at] = lines[oops_at].replace(b",", b",oops", 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError) as info:
+            read_orders(path)
+        assert info.value.line_no == first + 1
+        if first == byte_at:
+            assert str(info.value).endswith(f":{first + 1}: invalid UTF-8 byte 0xfe")
+
