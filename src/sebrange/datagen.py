@@ -26,9 +26,9 @@ state). Capacity is visible only through which battery served the order,
 never through telemetry; telemetry-only models therefore hit an error floor
 that the graph branch can cross.
 
-Every order draws from its own substream keyed by (seed, order id), so the
-whole batch is generated vectorized yet individual orders are reproducible
-in isolation. The assignment of orders to timesteps, users, batteries and
+Every order draws from its own substream keyed by (seed, order id), so
+orders are generated vectorized, a block of rows at a time, yet individual
+orders are reproducible in isolation. The assignment of orders to timesteps, users, batteries and
 stations uses dedicated substreams of the master seed.
 """
 
@@ -227,21 +227,41 @@ def _assign_slots(cfg: GeneratorConfig):
     return t_of, user_of, batt_of, station_of
 
 
+# generate() derives this many orders at a time, a bound on its temporaries.
+_GEN_BLOCK_ORDERS = 256
+
+
 def generate(cfg: GeneratorConfig):
     """Produce (orders, graph), fully determined by cfg.seed."""
     cfg.validate()
     n = cfg.n_orders
     caps = battery_capacities(cfg)
     t_of, user_of, batt_of, station_of = _assign_slots(cfg)
-
-    # One substream per order id; rows are that substream's uniform draws.
+    # One substream per order id. A row depends only on its substream and
+    # battery, so the block size changes no bit of the result.
     seeds = derive_seeds(cfg.seed, _ORDER_KEY_BASE + np.arange(n, dtype=np.int64))
-    raw = splitmix64_block(seeds, _N_DRAWS)
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    full = caps[batt_of] * FULL_RANGE_KM
+    ride, labels, telemetry = np.empty(n), np.empty(n), np.empty((n, SEQ_LEN, N_FEATURES))
+    for lo in range(0, n, _GEN_BLOCK_ORDERS):
+        rows = slice(lo, lo + _GEN_BLOCK_ORDERS)
+        _generate_rows(cfg, seeds[rows], full[rows], ride[rows], labels[rows], telemetry[rows])
+
+    g = TemporalGraph(cfg.n_users, cfg.n_batteries, cfg.horizon)
+    g.add_edges(t_of, user_of, batt_of, station_of)
+    cols = (c.tolist() for c in (user_of, batt_of, t_of, ride, labels))
+    orders = [Order(i, user(u), battery(b), t, telemetry[i], ride_i, label)
+              for i, (u, b, t, ride_i, label) in enumerate(zip(*cols))]
+    return orders, g
+
+
+def _generate_rows(cfg, seeds, full, ride, labels, telemetry):
+    """Fill ``ride``, ``labels`` and ``telemetry`` for orders of substream
+    ``seeds`` whose batteries have full range ``full``."""
+    # Row i holds the uniform draws of substream seeds[i].
+    u = (splitmix64_block(seeds, _N_DRAWS) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     noise_scale = cfg.noise / NOISE_REF
-    ride = cfg.ride_mean + cfg.ride_sd * _normals(u, _C_RIDE, 1)[:, 0]
-    ride = np.maximum(ride, 1.0)
+    ride[:] = np.maximum(cfg.ride_mean + cfg.ride_sd * _normals(u, _C_RIDE, 1)[:, 0], 1.0)
     base_speed = BASE_SPEED_RANGE[0] + (
         BASE_SPEED_RANGE[1] - BASE_SPEED_RANGE[0]) * u[:, _C_BASE_SPEED]
     ambient = AMBIENT_RANGE[0] + (
@@ -280,9 +300,8 @@ def generate(cfg: GeneratorConfig):
         * np.cumsum(energy, axis=1) / SEQ_LEN
     )
     consumed = consumed_cum[:, -1]
-    full = caps[batt_of] * FULL_RANGE_KM
     label_sd = cfg.noise * FULL_RANGE_KM
-    labels = np.clip(full - consumed + label_sd * label_eps, 0.0, full)
+    labels[:] = np.clip(full - consumed + label_sd * label_eps, 0.0, full)
 
     voltage = (
         VOLTAGE_FULL - VOLTAGE_DROP * consumed_cum / FULL_RANGE_KM
@@ -291,17 +310,8 @@ def generate(cfg: GeneratorConfig):
     current = CURRENT_FACTOR * energy + CURRENT_NOISE_SD * noise_scale * curr_eps
     temp_ch = temp + TEMP_NOISE_SD * noise_scale * temp_eps
     payload_ch = np.repeat(payload[:, None], SEQ_LEN, axis=1)
-
-    telemetry = np.stack(
-        [speed, voltage, current, temp_ch, payload_ch, grade], axis=2
-    )
-
-    g = TemporalGraph(cfg.n_users, cfg.n_batteries, cfg.horizon)
-    g.add_edges(t_of, user_of, batt_of, station_of)
-    cols = (c.tolist() for c in (user_of, batt_of, t_of, ride, labels))
-    orders = [Order(i, user(u), battery(b), t, telemetry[i], ride_i, label)
-              for i, (u, b, t, ride_i, label) in enumerate(zip(*cols))]
-    return orders, g
+    np.stack([speed, voltage, current, temp_ch, payload_ch, grade], axis=2,
+             out=telemetry)
 
 
 @dataclass

@@ -5,7 +5,9 @@ entry that produced it: its parent tensors and a vector-Jacobian-product
 closure. Calling :meth:`Tensor.backward` on a scalar output walks the tape
 in reverse topological order and accumulates gradients; leaf tensors built
 from a :class:`~sebrange.optim.Param` deposit their gradient into the
-param's accumulator, a row leaf into only the rows it holds.
+param's accumulator, a row leaf into only the rows it holds. The sweep
+consumes the tape: each interior node frees its gradient and the arrays its
+VJP saved once that VJP has run, so a graph is differentiated once.
 
 Tensors are treated as immutable once constructed: ops never write into
 operand or result arrays, so values can be shared freely across threads
@@ -58,11 +60,13 @@ class Tensor:
         return float(self.array.reshape(-1)[0])
 
     def backward(self):
-        """Reverse-mode sweep from a scalar output.
+        """Reverse-mode sweep from a scalar output; consumes the graph.
 
-        Populates ``.grad`` on every tensor in this graph. A Param leaf adds
-        its gradient into the param's ``grad`` accumulator: the whole array
-        for ``Param.tensor()``, only the rows it holds for ``Param.rows()``.
+        Leaves keep their gradient in ``.grad``, and a Param leaf adds it into
+        the param's ``grad``: the whole array for ``Param.tensor()``, only the
+        rows it holds for ``Param.rows()``. An interior node drops its ``.grad``
+        and its VJP, with the arrays the VJP saved, once the VJP has run; a
+        second sweep through that node raises ContractError.
         """
         if self.array.size != 1:
             raise ContractError(
@@ -79,7 +83,9 @@ class Tensor:
                 t._param.accumulate(t.grad, t._rows)
             if t._vjp is None:
                 continue
-            for parent, g in zip(t._parents, t._vjp(t.grad)):
+            grads = t._vjp(t.grad)
+            t.grad, t._vjp = None, _spent_vjp
+            for parent, g in zip(t._parents, grads):
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
@@ -107,6 +113,11 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
+
+
+def _spent_vjp(g):
+    raise ContractError("backward() already ran through this tensor; "
+                        "its saved arrays are freed")
 
 
 def as_tensor(x) -> Tensor:

@@ -226,6 +226,8 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
             if cfg.lr > 0:
                 optimizer_step(params, adam, cfg.lr)
             epoch_loss += loss.item()
+            # The graph's forward arrays would otherwise live through the next forward.
+            del pred, loss
         preds, labels, flat_pred, flat_label = _collect_predictions(
             model, val_split, graph)
         val_loss = objective(preds, labels, cfg, s3im_cfg).item()

@@ -174,6 +174,21 @@ class TestRoundTrip:
         for name, sha in (("orders.seb", orders_sha), ("graph.seb", graph_sha)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
 
+    @pytest.mark.parametrize("n_orders, orders_sha, graph_sha", [
+        (1, "920598984fd225595e4a0fc9950dce94ad925488097b61616c9a7cadc938f6a4",
+         "d2fb6ca826907233da4e3f4b71953222d2f3750ec6951020659656823906b6f1"),
+        (257, "ba57cf332e4630d106695cfbdfe27f3c715e9db577d2ae0b2d368c12089fa5bb",
+         "1054b4e6367e47bc484c42c12ab39b8dfbe7a84df3282dca4fecef59859a8d4f"),
+    ], ids=["1-order", "257-orders"])
+    @pytest.mark.parametrize("block_orders", [1, 7, 4096])
+    def test_generation_block_size_changes_no_byte(self, tmp_path, monkeypatch, block_orders,
+                                                   n_orders, orders_sha, graph_sha):
+        # The pins were taken when all orders were generated in one block.
+        monkeypatch.setattr(dg, "_GEN_BLOCK_ORDERS", block_orders)
+        write_dataset(*generate(GeneratorConfig(n_orders=n_orders)), tmp_path)
+        for name, sha in (("orders.seb", orders_sha), ("graph.seb", graph_sha)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
     def test_truncated_file_names_line(self, tmp_path, small_dataset):
         orders, _ = small_dataset
         path = tmp_path / "orders.seb"

@@ -1,7 +1,6 @@
 """Temporal bipartite graph contracts and file round trips."""
 
 import itertools
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -231,15 +230,10 @@ def test_has_edges_matches_records():
     assert got.tolist() == [True, True, False, False]
 
 
-def test_empty_graph_allocates_under_1mb():
+def test_empty_graph_allocates_under_1mb(traced):
     # One city-sized fleet over 50 timesteps; nothing is stored per node or
     # per timestep until an edge arrives.
-    tracemalloc.start()
-    try:
-        TemporalGraph(40000, 12000, 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(TemporalGraph, 40000, 12000, 50)
     assert peak < 1 << 20, f"empty graph peaked at {peak} bytes"
 
 

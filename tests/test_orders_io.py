@@ -2,7 +2,6 @@
 reference: values, errors and memory."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -276,25 +275,17 @@ def test_header_errors_unchanged(tmp_path, text, message):
     assert str(info.value) == str(expect) and info.value.line_no == 1
 
 
-def test_write_and_read_peaks_stay_far_below_the_file(tmp_path):
+def test_write_and_read_peaks_stay_far_below_the_file(tmp_path, traced):
     # The writer streams one order at a time and the reader holds one block,
     # so neither may buffer the whole file (about 14 MB at 2,000 orders).
     orders, _ = generate(GeneratorConfig(n_orders=2000))
     path = tmp_path / "orders.seb"
-    tracemalloc.start()
-    try:
-        write_orders(orders, path)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        read = read_orders(path)
-        kept, read_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, write_peak = traced(write_orders, orders, path)
+    read, kept, read_peak = traced(read_orders, path)
     size = path.stat().st_size
     assert len(read) == len(orders)
     assert write_peak < 0.25 * size, f"write_orders peaked at {write_peak} bytes"
-    transient = read_peak - max(kept, before)
+    transient = read_peak - kept
     assert transient < 0.25 * size, f"read_orders held {transient} bytes beyond its result"
 
 
