@@ -28,8 +28,9 @@ that the graph branch can cross.
 
 Every order draws from its own substream keyed by (seed, order id), so
 orders are generated vectorized, a block of rows at a time, yet individual
-orders are reproducible in isolation. The assignment of orders to timesteps, users, batteries and
-stations uses dedicated substreams of the master seed.
+orders are reproducible in isolation. The assignment of orders to
+timesteps, users, batteries and stations uses dedicated substreams of the
+master seed.
 """
 
 import math
