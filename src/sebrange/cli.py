@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .audit import AUDIT_OPS, run_gradient_audit
 from .benchmark import (
     BENCH_MODELS,
@@ -200,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The checks that exit 6 report non-finite values; numpy's warnings stay quiet.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CheckpointMismatch as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

@@ -18,7 +18,8 @@ Conventions fixed repo-wide:
   * elementwise ops broadcast like numpy, gradients are summed back down
     to each operand's shape;
   * reductions and row-wise ops act on the trailing axes, so every op
-    works on batched (leading-axis) inputs unchanged.
+    works on batched (leading-axis) inputs unchanged;
+  * BLAS gets contiguous operands; a non-last axis is summed in numpy's order.
 """
 
 import numpy as np
@@ -252,7 +253,11 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
-    out = np.matmul(x.array, w.array) + b.array
+    # The bias is added over rows of S * d_out values: long loops, same adds.
+    out = np.matmul(x.array, w.array)
+    s = out.shape[-2] if out.ndim > 1 else 1
+    rows = out.reshape(-1, s * w.shape[1])
+    rows += np.tile(b.array, s)
     x_constant = x._vjp is None and x._param is None
 
     def vjp(g):
@@ -270,30 +275,20 @@ def matmul_t(x, w) -> Tensor:
     """Product ``x @ w^T`` for a 2-D ``w``, on the trailing axes, as one
     tape node.
 
-    The backward makes the numpy calls of ``matmul(x, transpose_last(w))``:
-    the weight gradient is the batched ``x^T g`` summed over the leading
-    axes, then transposed, so its bits match that composition's. Unlike
-    ``linear`` it does not fold the leading axes into one product.
+    The backward repeats the numpy calls of ``x @ w^T`` built from a transpose
+    op, so the weight gradient keeps that composition's bits. Unlike ``linear``
+    it does not fold the leading axes into one product.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"matmul_t inner dimensions disagree: {x.shape} @ {w.shape}^T")
-    out = np.matmul(x.array, w.array.T)
+    out = np.matmul(x.array, np.ascontiguousarray(w.array.T))
 
     def vjp(g):
         gw = _sum_leading(np.matmul(np.swapaxes(x.array, -1, -2), g), 2)
         return np.matmul(g, w.array), gw.T
 
     return Tensor(out, (x, w), vjp)
-
-
-def transpose_last(a) -> Tensor:
-    """Swap the trailing two axes."""
-    a = as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"transpose_last requires ndim >= 2, got {a.shape}")
-    out = np.swapaxes(a.array, -1, -2)
-    return Tensor(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +312,12 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
     """Mean over one axis, or over all of them when ``axis`` is None."""
     a = as_tensor(a)
     scale = 1.0 / (a.size if axis is None else a.shape[axis])
-    out = a.array.sum(axis=axis, keepdims=keepdims) * scale
+    if axis is None or axis % a.ndim == a.ndim - 1:
+        out = a.array.sum(axis=axis, keepdims=keepdims) * scale
+    else:
+        # numpy sums a non-last axis in sequence, as this copy does in one loop.
+        out = np.ascontiguousarray(np.moveaxis(a.array, axis, 0)).sum(axis=0) * scale
+        out = np.expand_dims(out, axis) if keepdims else out
 
     def vjp(g):
         if axis is not None and not keepdims:
@@ -373,6 +373,27 @@ def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gs
 
 
+def _pairwise_sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over axis -2 in numpy's pairwise order along a contiguous row: up to
+    128 values go into 8 strided accumulators joined as a tree, leftovers (all
+    of them below 8) add in sequence, and longer runs split near the middle.
+    """
+    n = a.shape[-2]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum_rows(a[..., :half, :]) + _pairwise_sum_rows(a[..., half:, :])
+    m = n - n % 8
+    res = np.zeros(a.shape[:-2] + a.shape[-1:])
+    if m:
+        r = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1])).sum(axis=-3)
+        while r.shape[-2] > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+            r = r[..., 0::2, :] + r[..., 1::2, :]
+        res = r[..., 0, :]
+    for i in range(m, n):
+        res += a[..., i, :]
+    return res
+
+
 def softmax_rows(a) -> Tensor:
     """Row-stable softmax over the last axis.
 
@@ -395,23 +416,23 @@ def attention_core(q, k, v) -> Tensor:
     The forward works key-major: ``k q^T`` of shape (..., S_k, S_q) is the
     transpose of ``q k^T`` bit for bit, and its max and broadcasts run over
     axis -2, which numpy does in long contiguous loops rather than one short
-    loop per query row. The row sums are taken from a row-major copy,
-    because numpy's pairwise summation order holds only along a contiguous
-    axis; a sum over axis -2 would change the last bits.
+    loop per query row. The softmax sums also run over axis -2, in numpy's
+    row order (``_pairwise_sum_rows``), so no transposed copy is made.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    st = np.matmul(k.array, np.swapaxes(q.array, -1, -2))
+    st = np.matmul(k.array, np.ascontiguousarray(np.swapaxes(q.array, -1, -2)))
     st *= scale
     st -= st.max(axis=-2, keepdims=True)
     np.exp(st, out=st)
-    st /= np.ascontiguousarray(np.swapaxes(st, -1, -2)).sum(axis=-1)[..., None, :]
+    st /= _pairwise_sum_rows(st)[..., None, :]
     out = np.matmul(np.swapaxes(st, -1, -2), v.array)
 
     def vjp(g):
         weights = np.ascontiguousarray(np.swapaxes(st, -1, -2))
+        v_t = np.ascontiguousarray(np.swapaxes(v.array, -1, -2))
         # The scale is applied to the narrow (S, D) products, not the (S, S) rows.
-        gs = _softmax_vjp(weights, np.matmul(g, np.swapaxes(v.array, -1, -2)))
+        gs = _softmax_vjp(weights, np.matmul(g, v_t))
         return (
             _sum_leading(np.matmul(gs, k.array) * scale, q.ndim),
             _sum_leading(np.matmul(np.swapaxes(gs, -1, -2), q.array) * scale, k.ndim),

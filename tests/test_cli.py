@@ -2,9 +2,12 @@
 
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import sebrange
 from sebrange.cli import main
 
 # Small-but-real settings so command flows finish quickly.
@@ -196,6 +199,22 @@ def test_diverging_run_exit_6(dataset_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_diverging_run_prints_one_stderr_line(tmp_path):
+    # A fresh interpreter shows numpy's RuntimeWarnings, which pytest filters.
+    data = tmp_path / "d"
+    assert main(["gen", "--seed", "3", "--orders", "120", "--out", str(data)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sebrange.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sebrange.cli", "train", "--model", "seb",
+         "--lr", "1e300", "--set", "train.epochs=2", "--data", str(data),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("numeric failure: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_train_twice_identical_loss_csv(dataset_dir, tmp_path):

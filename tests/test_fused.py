@@ -30,7 +30,6 @@ from sebrange.tensor import (
     softmax_rows,
     sub,
     sum_,
-    transpose_last,
 )
 from sebrange.training import (
     LabelBatch,
@@ -45,6 +44,15 @@ GRAD_RTOL = 1e-12
 
 
 # -- composed references ------------------------------------------------------
+
+def transpose_last(a):
+    """Swap the trailing two axes, as a tape op."""
+    a = as_tensor(a)
+    if a.ndim < 2:
+        raise ShapeError(f"transpose_last requires ndim >= 2, got {a.shape}")
+    out = np.swapaxes(a.array, -1, -2)
+    return Tensor(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+
 
 def composed_mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
@@ -121,6 +129,7 @@ class TestMean:
         ((7,), None), ((7,), -1),
         ((5, 3), None), ((5, 3), -1), ((5, 3), -2),
         ((2, 5, 3), None), ((2, 5, 3), -1), ((2, 5, 3), -2),
+        ((2, 5, 3), 0), ((2, 4, 5, 3), 1), ((41, 64, 16), -2),
     ])
     @pytest.mark.parametrize("keepdims", [False, True])
     def test_matches_composed(self, shape, axis, keepdims):
@@ -141,6 +150,14 @@ class TestLinear:
         w = r.normal(size=(shape[-1], 5))
         b = r.normal(size=(5,))
         assert_matches(linear, composed_linear, [x, w, b])
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 6, 4), (41, 64, 16)])
+    def test_bias_rows_match_broadcast_add_at_every_rank(self, shape):
+        r = Rng(3)
+        x = r.normal(size=shape)
+        w, b = r.normal(size=(shape[-1], 5)), r.normal(size=(5,))
+        out = linear(Tensor(x), Tensor(w), Tensor(b)).array
+        assert out.tobytes() == (np.matmul(x, w) + b).tobytes()
 
     def test_constant_input_gets_no_gradient(self):
         r = Rng(4)
@@ -170,6 +187,15 @@ class TestMatmulT:
         out_f, grads_f = run(matmul_t, arrays, 11)
         out_c, grads_c = run(lambda x, w: matmul(x, transpose_last(w)), arrays, 11)
         assert np.array_equal(out_f, out_c)
+        for gf, gc in zip(grads_f, grads_c):
+            assert gf.tobytes() == gc.tobytes()
+
+    def test_bit_identical_to_composed_at_the_telemetry_length(self):
+        r = Rng(14)
+        arrays = [r.normal(size=(41, 64, 16)), r.normal(size=(16, 16))]
+        out_f, grads_f = run(matmul_t, arrays, 15)
+        out_c, grads_c = run(lambda x, w: matmul(x, transpose_last(w)), arrays, 15)
+        assert out_f.tobytes() == out_c.tobytes()
         for gf, gc in zip(grads_f, grads_c):
             assert gf.tobytes() == gc.tobytes()
 
@@ -233,6 +259,13 @@ class TestAttentionCore:
         q = r.normal(size=q_shape) * np.sqrt(logit_scale)
         k = r.normal(size=k_shape) * np.sqrt(logit_scale)
         v = r.normal(size=v_shape)
+        assert_matches(attention_core, composed_attention, [q, k, v])
+
+    @pytest.mark.parametrize("batch", [1, 28, 41])
+    def test_forward_bits_at_the_telemetry_length(self, batch):
+        # 64 steps of 16 features: the shapes every model forward uses.
+        r = Rng(13)
+        q, k, v = (r.normal(size=(batch, 64, 16)) for _ in range(3))
         assert_matches(attention_core, composed_attention, [q, k, v])
 
     def test_attend_is_one_tape_node(self):

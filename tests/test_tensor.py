@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sebrange.errors import ContractError, ShapeError
+from sebrange.optim import Param
 from sebrange.rng import Rng
 from sebrange.tensor import (
     Tensor,
@@ -19,8 +20,9 @@ from sebrange.tensor import (
     scatter_add_rows,
     softmax_rows,
     sum_,
-    transpose_last,
 )
+from sebrange.tensor import _pairwise_sum_rows
+from test_fused import transpose_last
 
 
 def naive_matmul(a, b):
@@ -140,6 +142,49 @@ def test_relu_bits_match_where_on_special_values():
     assert out.tobytes() == oracle.tobytes()
 
 
+def numpy_row_sums(a):
+    """numpy's own sum of axis -2, taken along a contiguous copy."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).sum(axis=-1)
+
+
+class TestPairwiseSumRows:
+    """``_pairwise_sum_rows`` repeats numpy's summation order; a numpy release
+    that sums in another order fails here."""
+
+    def test_bits_for_every_length_up_to_300(self):
+        # n < 8, 8 <= n <= 128 and the recursive split above 128.
+        rng = np.random.default_rng(21)
+        for n in range(1, 301):
+            a = rng.choice([-1.0, 1.0], size=(2, n, 9)) * 10.0 ** rng.uniform(
+                -5, 5, size=(2, n, 9))
+            assert _pairwise_sum_rows(a).tobytes() == numpy_row_sums(a).tobytes(), n
+
+    def test_bits_on_zeros_infinities_and_subnormals(self):
+        rng = np.random.default_rng(22)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                            2.5e-310, -1e-308, 1.0, -3.5])
+        for n in (1, 2, 7, 8, 9, 16, 64, 127, 128, 129, 200, 300):
+            for values in (special, special[[0, 1]], special[[1, 4, 5, 6]]):
+                a = rng.choice(values, size=(3, n, 11))
+                with np.errstate(invalid="ignore"):
+                    got, want = _pairwise_sum_rows(a), numpy_row_sums(a)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), n
+                finite = ~np.isnan(want)
+                assert got[finite].tobytes() == want[finite].tobytes(), n
+
+    def test_nan_wherever_numpy_gives_nan(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 5, 8, 33, 64, 128, 129, 257):
+            a = rng.normal(size=(2, n, 7))
+            a[rng.random(a.shape) < 0.02] = np.nan
+            a[0, -1, 0] = np.nan
+            got, want = _pairwise_sum_rows(a), numpy_row_sums(a)
+            assert np.isnan(want[0, 0])
+            assert np.array_equal(np.isnan(got), np.isnan(want)), n
+            finite = ~np.isnan(want)
+            assert got[finite].tobytes() == want[finite].tobytes(), n
+
+
 def test_mean_axis():
     x = np.arange(12.0).reshape(3, 4)
     assert np.allclose(mean(Tensor(x), axis=-2).array, x.mean(axis=0))
@@ -183,6 +228,10 @@ def test_transpose_and_reshape_round_trip():
     x = Rng(7).normal(size=(3, 5))
     t = transpose_last(Tensor(x))
     assert np.array_equal(t.array, x.T)
+    p = Param(x)
+    c = Rng(9).normal(size=(5, 3))
+    sum_(mul(transpose_last(p.tensor()), c)).backward()
+    assert np.array_equal(p.grad, c.T)
     r = reshape(Tensor(x), (5, 3))
     assert np.array_equal(r.array, x.reshape(5, 3))
 
