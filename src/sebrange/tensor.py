@@ -375,20 +375,19 @@ def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _pairwise_sum_rows(a: np.ndarray) -> np.ndarray:
     """Sum over axis -2 in numpy's pairwise order along a contiguous row: up to
-    128 values go into 8 strided accumulators joined as a tree, leftovers (all
-    of them below 8) add in sequence, and longer runs split near the middle.
+    128 values go into 8 strided accumulators joined as a tree, the last n % 8
+    (all of them, onto zeros, when n < 8) add in sequence, and longer runs
+    split near the middle.
     """
     n = a.shape[-2]
     if n > 128:
         half = n // 2 - (n // 2) % 8
         return _pairwise_sum_rows(a[..., :half, :]) + _pairwise_sum_rows(a[..., half:, :])
     m = n - n % 8
-    res = np.zeros(a.shape[:-2] + a.shape[-1:])
-    if m:
-        r = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1])).sum(axis=-3)
-        while r.shape[-2] > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            r = r[..., 0::2, :] + r[..., 1::2, :]
-        res = r[..., 0, :]
+    r = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1])).sum(axis=-3)
+    while r.shape[-2] > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+    res = r[..., 0, :]
     for i in range(m, n):
         res += a[..., i, :]
     return res

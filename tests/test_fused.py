@@ -179,7 +179,7 @@ class TestLinear:
 
 
 class TestMatmulT:
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", SHAPES + [(41, 64, 16)])
     def test_bit_identical_to_composed(self, shape):
         # The projection's gradients must keep the composition's bits.
         r = Rng(10)
@@ -187,15 +187,6 @@ class TestMatmulT:
         out_f, grads_f = run(matmul_t, arrays, 11)
         out_c, grads_c = run(lambda x, w: matmul(x, transpose_last(w)), arrays, 11)
         assert np.array_equal(out_f, out_c)
-        for gf, gc in zip(grads_f, grads_c):
-            assert gf.tobytes() == gc.tobytes()
-
-    def test_bit_identical_to_composed_at_the_telemetry_length(self):
-        r = Rng(14)
-        arrays = [r.normal(size=(41, 64, 16)), r.normal(size=(16, 16))]
-        out_f, grads_f = run(matmul_t, arrays, 15)
-        out_c, grads_c = run(lambda x, w: matmul(x, transpose_last(w)), arrays, 15)
-        assert out_f.tobytes() == out_c.tobytes()
         for gf, gc in zip(grads_f, grads_c):
             assert gf.tobytes() == gc.tobytes()
 
@@ -262,8 +253,8 @@ class TestAttentionCore:
         assert_matches(attention_core, composed_attention, [q, k, v])
 
     @pytest.mark.parametrize("batch", [1, 28, 41])
-    def test_forward_bits_at_the_telemetry_length(self, batch):
-        # 64 steps of 16 features: the shapes every model forward uses.
+    def test_forward_bits_at_the_model_shapes(self, batch):
+        # 64 steps, 16 features in q, k and v; not every width keeps the bits.
         r = Rng(13)
         q, k, v = (r.normal(size=(batch, 64, 16)) for _ in range(3))
         assert_matches(attention_core, composed_attention, [q, k, v])
