@@ -61,14 +61,31 @@ class FeatureScaler:
         self.sd = np.ones(n_features) if sd is None else np.asarray(sd, float)
 
     def fit(self, orders):
-        rows = np.concatenate([o.telemetry for o in orders], axis=0)
-        self.mean = rows.mean(axis=0)
-        sd = rows.std(axis=0)
+        """Mean and sd over all telemetry rows, read 64 orders at a time. Each
+        sum adds the rows in sequence, as numpy's axis-0 reduction does, so
+        both equal a fit on every row at once, bit for bit."""
+        def blocks():
+            for i in range(0, len(orders), 64):
+                yield np.concatenate([o.telemetry for o in orders[i:i + 64]])
+
+        n = sum(len(o.telemetry) for o in orders)
+        self.mean = _sum_rows_in_order(blocks()) / n
+        sd = np.sqrt(_sum_rows_in_order(np.square(b - self.mean) for b in blocks()) / n)
         sd[sd == 0.0] = 1.0
         self.sd = sd
 
     def apply(self, telemetry: np.ndarray) -> np.ndarray:
         return (telemetry - self.mean) / self.sd
+
+
+def _sum_rows_in_order(blocks) -> np.ndarray:
+    """Row sum of 2-D blocks, carried from one block into the next."""
+    total = None
+    for b in blocks:
+        if total is not None:
+            b = np.concatenate([total[None], b])
+        total = b.sum(axis=0)
+    return total
 
 
 def _stack_telemetry(orders) -> np.ndarray:

@@ -105,6 +105,7 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
     exponent it is clamped to [0, 1] first so the power stays real.
     """
     x = as_tensor(x)
+    x_shape = x.shape
     xv, yv = x.array.reshape(-1), as_tensor(y).array.reshape(-1)
     _check_pair(xv.size, yv.size)
     n = xv.size
@@ -135,7 +136,7 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
         g_sx = g2 * 2.0 * (sy - r2 * sx) / d2 - g3 * r3 * sy / d3
         g_dev = g_sx / sx * cx if sx > 0 else 0.0
         gx = g_mx * scale + (g_dev + g3 / d3 * cy) / (n - 1)
-        return (gx.reshape(x.shape),)
+        return (gx.reshape(x_shape),)
 
     return Tensor(out, (x,), vjp)
 
