@@ -10,34 +10,12 @@ from .tensor import Tensor
 def grad_check(f, point, h: float = 1e-5) -> float:
     """Compare analytic and central-difference gradients of a scalar function.
 
-    ``f`` maps a Tensor to a scalar Tensor. Returns the max over coordinates
-    of ``|analytic - numeric| / max(1, |numeric|)`` where ``numeric`` is the
-    central difference ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
+    ``f`` maps a Tensor to a scalar Tensor. The check runs on a copy of
+    ``point``, which is never written. Error metric as in
+    :func:`grad_check_params`.
     """
-    if h <= 0:
-        raise ContractError(f"step h must be positive, got {h}")
-    point = np.asarray(point, dtype=np.float64)
-    leaf = Param(point.copy())
-    out = f(leaf.tensor())
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("grad_check target must return a scalar Tensor")
-    out.backward()
-    analytic = leaf.grad.reshape(-1).copy()
-
-    worst = 0.0
-    flat = point.reshape(-1)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + h
-        f_plus = f(Tensor(point.copy())).item()
-        flat[i] = saved - h
-        f_minus = f(Tensor(point.copy())).item()
-        flat[i] = saved
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
-        if err > worst:
-            worst = err
-    return worst
+    leaf = Param(point)
+    return grad_check_params(lambda: f(leaf.tensor()), [leaf], h)
 
 
 def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
@@ -45,8 +23,9 @@ def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
 
     ``loss_fn`` takes no arguments, reads the current param values and
     returns a scalar Tensor. Every coordinate of every param is perturbed
-    in place; values are restored afterwards. Error metric matches
-    :func:`grad_check`.
+    in place; values are restored afterwards. Returns the max over
+    coordinates of ``|analytic - numeric| / max(1, |numeric|)`` where
+    ``numeric`` is the central difference ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
     """
     if h <= 0:
         raise ContractError(f"step h must be positive, got {h}")

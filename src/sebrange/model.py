@@ -165,10 +165,6 @@ class SebTransformer:
         fused = concat([x0_pooled, graph_slice, x2_pooled], axis=-1)
         return reshape(mlp_forward(self.fusion, fused), (batch,))
 
-    def forward(self, order, graph) -> float:
-        """Predicted remaining range (km) for one order."""
-        return self.forward_batch([order], graph).item()
-
     def predict(self, orders, graph) -> np.ndarray:
         return self.forward_batch(orders, graph).array.copy()
 

@@ -291,6 +291,15 @@ def test_gradcheck_impossible_tolerance_exit_5():
     assert main(["gradcheck", "--op", "model", "--tolerance", "1e-12"]) == 5
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+def test_gradcheck_nonpositive_tolerance_exit_2(capsys, tolerance):
+    assert main(["gradcheck", "--op", "s3im", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: tolerance")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_set_key_exit_2(tmp_path):
     code = main(["gen", "--set", "bogus.key=1", "--out", str(tmp_path / "x")])
     assert code == 2

@@ -50,6 +50,11 @@ def fresh_model(use_graph=True, seed=1):
     return SebTransformer(cfg, TINY_GEN.n_users, TINY_GEN.n_batteries, Rng(seed))
 
 
+def forward_one(model, order, graph) -> float:
+    """Predicted remaining range (km) for one order."""
+    return model.forward_batch([order], graph).item()
+
+
 class TestForward:
     def test_zero_weights_predicts_fusion_bias(self, tiny_data):
         orders, graph = tiny_data
@@ -57,13 +62,13 @@ class TestForward:
         for p in model.params():
             p.value[...] = 0.0
         model.fusion.out_bias.value[...] = 12.25
-        assert model.forward(orders[0], graph) == 12.25
+        assert forward_one(model, orders[0], graph) == 12.25
 
     def test_deterministic_bit_equal(self, tiny_data):
         orders, graph = tiny_data
         model = fresh_model()
-        a = model.forward(orders[5], graph)
-        b = model.forward(orders[5], graph)
+        a = forward_one(model, orders[5], graph)
+        b = forward_one(model, orders[5], graph)
         assert a == b
 
     def test_graph_ablation_changes_prediction(self, tiny_data):
@@ -90,7 +95,7 @@ class TestForward:
         bucket = [o for o in orders if o.t == 2][:4]
         model = fresh_model()
         batch = model.predict(bucket, graph)
-        singles = [model.forward(o, graph) for o in bucket]
+        singles = [forward_one(model, o, graph) for o in bucket]
         assert np.abs(batch - singles).max() < 1e-12
 
     def test_shared_battery_in_one_bucket(self, tiny_data):
@@ -102,7 +107,7 @@ class TestForward:
                   for o, u in zip(orders[:2], (0, 1))]
         model = fresh_model()
         batch = model.predict(bucket, g)
-        singles = [model.forward(o, g) for o in bucket]
+        singles = [forward_one(model, o, g) for o in bucket]
         assert np.abs(batch - singles).max() < 1e-12
 
 
@@ -225,7 +230,7 @@ class TestEvaluateMae:
         res = evaluate_mae(model, orders[:40], graph)
         total = 0.0
         for o in orders[:40]:
-            total += abs(model.forward(o, graph) - o.label)
+            total += abs(forward_one(model, o, graph) - o.label)
         assert abs(res.mean - total / 40.0) <= 1e-12
         assert res.residuals.shape == (40,)
 
@@ -426,7 +431,7 @@ def test_graph_sensitivity_smoke(tiny_data):
     for t, u, b, s in np.column_stack(graph.columns()).tolist():
         if b != order.battery.index:
             pruned.add_edge(SwapEdge(user(u), battery(b), t, s))
-    assert model.forward(order, graph) != model.forward(order, pruned)
+    assert forward_one(model, order, graph) != forward_one(model, order, pruned)
 
 
 def test_mlp_baseline_shapes(tiny_data):
