@@ -5,7 +5,10 @@ lines; the frozen-benchmark criteria share one module-scoped run
 (seed 42, 2,000 orders, default config).
 """
 
+import json
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +248,69 @@ def test_criterion_10_reporting_fidelity():
     assert imp_reg > 36.7
     _report(10, f"improvement formula on reference MAEs: fused {imp_fused:.1f}%, "
                 f"regularized {imp_reg:.1f}% (> 36.7%)")
+
+
+FROZEN_PIN = Path(__file__).parent / "data" / "frozen_seed42.json"
+# Outside a pinned environment the MAEs must agree within this relative
+# tolerance. On a pinned machine, float-environment changes moved them by at
+# most 2.0e-12 (lr, one BLAS thread against two), and one ulp added to one
+# initial weight, or to half the elements of every matmul output, by at most
+# 2 ulps. The margin is for a libm or SIMD width that could not be tried.
+FROZEN_MAE_RTOL = 1e-6
+
+
+def _float_environment():
+    """What the frozen bits depend on besides the code: numpy, its BLAS
+    build, the SIMD extensions numpy dispatches to, and the BLAS threads."""
+    info = np.show_config(mode="dicts")
+    blas = info["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd_found": info["SIMD Extensions"]["found"],
+        "cpus": os.cpu_count(),
+        **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
+def _frozen_values(result):
+    """Each model's test MAE, its std and its history, all by ``repr``."""
+    return {
+        row.model: {
+            "mae": repr(row.mae_mean),
+            "mae_std": repr(row.mae_std),
+            "history": [[repr(e.train_loss), repr(e.val_loss), repr(e.val_mae)]
+                        for e in result.histories[row.model]],
+        }
+        for row in result.rows
+    }
+
+
+def test_frozen_seed42_pin(frozen_benchmark):
+    pins = json.loads(FROZEN_PIN.read_text())["pins"]
+    got = _frozen_values(frozen_benchmark[0])
+    exact = [p["values"] for p in pins if p["environment"] == _float_environment()]
+    if exact:
+        mode = "exact: every MAE, std and history entry bit for bit"
+        assert got == exact[0]
+    else:
+        mode = (f"tolerance: environment not pinned, MAEs within "
+                f"{FROZEN_MAE_RTOL:.0e} relative")
+        for kind, want in pins[0]["values"].items():
+            assert float(got[kind]["mae"]) == pytest.approx(
+                float(want["mae"]), rel=FROZEN_MAE_RTOL), kind
+    print(f"\n[acceptance] frozen seed-42 pin: PASS ({mode})")
+
+
+if __name__ == "__main__":
+    # Pin this tree's frozen run in the current environment, replacing that
+    # environment's entry. After a change to the bits, re-pin in each one.
+    rc = RunConfig.load()
+    result = run_benchmark(*generate(rc.generator_config()), rc.model_config(),
+                           rc.train_config())
+    env = _float_environment()
+    pins = json.loads(FROZEN_PIN.read_text())["pins"] if FROZEN_PIN.exists() else []
+    pins = [p for p in pins if p["environment"] != env]
+    pins.append({"environment": env, "values": _frozen_values(result)})
+    FROZEN_PIN.parent.mkdir(exist_ok=True)
+    FROZEN_PIN.write_text(json.dumps({"pins": pins}, indent=1) + "\n")
