@@ -1,5 +1,7 @@
 """Central-finite-difference validation of analytic gradients."""
 
+import math
+
 import numpy as np
 
 from .errors import ContractError
@@ -26,6 +28,7 @@ def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
     in place; values are restored afterwards. Returns the max over
     coordinates of ``|analytic - numeric| / max(1, |numeric|)`` where
     ``numeric`` is the central difference ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
+    A non-finite error (a NaN gradient or loss) counts as ``inf``.
     """
     if h <= 0:
         raise ContractError(f"step h must be positive, got {h}")
@@ -50,6 +53,8 @@ def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
             flat[j] = saved
             numeric = (f_plus - f_minus) / (2.0 * h)
             err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
+            if not math.isfinite(err):
+                err = math.inf
             if err > worst:
                 worst = err
             i += 1

@@ -288,7 +288,7 @@ def test_gradcheck_single_op(capsys):
 
 
 def test_gradcheck_impossible_tolerance_exit_5():
-    assert main(["gradcheck", "--op", "model", "--tolerance", "1e-12"]) == 5
+    assert main(["gradcheck", "--op", "s3im", "--tolerance", "1e-12"]) == 5
 
 
 @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])

@@ -151,6 +151,14 @@ def test_grad_check_params_restores_values():
     assert np.array_equal(p.value, before)
 
 
+def test_nan_gradient_is_an_infinite_error(monkeypatch):
+    accumulate = Param.accumulate
+    monkeypatch.setattr(Param, "accumulate",
+                        lambda self, g, rows=None: accumulate(self, g * np.nan, rows))
+    p = Param(np.array([1.0, 2.0]))
+    assert grad_check_params(lambda: sum_(mul(p.tensor(), p.tensor())), [p]) == np.inf
+
+
 def test_pack_unpack_round_trip():
     params = [Param(np.arange(4.0).reshape(2, 2)), Param(np.array([9.0]))]
     vec = pack_params(params)
