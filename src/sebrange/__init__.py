@@ -10,7 +10,7 @@ over the retained baselines.
 """
 
 from .datagen import GeneratorConfig, Order, generate, read_dataset, write_dataset
-from .graph import NodeKind, NodeRef, SwapEdge, TemporalGraph, battery, user
+from .graph import NodeKind, NodeRef, TemporalGraph, battery, user
 from .model import LinearBaseline, MlpBaseline, ModelConfig, SebTransformer
 from .optim import AdamState, Param, optimizer_step
 from .rng import Rng
@@ -33,7 +33,6 @@ __all__ = [
     "Rng",
     "S3imConfig",
     "SebTransformer",
-    "SwapEdge",
     "TemporalGraph",
     "Tensor",
     "TrainConfig",

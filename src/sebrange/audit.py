@@ -24,13 +24,13 @@ from .attention import (
 from .errors import ConfigError
 from .gnn import GcnLayer, gcn_layer_forward
 from .gradcheck import grad_check, grad_check_params
-from .graph import SwapEdge, TemporalGraph, battery, user
+from .graph import TemporalGraph, battery, user
 from .model import ModelConfig, SebTransformer
 from .optim import Param
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im, s3im_regularizer
 from .tensor import layer_norm, linear, matmul, mul, relu, softmax_rows, sum_
-from .training import LabelBatch, Prediction, TrainConfig, bucket_by_t, objective
+from .training import TrainConfig, bucket_by_t, objective
 
 TOL_ELEMENTWISE = 1e-6
 TOL_COMPOSED = 1e-4
@@ -93,8 +93,7 @@ def _check_linear(r):
 
 def _check_gcn_layer(r):
     g = TemporalGraph(2, 2, 1)
-    g.add_edge(SwapEdge(user(0), battery(0), 0, 0))
-    g.add_edge(SwapEdge(user(1), battery(0), 0, 1))
+    g.add_edges([0, 0], [0, 1], [0, 0], [0, 1])
     layer = GcnLayer.init(r, 3, 3, "relu")
     c = r.normal(size=(4, 3))
     return grad_check(lambda t: sum_(mul(gcn_layer_forward(layer, t, g, 0), c)),
@@ -157,21 +156,20 @@ _TINY_MODEL = ModelConfig(
 
 def _check_model(r):
     g = TemporalGraph(3, 3, 2)
-    edges = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 1), (1, 0, 1), (2, 2, 1)]
-    for u_i, b_i, t in edges:
-        g.add_edge(SwapEdge(user(u_i), battery(b_i), t, 0))
+    ts, users, batteries = (0, 0, 0, 1, 1, 1), (0, 1, 2, 0, 1, 2), (0, 1, 2, 1, 0, 2)
+    g.add_edges(ts, users, batteries, [0] * 6)
     model = SebTransformer(_TINY_MODEL, 3, 3, r)
     orders = [SimpleNamespace(order_id=i, user=user(u_i), battery=battery(b_i), t=t,
                               telemetry=r.normal(size=(8, 6)),
                               label=abs(r.normal(30.0, 5.0)))
-              for i, (u_i, b_i, t) in enumerate(edges)]
+              for i, (u_i, b_i, t) in enumerate(zip(users, batteries, ts))]
     buckets = bucket_by_t(orders)
-    labels = [LabelBatch(b[0].t, [o.label for o in b]) for b in buckets]
+    labels = [np.array([o.label for o in b]) for b in buckets]
     cfg = TrainConfig(s3im_enabled=True, s3im_L=20.0)
 
     def loss_fn():
-        preds = [Prediction(b[0].t, model.forward_batch(b, g)) for b in buckets]
-        return objective(preds, labels, cfg)
+        return objective([(model.forward_batch(b, g), y)
+                          for b, y in zip(buckets, labels)], cfg)
 
     return grad_check_params(loss_fn, model.trainable_params())
 

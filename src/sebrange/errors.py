@@ -17,20 +17,12 @@ class ContractError(SebrangeError, TypeError):
     """A caller violated an API contract (e.g. non-scalar objective)."""
 
 
-class BipartiteViolation(SebrangeError, ValueError):
-    """An edge would connect two nodes of the same kind."""
-
-
 class DuplicateEdgeError(SebrangeError, ValueError):
     """The (user, battery, timestep) edge already exists."""
 
 
 class SampleSizeError(SebrangeError, ValueError):
     """Too few samples for the requested statistic."""
-
-
-class AlignmentError(SebrangeError, ValueError):
-    """Prediction and label batches do not cover the same timesteps."""
 
 
 class CheckpointMismatch(SebrangeError, ValueError):

@@ -23,13 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BipartiteViolation,
-    DuplicateEdgeError,
-    ParseError,
-    VersionError,
-    utf8_error,
-)
+from .errors import DuplicateEdgeError, ParseError, VersionError, utf8_error
 
 GRAPH_HEADER = "#seb-graph v1"
 
@@ -53,16 +47,6 @@ def user(index: int) -> NodeRef:
 
 def battery(index: int) -> NodeRef:
     return NodeRef(NodeKind.BATTERY, index)
-
-
-@dataclass(frozen=True)
-class SwapEdge:
-    """One swap interaction: user takes battery at station during step t."""
-
-    user: NodeRef
-    battery: NodeRef
-    t: int
-    station: int = 0
 
 
 class Hop(NamedTuple):
@@ -190,14 +174,6 @@ class TemporalGraph:
         if not 0 <= v.index < count:
             raise IndexError(f"{v.kind.value} index {v.index} out of range [0, {count})")
         return base + v.index
-
-    def add_edge(self, edge: SwapEdge):
-        if edge.user.kind is not NodeKind.USER or edge.battery.kind is not NodeKind.BATTERY:
-            raise BipartiteViolation(
-                f"edge endpoints must be (user, battery), got "
-                f"({edge.user.kind.value}, {edge.battery.kind.value})"
-            )
-        self.add_edges([edge.t], [edge.user.index], [edge.battery.index], [edge.station])
 
     def add_edges(self, t, users, batteries, stations):
         """Store the records ``(t[i], users[i], batteries[i], stations[i])``

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .optim import AdamState, optimizer_step
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im_regularizer
@@ -19,27 +19,6 @@ from .tensor import add, as_tensor, mean, mul, sub
 
 _SPLIT_KEY = 101
 _SHUFFLE_KEY = 102
-
-
-@dataclass
-class Prediction:
-    """Model outputs for the orders swapped at one timestep."""
-
-    t: int
-    values: object  # Tensor during training, ndarray for reporting
-
-
-@dataclass
-class LabelBatch:
-    """Ground-truth ranges (km) for the orders swapped at one timestep."""
-
-    t: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0):
-            raise ConfigError("labels must be nonnegative")
 
 
 @dataclass
@@ -79,34 +58,25 @@ class TrainConfig:
         return replace(self.s3im, dynamic_range=dynamic_range)
 
 
-def objective(preds, labels, cfg: TrainConfig, s3im_cfg: S3imConfig = None):
-    """Sum over timesteps of mean squared error plus the weighted
-    similarity regularizer (skipped for single-element batches).
+def objective(pairs, cfg: TrainConfig, s3im_cfg: S3imConfig = None):
+    """Sum over ``(predictions, labels)`` pairs, one per timestep batch and
+    in the order given, of mean squared error plus the weighted similarity
+    regularizer (skipped for single-element batches). Labels are float64
+    arrays in km.
 
     Returns a scalar Tensor; differentiable when predictions are Tensors.
     """
-    pred_ts = sorted(p.t for p in preds)
-    label_ts = sorted(l.t for l in labels)
-    if pred_ts != label_ts:
-        raise AlignmentError(
-            f"prediction timesteps {pred_ts} do not match labels {label_ts}"
-        )
     if cfg.s3im_enabled and s3im_cfg is None:
-        all_labels = np.concatenate([l.values for l in labels])
-        s3im_cfg = cfg.make_s3im(all_labels)
-    by_t = {l.t: l for l in labels}
+        s3im_cfg = cfg.make_s3im(np.concatenate([y for _, y in pairs]))
     total = None
-    for p in sorted(preds, key=lambda x: x.t):
-        lab = by_t[p.t]
-        values = as_tensor(p.values)
-        if values.size != lab.values.size:
-            raise ShapeError(
-                f"t={p.t}: {values.size} predictions vs {lab.values.size} labels"
-            )
-        diff = sub(values, lab.values)
+    for i, (pred, y) in enumerate(pairs):
+        values = as_tensor(pred)
+        if values.size != y.size:
+            raise ShapeError(f"batch {i}: {values.size} predictions vs {y.size} labels")
+        diff = sub(values, y)
         term = mean(mul(diff, diff))
-        if cfg.s3im_enabled and lab.values.size >= 2:
-            reg = s3im_regularizer(values, lab.values, s3im_cfg)
+        if cfg.s3im_enabled and y.size >= 2:
+            reg = s3im_regularizer(values, y, s3im_cfg)
             term = add(term, mul(reg, cfg.s3im_weight))
         total = term if total is None else add(total, term)
     if total is None:
@@ -169,17 +139,9 @@ class MaeResult:
 
 
 def _collect_predictions(model, orders, graph):
-    """Per-timestep Prediction/LabelBatch pairs plus flat arrays."""
-    preds, labels = [], []
-    flat_pred, flat_label = [], []
-    for bucket in bucket_by_t(orders):
-        values = model.predict(bucket, graph)
-        preds.append(Prediction(bucket[0].t, values))
-        y = np.array([o.label for o in bucket])
-        labels.append(LabelBatch(bucket[0].t, y))
-        flat_pred.append(values)
-        flat_label.append(y)
-    return preds, labels, np.concatenate(flat_pred), np.concatenate(flat_label)
+    """``(predictions, labels)`` pairs, one per timestep bucket in order."""
+    return [(model.predict(bucket, graph), np.array([o.label for o in bucket]))
+            for bucket in bucket_by_t(orders)]
 
 
 def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
@@ -207,7 +169,7 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     params = model.trainable_params()
     adam = AdamState(params)
     chunks = make_chunks(train_split, cfg.batch_size)
-    chunk_labels = [LabelBatch(c[0].t, [o.label for o in c]) for c in chunks]
+    chunk_labels = [np.array([o.label for o in c]) for c in chunks]
     shuffle = Rng(derive_seed(cfg.seed, _SHUFFLE_KEY))
 
     history = []
@@ -217,21 +179,20 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         epoch_loss = 0.0
         for ci in shuffle.permutation(len(chunks)):
-            chunk, label = chunks[int(ci)], chunk_labels[int(ci)]
+            chunk, labels = chunks[int(ci)], chunk_labels[int(ci)]
             for p in params:
                 p.zero_grad()
-            pred = Prediction(label.t, model.forward_batch(chunk, graph))
-            loss = objective([pred], [label], cfg, s3im_cfg)
+            pred = model.forward_batch(chunk, graph)
+            loss = objective([(pred, labels)], cfg, s3im_cfg)
             loss.backward()
             if cfg.lr > 0:
                 optimizer_step(params, adam, cfg.lr)
             epoch_loss += loss.item()
             # The graph's forward arrays would otherwise live through the next forward.
             del pred, loss
-        preds, labels, flat_pred, flat_label = _collect_predictions(
-            model, val_split, graph)
-        val_loss = objective(preds, labels, cfg, s3im_cfg).item()
-        val_mae = float(np.abs(flat_pred - flat_label).mean())
+        pairs = _collect_predictions(model, val_split, graph)
+        val_loss = objective(pairs, cfg, s3im_cfg).item()
+        val_mae = float(np.abs(np.concatenate([p - y for p, y in pairs])).mean())
         history.append(EpochStats(epoch, epoch_loss, val_loss, val_mae))
         if val_mae < best_mae:
             best_mae = val_mae

@@ -32,8 +32,6 @@ from sebrange.tensor import (
     sum_,
 )
 from sebrange.training import (
-    LabelBatch,
-    Prediction,
     TrainConfig,
     make_chunks,
     objective,
@@ -314,9 +312,8 @@ def step_tape_nodes(kind):
     model.prepare(train_split)
     chunk = next(c for c in make_chunks(train_split, cfg.batch_size)
                  if len(c) >= 2)
-    label = LabelBatch(chunk[0].t, [o.label for o in chunk])
-    loss = objective([Prediction(label.t, model.forward_batch(chunk, graph))],
-                     [label], cfg)
+    labels = np.array([o.label for o in chunk])
+    loss = objective([(model.forward_batch(chunk, graph), labels)], cfg)
     return tape_nodes(loss)
 
 

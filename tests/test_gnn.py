@@ -7,7 +7,7 @@ from sebrange.datagen import GeneratorConfig, generate
 from sebrange.errors import ConfigError, ShapeError
 from sebrange.gnn import GcnLayer, GnnConfig, NodeFeatureTable, build_layers, gcn_layer_forward, gnn_encode
 from sebrange.gradcheck import grad_check, grad_check_params
-from sebrange.graph import SwapEdge, TemporalGraph, battery, user
+from sebrange.graph import TemporalGraph
 from sebrange.optim import Param
 from sebrange.rng import Rng
 from sebrange.tensor import Tensor, gather_rows, mul, sum_
@@ -38,7 +38,7 @@ def random_bipartite(r, max_nodes=8):
         if (u, b) in seen:
             continue
         seen.add((u, b))
-        g.add_edge(SwapEdge(user(u), battery(b), 0))
+        g.add_edges([0], [u], [b], [0])
     return g
 
 
@@ -73,7 +73,7 @@ class TestGcnLayer:
 
     def test_single_edge_identity_weights(self):
         g = TemporalGraph(1, 1, 1)
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        g.add_edges([0], [0], [0], [0])
         h = np.array([[1.0, 2.0], [10.0, 20.0]])
         out = gcn_layer_forward(identity_layer(2), Tensor(h), g, 0)
         # each endpoint's mean neighborhood is exactly the other row
@@ -111,7 +111,7 @@ class TestGcnLayer:
 
     def test_locality_bit_for_bit(self):
         g = TemporalGraph(3, 2, 1)
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        g.add_edges([0], [0], [0], [0])
         r = Rng(11)
         layer = GcnLayer.init(r, 3, 2, "relu")
         h = r.normal(size=(5, 3))
@@ -135,8 +135,7 @@ class TestGcnLayer:
             pb = rr.permutation(nb)
             g2 = TemporalGraph(nu, nb, 1)
             edges = g.columns()
-            for u, b in zip(edges.user, edges.battery):
-                g2.add_edge(SwapEdge(user(int(pu[u])), battery(int(pb[b])), 0))
+            g2.add_edges(edges.t, pu[edges.user], pb[edges.battery], edges.station)
             h2 = np.empty_like(h)
             h2[pu] = h[:nu]
             h2[nu + pb] = h[nu:]
@@ -166,9 +165,7 @@ class TestGnnEncode:
     def test_two_layers_equals_manual_composition(self):
         g = TemporalGraph(2, 2, 1)
         # path-like: u0-b0, b0-u1, u1-b1
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
-        g.add_edge(SwapEdge(user(1), battery(0), 0))
-        g.add_edge(SwapEdge(user(1), battery(1), 0))
+        g.add_edges([0, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0])
         r = Rng(5)
         cfg = GnnConfig(dims=[3, 3, 2])
         layers = build_layers(r, cfg)
@@ -187,7 +184,7 @@ class TestGnnEncode:
 
     def test_windowed_encode_uses_merged_edges(self):
         g = TemporalGraph(1, 1, 2)
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        g.add_edges([0], [0], [0], [0])
         h0 = np.array([[1.0, 0.0], [0.0, 1.0]])
         layer = identity_layer(2)
         lonely = encode_all(GnnConfig(dims=[2, 2], window=0), [layer], g, h0, 1).array
@@ -258,7 +255,7 @@ class TestReceptiveField:
 
     def test_isolated_target_is_self_term(self):
         g = TemporalGraph(3, 2, 2)
-        g.add_edge(SwapEdge(user(0), battery(0), 1))
+        g.add_edges([1], [0], [0], [0])
         r = Rng(23)
         table = NodeFeatureTable(r, 3, 2, 3)
         b = r.normal(size=(3, 3))
@@ -283,12 +280,12 @@ class TestReceptiveField:
 
     def test_sees_edge_added_after_lookup(self):
         g = TemporalGraph(2, 2, 2)
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        g.add_edges([0], [0], [0], [0])
         h0 = np.arange(8.0).reshape(4, 2)
         cfg = GnnConfig(dims=[2, 2], window=1)
         layer = identity_layer(2)
         before = encode_all(cfg, [layer], g, h0, 1).array
-        g.add_edge(SwapEdge(user(1), battery(1), 1))
+        g.add_edges([1], [1], [1], [0])
         after = encode_all(cfg, [layer], g, h0, 1).array
         full = gcn_layer_forward(layer, Tensor(h0), g, 1, 1).array
         assert not np.array_equal(before, after)

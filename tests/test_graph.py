@@ -6,11 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sebrange.errors import BipartiteViolation, DuplicateEdgeError, ParseError, VersionError
+from sebrange.errors import DuplicateEdgeError, ParseError, VersionError
 from sebrange.graph import (
     NodeKind,
     NodeRef,
-    SwapEdge,
     TemporalGraph,
     battery,
     load_graph,
@@ -37,46 +36,40 @@ def degree_histogram(g, t):
 
 def merged_pairs(edges, t, window):
     """Reference for ``window_edges``: the (user, battery) pairs of the
-    snapshots t - window .. t, scanned old to new (insertion order within a
-    timestep), each kept at its first occurrence."""
+    ``(t, user, battery)`` edges of snapshots t - window .. t, scanned old
+    to new (insertion order within a timestep), each kept at its first
+    occurrence."""
     pairs, seen = [], set()
-    for e in sorted(edges, key=lambda e: e.t):
-        pair = (e.user.index, e.battery.index)
-        if t - window <= e.t <= t and pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
+    for te, u, b in sorted(edges, key=lambda e: e[0]):
+        if t - window <= te <= t and (u, b) not in seen:
+            seen.add((u, b))
+            pairs.append((u, b))
     return pairs
 
 
 class TestAddEdge:
     def test_single_edge_neighbors(self):
         g = small_graph()
-        g.add_edge(SwapEdge(user(0), battery(0), 0, station=5))
+        g.add_edges([0], [0], [0], [5])
         assert in_rows(g, g.node_row(battery(0)), 0) == [0]
         assert in_rows(g, 0, 0) == [g.node_row(battery(0))]
-
-    def test_same_kind_is_bipartite_violation(self):
-        g = small_graph()
-        with pytest.raises(BipartiteViolation):
-            g.add_edge(SwapEdge(user(0), user(1), 0))
 
     def test_out_of_range_index(self):
         g = small_graph()
         with pytest.raises(IndexError):
-            g.add_edge(SwapEdge(user(99), battery(0), 0))
+            g.add_edges([0], [99], [0], [0])
         with pytest.raises(IndexError):
-            g.add_edge(SwapEdge(user(0), battery(0), 99))
+            g.add_edges([99], [0], [0], [0])
 
     def test_duplicate_same_timestep_rejected(self):
         g = small_graph()
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        g.add_edges([0], [0], [0], [0])
         with pytest.raises(DuplicateEdgeError):
-            g.add_edge(SwapEdge(user(0), battery(0), 0, station=9))
+            g.add_edges([0], [0], [0], [9])
 
     def test_same_pair_distinct_timesteps_ok(self):
         g = small_graph()
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
-        g.add_edge(SwapEdge(user(1), battery(0), 1))
+        g.add_edges([0, 1], [0, 1], [0, 0], [0, 0])
         assert len(in_rows(g, g.node_row(battery(0)), 0)) == 1
         assert len(in_rows(g, g.node_row(battery(0)), 1)) == 1
 
@@ -88,14 +81,14 @@ class TestNeighbors:
 
     def test_star_enumeration(self):
         g = small_graph()
-        for u in (2, 0, 1):  # insertion order differs from index order
-            g.add_edge(SwapEdge(user(u), battery(0), 1))
+        # insertion order differs from index order
+        g.add_edges([1, 1, 1], [2, 0, 1], [0, 0, 0], [0, 0, 0])
         # a destination sums its neighbours in insertion order
         assert in_rows(g, g.node_row(battery(0)), 1) == [2, 0, 1]
 
     def test_neighbors_opposite_kind(self):
         g = small_graph()
-        g.add_edge(SwapEdge(user(1), battery(1), 2))
+        g.add_edges([2], [1], [1], [0])
         assert all(r >= g.n_users for r in in_rows(g, 1, 2))
         assert all(r < g.n_users for r in in_rows(g, g.node_row(battery(1)), 2))
 
@@ -112,7 +105,7 @@ class TestDegreeHistogram:
 
     def test_single_edge(self):
         g = small_graph()
-        g.add_edge(SwapEdge(user(0), battery(0), 0))
+        g.add_edges([0], [0], [0], [0])
         assert degree_histogram(g, 0) == {0: 3, 1: 2}
 
     def test_matches_brute_force_recount(self):
@@ -126,16 +119,13 @@ class TestDegreeHistogram:
                 if (u, b) in pairs:
                     continue
                 pairs.add((u, b))
-                edges.append(SwapEdge(user(u), battery(b), t))
-                g.add_edge(edges[-1])
+                edges.append((t, u, b))
+                g.add_edges([t], [u], [b], [0])
         for t in range(3):
             counts = {}
-            for kind, n in ((NodeKind.USER, 6), (NodeKind.BATTERY, 4)):
+            for end, n in ((1, 6), (2, 4)):
                 for i in range(n):
-                    d = sum(1 for e in edges
-                            if e.t == t and (
-                                (kind is NodeKind.USER and e.user.index == i)
-                                or (kind is NodeKind.BATTERY and e.battery.index == i)))
+                    d = sum(1 for e in edges if e[0] == t and e[end] == i)
                     counts[d] = counts.get(d, 0) + 1
             hist = degree_histogram(g, t)
             assert hist == counts
@@ -152,7 +142,7 @@ def test_degree_sums_match_edge_count():
             if (u, b) in seen:
                 continue
             seen.add((u, b))
-            g.add_edge(SwapEdge(user(u), battery(b), t))
+            g.add_edges([t], [u], [b], [0])
     for t in range(2):
         degree = g.window_edges(t).in_edges(np.arange(g.n_nodes))[2]
         user_deg, batt_deg = degree[:5].sum(), degree[5:].sum()
@@ -161,9 +151,7 @@ def test_degree_sums_match_edge_count():
 
 def test_merged_snapshot_window_dedupes_pairs():
     g = small_graph()
-    g.add_edge(SwapEdge(user(0), battery(0), 0, station=1))
-    g.add_edge(SwapEdge(user(0), battery(0), 1, station=2))
-    g.add_edge(SwapEdge(user(1), battery(1), 1, station=3))
+    g.add_edges([0, 1, 1], [0, 0, 1], [0, 0, 1], [1, 2, 3])
     merged = g.window_edges(1, window=1)
     assert merged.users.size == 2
     assert len(in_rows(g, g.node_row(battery(0)), 1, window=1)) == 1
@@ -174,7 +162,7 @@ def test_merged_snapshot_window_dedupes_pairs():
 
 def random_temporal(seed, n_users=12, n_batteries=6, horizon=6, swaps=9):
     """Graph whose (user, battery) pairs recur across timesteps, with its
-    edges in insertion order."""
+    edges as (t, user, battery) in insertion order."""
     g = TemporalGraph(n_users, n_batteries, horizon)
     r = Rng(seed)
     edges = []
@@ -184,8 +172,8 @@ def random_temporal(seed, n_users=12, n_batteries=6, horizon=6, swaps=9):
             u, b = int(r.integers(n_users)), int(r.integers(n_batteries))
             if (u, b) not in seen:
                 seen.add((u, b))
-                edges.append(SwapEdge(user(u), battery(b), t))
-                g.add_edge(edges[-1])
+                edges.append((t, u, b))
+                g.add_edges([t], [u], [b], [0])
     return g, edges
 
 
@@ -215,7 +203,7 @@ def test_columns_in_snapshot_order():
     g = small_graph()
     records = [(2, 0, 1, 7), (0, 1, 0, 3), (2, 2, 0, 5), (0, 0, 0, 4)]
     for t, u, b, s in records:
-        g.add_edge(SwapEdge(user(u), battery(b), t, s))
+        g.add_edges([t], [u], [b], [s])
     c = g.columns()
     assert all(col.dtype == np.int64 for col in c)
     assert np.column_stack(c).tolist() == [
@@ -224,8 +212,7 @@ def test_columns_in_snapshot_order():
 
 def test_has_edges_matches_records():
     g = small_graph()
-    g.add_edge(SwapEdge(user(1), battery(0), 2))
-    g.add_edge(SwapEdge(user(2), battery(1), 3))
+    g.add_edges([2, 3], [1, 2], [0, 1], [0, 0])
     got = g.has_edges([2, 3, 2, 3], [1, 2, 2, 1], [0, 1, 0, 1])
     assert got.tolist() == [True, True, False, False]
 
@@ -239,10 +226,10 @@ def test_empty_graph_allocates_under_1mb(traced):
 
 def test_window_edges_see_later_add_edge():
     g = small_graph()
-    g.add_edge(SwapEdge(user(0), battery(0), 0))
+    g.add_edges([0], [0], [0], [0])
     before = g.window_edges(1, 1)
     assert before.users.tolist() == [0]
-    g.add_edge(SwapEdge(user(2), battery(1), 1))
+    g.add_edges([1], [2], [1], [0])
     after = g.window_edges(1, 1)
     assert list(zip(after.users.tolist(), after.batteries.tolist())) == [(0, 0), (2, 1)]
 
@@ -258,7 +245,7 @@ class TestSerialization:
                 if (u, b) in seen:
                     continue
                 seen.add((u, b))
-                g.add_edge(SwapEdge(user(u), battery(b), t, int(r.integers(4))))
+                g.add_edges([t], [u], [b], [int(r.integers(4))])
         p1 = tmp_path / "g1.seb"
         p2 = tmp_path / "g2.seb"
         save_graph(g, p1)
@@ -355,13 +342,13 @@ def test_add_edge_add_edges_and_load_graph_agree(tmp_path):
         def graph_with_stored():
             g = TemporalGraph(4, 3, 3)
             for t, u, b, s in stored:
-                g.add_edge(SwapEdge(user(u), battery(b), t, s))
+                g.add_edges([t], [u], [b], [s])
             return g
 
         looped, got_loop, loop_error = graph_with_stored(), (len(stream), None), None
         for i, (t, u, b, s) in enumerate(stream):
             try:
-                looped.add_edge(SwapEdge(user(u), battery(b), t, s))
+                looped.add_edges([t], [u], [b], [s])
             except (IndexError, DuplicateEdgeError) as exc:
                 got_loop, loop_error = (i, type(exc)), exc
                 break

@@ -15,8 +15,6 @@ from sebrange.optim import Param
 from sebrange.rng import Rng
 from sebrange.tensor import add, layer_norm, linear, mul, relu, sum_
 from sebrange.training import (
-    LabelBatch,
-    Prediction,
     TrainConfig,
     make_chunks,
     objective,
@@ -42,14 +40,13 @@ def largest_step():
     model.prepare(train_split)
     s3im_cfg = cfg.make_s3im(np.array([o.label for o in train_split]))
     chunk = max(make_chunks(train_split, cfg.batch_size), key=len)
-    label = LabelBatch(chunk[0].t, [o.label for o in chunk])
+    labels = np.array([o.label for o in chunk])
     params = model.trainable_params()
 
     def forward():
         for p in params:
             p.zero_grad()
-        pred = Prediction(label.t, model.forward_batch(chunk, graph))
-        return objective([pred], [label], cfg, s3im_cfg)
+        return objective([(model.forward_batch(chunk, graph), labels)], cfg, s3im_cfg)
 
     forward()  # the first forward also builds what later ones reuse
     return forward, params

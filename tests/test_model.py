@@ -10,8 +10,8 @@ import pytest
 from sebrange.benchmark import build_model, train_model
 from sebrange.checkpoint import load_checkpoint, save_checkpoint, verify_config_hash
 from sebrange.datagen import GeneratorConfig, generate
-from sebrange.errors import AlignmentError, CheckpointMismatch, ConfigError, NumericError
-from sebrange.graph import SwapEdge, TemporalGraph, battery, user
+from sebrange.errors import CheckpointMismatch, ConfigError, NumericError
+from sebrange.graph import TemporalGraph, battery, user
 from sebrange.model import (
     FeatureScaler,
     MlpBaseline,
@@ -22,8 +22,6 @@ from sebrange.model import (
 from sebrange.rng import Rng
 from sebrange.tensor import Tensor
 from sebrange.training import (
-    LabelBatch,
-    Prediction,
     TrainConfig,
     evaluate_mae,
     make_chunks,
@@ -101,8 +99,7 @@ class TestForward:
     def test_shared_battery_in_one_bucket(self, tiny_data):
         orders, _ = tiny_data
         g = TemporalGraph(TINY_GEN.n_users, TINY_GEN.n_batteries, 1)
-        g.add_edge(SwapEdge(user(0), battery(3), 0))
-        g.add_edge(SwapEdge(user(1), battery(3), 0))
+        g.add_edges([0, 0], [0, 1], [3, 3], [0, 0])
         bucket = [replace(o, user=user(u), battery=battery(3), t=0)
                   for o, u in zip(orders[:2], (0, 1))]
         model = fresh_model()
@@ -152,15 +149,13 @@ class TestObjective:
         cfg = TrainConfig(s3im_enabled=True, s3im_L=10.0)
         y0 = np.array([30.0, 31.5, 29.0])
         y1 = np.array([40.0, 38.0])
-        preds = [Prediction(0, Tensor(y0.copy())), Prediction(1, Tensor(y1.copy()))]
-        labels = [LabelBatch(0, y0), LabelBatch(1, y1)]
-        assert abs(objective(preds, labels, cfg).item()) <= 1e-12
+        pairs = [(Tensor(y0.copy()), y0), (Tensor(y1.copy()), y1)]
+        assert abs(objective(pairs, cfg).item()) <= 1e-12
 
     def test_single_timestep_mse(self):
         cfg = TrainConfig(s3im_enabled=False)
-        preds = [Prediction(0, Tensor(np.array([3.0, -3.0])))]
-        labels = [LabelBatch(0, np.array([0.0, 0.0]))]
-        assert objective(preds, labels, cfg).item() == 9.0
+        pairs = [(Tensor(np.array([3.0, -3.0])), np.array([0.0, 0.0]))]
+        assert objective(pairs, cfg).item() == 9.0
 
     def test_matches_term_wise_oracle(self):
         from sebrange.s3im import s3im_value
@@ -168,30 +163,21 @@ class TestObjective:
         cfg = TrainConfig(s3im_enabled=True, s3im_weight=0.7, s3im_L=25.0)
         s3cfg = cfg.make_s3im(None)
         r = Rng(4)
-        preds, labels, expected = [], [], 0.0
-        for t in range(3):
+        pairs, expected = [], 0.0
+        for _ in range(3):
             n = int(r.integers(6)) + 2
             y = r.normal(35.0, 5.0, size=(n,))
             p = y + r.normal(0.0, 2.0, size=(n,))
-            preds.append(Prediction(t, Tensor(p)))
-            labels.append(LabelBatch(t, y))
+            pairs.append((Tensor(p), y))
             expected += ((p - y) ** 2).mean()
             expected += 0.7 * (1.0 - s3im_value(p, y, s3cfg))
-        got = objective(preds, labels, cfg, s3cfg).item()
+        got = objective(pairs, cfg, s3cfg).item()
         assert abs(got - expected) <= 1e-12
-
-    def test_misaligned_timesteps(self):
-        cfg = TrainConfig()
-        preds = [Prediction(0, Tensor(np.array([1.0, 2.0])))]
-        labels = [LabelBatch(1, np.array([1.0, 2.0]))]
-        with pytest.raises(AlignmentError):
-            objective(preds, labels, cfg)
 
     def test_singleton_bucket_skips_similarity_term(self):
         cfg = TrainConfig(s3im_enabled=True, s3im_L=10.0)
-        preds = [Prediction(0, Tensor(np.array([5.0])))]
-        labels = [LabelBatch(0, np.array([3.0]))]
-        assert objective(preds, labels, cfg).item() == 4.0
+        pairs = [(Tensor(np.array([5.0])), np.array([3.0]))]
+        assert objective(pairs, cfg).item() == 4.0
 
 
 class TestEvaluateMae:
@@ -294,9 +280,9 @@ class TestTraining:
         s3cfg = cfg.make_s3im(np.array([o.label for o in train_split]))
         expected = 0.0
         for chunk in make_chunks(train_split, cfg.batch_size):
-            pred = Prediction(chunk[0].t, model.forward_batch(chunk, graph))
-            label = LabelBatch(chunk[0].t, [o.label for o in chunk])
-            expected += objective([pred], [label], cfg, s3cfg).item()
+            labels = np.array([o.label for o in chunk])
+            expected += objective([(model.forward_batch(chunk, graph), labels)],
+                                  cfg, s3cfg).item()
         assert abs(history[0].train_loss - expected) <= 1e-12 * abs(expected)
 
     def test_fixed_seed_identical_history_and_weights(self, tiny_data):
@@ -430,7 +416,7 @@ def test_graph_sensitivity_smoke(tiny_data):
     pruned = TemporalGraph(graph.n_users, graph.n_batteries, graph.horizon)
     for t, u, b, s in np.column_stack(graph.columns()).tolist():
         if b != order.battery.index:
-            pruned.add_edge(SwapEdge(user(u), battery(b), t, s))
+            pruned.add_edges([t], [u], [b], [s])
     assert forward_one(model, order, graph) != forward_one(model, order, pruned)
 
 
