@@ -4,8 +4,8 @@ Single-head scaled dot-product attention: the input is projected to query,
 key and value matrices, attention weights are the row-softmax of QK^T
 scaled by 1/sqrt(D_qk), and each output row is the weight-averaged value
 rows. The encoder block wraps one attention pass with a learned additive
-position table, a two-layer relu feed-forward, and residual + layer-norm
-steps that can be toggled off to expose the bare attention path.
+position table and a two-layer relu feed-forward, each followed by a
+residual sum and layer norm.
 
 All ops act on the trailing axes, so a batch of sequences (B x S x D)
 encodes in one call.
@@ -88,33 +88,28 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 class TransformerBlock:
     """One attention + feed-forward encoder block over a fixed sequence length."""
 
-    def __init__(self, head: AttentionHead, ffn_dim: int, seq_len: int, rng,
-                 residual: bool = True, use_layer_norm: bool = True):
-        d, d_v = head.d, head.d_v
-        if residual and d_v != d:
+    def __init__(self, head: AttentionHead, ffn_dim: int, seq_len: int, rng):
+        d = head.d
+        if head.d_v != d:
             raise ConfigError(
-                f"residual connections require d_v == d, got {d_v} != {d}"
+                f"residual connections require d_v == d, got {head.d_v} != {d}"
             )
         self.head = head
-        self.residual = residual
-        self.use_layer_norm = use_layer_norm
         self.seq_len = seq_len
         self.pos = Param(glorot_uniform(rng, seq_len, d, (seq_len, d)), "block.pos")
-        self.w1 = Param(glorot_uniform(rng, d_v, ffn_dim, (d_v, ffn_dim)), "block.w1")
+        self.w1 = Param(glorot_uniform(rng, d, ffn_dim, (d, ffn_dim)), "block.w1")
         self.b1 = Param(np.zeros(ffn_dim), "block.b1")
-        self.w2 = Param(glorot_uniform(rng, ffn_dim, d_v, (ffn_dim, d_v)), "block.w2")
-        self.b2 = Param(np.zeros(d_v), "block.b2")
-        self.ln1_g = Param(np.ones(d_v), "block.ln1_g")
-        self.ln1_b = Param(np.zeros(d_v), "block.ln1_b")
-        self.ln2_g = Param(np.ones(d_v), "block.ln2_g")
-        self.ln2_b = Param(np.zeros(d_v), "block.ln2_b")
+        self.w2 = Param(glorot_uniform(rng, ffn_dim, d, (ffn_dim, d)), "block.w2")
+        self.b2 = Param(np.zeros(d), "block.b2")
+        self.ln1_g = Param(np.ones(d), "block.ln1_g")
+        self.ln1_b = Param(np.zeros(d), "block.ln1_b")
+        self.ln2_g = Param(np.ones(d), "block.ln2_g")
+        self.ln2_b = Param(np.zeros(d), "block.ln2_b")
 
     @classmethod
-    def init(cls, rng, d: int, d_qk: int, d_v: int, ffn_dim: int,
-             seq_len: int = 64, residual: bool = True,
-             use_layer_norm: bool = True):
-        head = AttentionHead.init(rng, d, d_qk, d_v)
-        return cls(head, ffn_dim, seq_len, rng, residual, use_layer_norm)
+    def init(cls, rng, d: int, d_qk: int, ffn_dim: int, seq_len: int = 64):
+        head = AttentionHead.init(rng, d, d_qk, d)
+        return cls(head, ffn_dim, seq_len, rng)
 
     def params(self):
         return self.head.params() + [
@@ -124,25 +119,18 @@ class TransformerBlock:
 
 
 def encode_sequence(block: TransformerBlock, x0: Tensor) -> Tensor:
-    """Encode (..., S, D) telemetry embeddings to (..., S, D_v)."""
+    """Encode (..., S, D) telemetry embeddings to (..., S, D)."""
     x0 = x0 if isinstance(x0, Tensor) else Tensor(x0)
     if x0.shape[-2] != block.seq_len:
         raise ShapeError(
             f"sequence length {x0.shape[-2]} does not match block ({block.seq_len})"
         )
     x = add(x0, block.pos.tensor())
-    attended = attend(*project_qkv(block.head, x))
-    if block.residual:
-        attended = add(attended, x)
-    if block.use_layer_norm:
-        attended = layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
+    attended = add(attend(*project_qkv(block.head, x)), x)
+    attended = layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
     hidden = relu(linear(attended, block.w1.tensor(), block.b1.tensor()))
-    out = linear(hidden, block.w2.tensor(), block.b2.tensor())
-    if block.residual:
-        out = add(out, attended)
-    if block.use_layer_norm:
-        out = layer_norm(out, block.ln2_g.tensor(), block.ln2_b.tensor())
-    return out
+    out = add(linear(hidden, block.w2.tensor(), block.b2.tensor()), attended)
+    return layer_norm(out, block.ln2_g.tensor(), block.ln2_b.tensor())
 
 
 class MlpHead:

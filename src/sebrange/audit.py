@@ -121,7 +121,7 @@ def _check_attention(r):
 
 
 def _check_block(r):
-    block = TransformerBlock.init(r, 4, 4, 4, 5, seq_len=6)
+    block = TransformerBlock.init(r, 4, 4, 5, seq_len=6)
     c = r.normal(size=(6, 4))
     return grad_check(lambda t: sum_(mul(encode_sequence(block, t), c)),
                       r.normal(size=(6, 4)))
@@ -149,7 +149,7 @@ def _check_regularizer(r):
 
 # Tiny full-model dims: 6 graph nodes, sequence length 8, embed width 4.
 _TINY_MODEL = ModelConfig(
-    embed_dim=4, dqk=4, dv=4, ffn_dim=5, node_dim=3, gnn_layers=1,
+    embed_dim=4, dqk=4, ffn_dim=5, node_dim=3, gnn_layers=1,
     gnn_hidden=3, mlp_hidden=5, seq_len=8, n_features=6, use_graph=True,
 )
 

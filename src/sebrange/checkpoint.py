@@ -8,7 +8,7 @@ predictions match the saved model bit for bit.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .errors import CheckpointMismatch, NumericError
 from .model import ModelConfig
 
 CKPT_FORMAT = "seb-ckpt v1"
+META_KEYS = ("format", "kind", "trained_as", "config_hash", "model_config",
+             "n_users", "n_batteries")
 
 
 def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
@@ -53,6 +55,9 @@ def load_checkpoint(path):
             raise CheckpointMismatch(
                 f"unsupported checkpoint format {meta.get('format')!r}"
             )
+        if missing := [key for key in META_KEYS if key not in meta]:
+            raise CheckpointMismatch(f"checkpoint metadata lacks {', '.join(missing)}")
+        _check_model_config(meta["model_config"])
         # Init values are fully overwritten below; the seed is a placeholder.
         # A saved kind is a model's own kind, so "seb-s3im" (a seb) is unknown.
         kind = meta["kind"]
@@ -71,6 +76,18 @@ def load_checkpoint(path):
         model.scaler.mean = np.array(data["scaler_mean"], dtype=np.float64)
         model.scaler.sd = np.array(data["scaler_sd"], dtype=np.float64)
         return model, meta
+
+
+def _check_model_config(saved: dict):
+    """Raise CheckpointMismatch unless ``saved`` has exactly ModelConfig's fields."""
+    names = {f.name for f in fields(ModelConfig)}
+    problems = []
+    if unknown := sorted(set(saved) - names):
+        problems.append(f"unknown fields {', '.join(unknown)}")
+    if missing := sorted(names - set(saved)):
+        problems.append(f"missing fields {', '.join(missing)}")
+    if problems:
+        raise CheckpointMismatch(f"checkpoint model_config has {' and '.join(problems)}")
 
 
 def verify_config_hash(meta: dict, expected_hash: str):

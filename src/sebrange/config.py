@@ -18,7 +18,7 @@ import os
 from .datagen import GeneratorConfig
 from .errors import ConfigError, utf8_error
 from .model import ModelConfig
-from .s3im import C1_MODES, SIGN_MODES, S3imConfig
+from .s3im import S3imConfig
 from .training import TrainConfig
 
 
@@ -40,22 +40,17 @@ KEY_FIELDS = {
         **_same("train", "epochs", "lr", "train_frac", "val_frac", "test_frac",
                 "s3im_weight"),
     },
-    S3imConfig: {
-        "s3im.c3": "c3_override",
-        **_same("s3im", "alpha", "beta", "gamma", "k1", "k2", "sign", "c1_mode"),
-    },
-    ModelConfig: _same("model", "embed_dim", "dqk", "dv", "ffn_dim", "node_dim",
+    S3imConfig: _same("s3im", "k1", "k2"),
+    ModelConfig: _same("model", "embed_dim", "dqk", "ffn_dim", "node_dim",
                        "gnn_layers", "gnn_hidden", "window", "mlp_hidden",
-                       "baseline_hidden", "residual", "layer_norm"),
+                       "baseline_hidden"),
 }
 
-# A field that defaults to None is derived unless set; its key reads "auto".
-DEFAULTS = {key: "auto" if getattr(cls, name) is None else getattr(cls, name)
+DEFAULTS = {key: getattr(cls, name)
             for cls, keys in KEY_FIELDS.items() for key, name in keys.items()}
 
 # Keys that accept either "auto" or a float.
 _AUTO_FLOAT_KEYS = {key for key, value in DEFAULTS.items() if value == "auto"}
-_CHOICE_KEYS = {"s3im.sign": SIGN_MODES, "s3im.c1_mode": C1_MODES}
 
 RESOLVED_FILENAME = "config.resolved"
 
@@ -73,37 +68,19 @@ def _coerce(key: str, raw):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key} must be 'auto' or a number, got {raw!r}") from None
-    default = DEFAULTS[key]
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-    if isinstance(default, int):
+    if isinstance(DEFAULTS[key], int):
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if key in _CHOICE_KEYS and raw not in _CHOICE_KEYS[key]:
-        raise ConfigError(
-            f"{key} must be one of {_CHOICE_KEYS[key]}, got {raw!r}"
-        )
-    return raw
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 class RunConfig:
@@ -170,10 +147,7 @@ class RunConfig:
 
     def _build(self, cls, **extra):
         """A ``cls`` whose keyed fields take this config's values."""
-        kwargs = {}
-        for key, name in KEY_FIELDS[cls].items():
-            value = self.get(key)
-            kwargs[name] = None if value == "auto" and getattr(cls, name) is None else value
+        kwargs = {name: self.get(key) for key, name in KEY_FIELDS[cls].items()}
         return cls(**kwargs, **extra)
 
     def generator_config(self) -> GeneratorConfig:

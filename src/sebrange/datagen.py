@@ -89,8 +89,6 @@ _CAPACITY_KEY = 1
 _ASSIGN_KEY = 2
 _ORDER_KEY_BASE = 1000
 
-FEATURE_NAMES = ("speed", "voltage", "current", "motor_temp", "payload", "grade")
-
 
 @dataclass
 class Order:

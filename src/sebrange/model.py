@@ -26,7 +26,6 @@ class ModelConfig:
 
     embed_dim: int = 16
     dqk: int = 16
-    dv: int = 16
     ffn_dim: int = 32
     node_dim: int = 8
     gnn_layers: int = 2
@@ -34,8 +33,6 @@ class ModelConfig:
     window: int = 0
     mlp_hidden: int = 32
     baseline_hidden: int = 64
-    residual: bool = True
-    layer_norm: bool = True
     seq_len: int = 64
     n_features: int = 6
     use_graph: bool = True
@@ -50,7 +47,7 @@ class ModelConfig:
 
     @property
     def fusion_in(self) -> int:
-        return self.embed_dim + self.graph_slice_dim + self.dv
+        return 2 * self.embed_dim + self.graph_slice_dim
 
 
 class FeatureScaler:
@@ -107,10 +104,7 @@ class SebTransformer:
         f, d = cfg.n_features, cfg.embed_dim
         self.proj_w = Param(glorot_uniform(rng, f, d, (f, d)), "proj.w")
         self.proj_b = Param(np.zeros(d), "proj.b")
-        self.block = TransformerBlock.init(
-            rng, d, cfg.dqk, cfg.dv, cfg.ffn_dim, cfg.seq_len,
-            cfg.residual, cfg.layer_norm,
-        )
+        self.block = TransformerBlock.init(rng, d, cfg.dqk, cfg.ffn_dim, cfg.seq_len)
         self.fusion = MlpHead([cfg.fusion_in, cfg.mlp_hidden, 1], rng, "fusion")
 
     def params(self):

@@ -127,20 +127,9 @@ class TestAttend:
 
 
 class TestEncodeSequence:
-    def test_zero_weights_no_residual_gives_ffn_bias(self):
-        r = Rng(10)
-        block = TransformerBlock.init(r, 3, 3, 3, 4, seq_len=5,
-                                      residual=False, use_layer_norm=False)
-        for p in block.params():
-            p.value[...] = 0.0
-        bias = np.array([0.5, -1.0, 2.0])
-        block.b2.value[...] = bias
-        out = encode_sequence(block, Tensor(Rng(11).normal(size=(5, 3))))
-        assert np.abs(out.array - bias).max() <= 1e-15
-
     def test_output_shape(self):
         r = Rng(12)
-        block = TransformerBlock.init(r, 4, 4, 4, 6, seq_len=7)
+        block = TransformerBlock.init(r, 4, 4, 6, seq_len=7)
         out = encode_sequence(block, Tensor(r.normal(size=(7, 4))))
         assert out.shape == (7, 4)
         batched = encode_sequence(block, Tensor(r.normal(size=(3, 7, 4))))
@@ -148,7 +137,7 @@ class TestEncodeSequence:
 
     def test_gradient_through_block(self):
         r = Rng(13)
-        block = TransformerBlock.init(r, 3, 3, 3, 4, seq_len=4)
+        block = TransformerBlock.init(r, 3, 3, 4, seq_len=4)
         c = r.normal(size=(4, 3))
         err = grad_check(
             lambda t: sum_(mul(encode_sequence(block, t), c)),
@@ -156,13 +145,13 @@ class TestEncodeSequence:
         assert err <= 1e-4
 
     def test_wrong_sequence_length(self):
-        block = TransformerBlock.init(Rng(14), 3, 3, 3, 4, seq_len=6)
+        block = TransformerBlock.init(Rng(14), 3, 3, 4, seq_len=6)
         with pytest.raises(ShapeError):
             encode_sequence(block, Tensor(np.ones((5, 3))))
 
     def test_residual_requires_matching_widths(self):
         with pytest.raises(ConfigError):
-            TransformerBlock.init(Rng(15), 4, 4, 2, 4, seq_len=5, residual=True)
+            TransformerBlock(make_head(Rng(15), 4, 4, 2), 4, 5, Rng(15))
 
 
 class TestMlpHead:

@@ -1,10 +1,12 @@
 """CLI command flows, exit codes, output files."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sebrange
@@ -16,7 +18,7 @@ FAST = [
     "--set", "gen.batteries=30", "--set", "gen.stations=4",
     "--set", "gen.horizon=8", "--set", "train.epochs=2",
     "--set", "model.embed_dim=6", "--set", "model.dqk=6",
-    "--set", "model.dv=6", "--set", "model.ffn_dim=8",
+    "--set", "model.ffn_dim=8",
     "--set", "model.node_dim=4", "--set", "model.gnn_layers=1",
     "--set", "model.gnn_hidden=4", "--set", "model.mlp_hidden=8",
     "--set", "model.baseline_hidden=8",
@@ -69,6 +71,37 @@ def test_eval_config_mismatch_exit_4(dataset_dir, tmp_path):
     code = main(["eval", *FAST, "--seed", "99", "--data", str(dataset_dir),
                  "--ckpt", str(run / "model.ckpt.npz")])
     assert code == 4
+
+
+def _drop_n_batteries(meta):
+    del meta["n_batteries"]
+
+
+def _add_old_block_fields(meta):
+    # Fields that checkpoints written before the encoder block lost its
+    # toggles still carry.
+    meta["model_config"].update(dv=6, residual=True, layer_norm=True)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_add_old_block_fields, "checkpoint model_config has unknown fields dv, layer_norm, residual"),
+    (_drop_n_batteries, "checkpoint metadata lacks n_batteries"),
+], ids=["old-model-config", "missing-meta-key"])
+def test_eval_bad_checkpoint_metadata_exit_4(dataset_dir, tmp_path, capsys, edit, message):
+    run = tmp_path / "run"
+    assert main(["train", *FAST, "--seed", "42", "--model", "seb",
+                 "--data", str(dataset_dir), "--out", str(run)]) == 0
+    ckpt = run / "model.ckpt.npz"
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays.pop("__meta__")))
+    edit(meta)
+    np.savez(ckpt, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    capsys.readouterr()
+    code = main(["eval", *FAST, "--seed", "42", "--data", str(dataset_dir),
+                 "--ckpt", str(ckpt)])
+    assert code == 4
+    assert capsys.readouterr().err == f"checkpoint mismatch: {message}\n"
 
 
 def test_missing_dataset_exit_3(tmp_path):
@@ -305,6 +338,23 @@ def test_unknown_set_key_exit_2(tmp_path):
     assert code == 2
 
 
+# Keys the encoder block and the similarity index no longer have, each with
+# the value it used to default to (model.dv at FAST's embed_dim).
+@pytest.mark.parametrize("setting", [
+    "s3im.alpha=1.0", "s3im.beta=1.0", "s3im.gamma=1.0", "s3im.c3=auto",
+    "s3im.sign=one_minus", "s3im.c1_mode=squared", "model.residual=true",
+    "model.layer_norm=true", "model.dv=6",
+])
+def test_deleted_key_exit_2(dataset_dir, tmp_path, capsys, setting):
+    capsys.readouterr()
+    code = main(["train", *FAST, "--set", setting, "--model", "seb-s3im",
+                 "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    key = setting.split("=")[0]
+    assert err == f"config error: unknown config key {key!r}\n"
+
+
 def _with_byte(src, dst, name, line_no, byte=b"\xff"):
     """Copy a dataset, putting ``byte`` after the first comma of one line of ``name``."""
     shutil.copytree(src, dst)
@@ -338,7 +388,6 @@ def test_non_utf8_config_file_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting, message", [
     ("s3im.k1=0.5", "K1, K2 must lie in (0, 0.1]"),
-    ("s3im.c3=0", "C3 must be positive, got 0.0"),
     ("s3im.L=-3", "s3im.L must be 'auto' or positive, got -3.0"),
     ("s3im.L=0", "s3im.L must be 'auto' or positive, got 0.0"),
 ])

@@ -26,12 +26,12 @@ def test_file_parse_with_comments(tmp_path):
         "gen.orders = 500   # smaller run\n"
         "\n"
         "train.lr=0.001\n"
-        "model.residual=false\n"
+        "model.window=2\n"
     )
     rc = RunConfig.load(path)
     assert rc.get("gen.orders") == 500
     assert rc.get("train.lr") == 0.001
-    assert rc.get("model.residual") is False
+    assert rc.get("model.window") == 2
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -54,17 +54,14 @@ def test_type_coercion_errors():
     with pytest.raises(ConfigError):
         RunConfig.load(overrides=["gen.orders=2.5"])
     with pytest.raises(ConfigError):
-        RunConfig.load(overrides=["model.residual=maybe"])
+        RunConfig.load(overrides=["train.lr=fast"])
     with pytest.raises(ConfigError):
         RunConfig.load(overrides=["s3im.L=sometimes"])
-    with pytest.raises(ConfigError):
-        RunConfig.load(overrides=["s3im.sign=upside_down"])
 
 
 def test_auto_keys_accept_numbers():
-    rc = RunConfig.load(overrides=["s3im.L=35.5", "s3im.c3=0.4"])
+    rc = RunConfig.load(overrides=["s3im.L=35.5"])
     assert rc.get("s3im.L") == 35.5
-    assert rc.get("s3im.c3") == 0.4
 
 
 def test_resolved_text_covers_all_keys_sorted():
@@ -105,11 +102,10 @@ def test_factories_produce_valid_dataclasses():
     tcfg.validate()
     assert tcfg.s3im_enabled
     mcfg = rc.model_config()
-    assert mcfg.fusion_in == mcfg.embed_dim + 2 * mcfg.gnn_hidden + mcfg.dv
+    assert mcfg.fusion_in == 2 * mcfg.embed_dim + 2 * mcfg.gnn_hidden
 
 
-# One value off its default for every key, distinct within each dataclass
-# wherever the type allows; booleans can only flip.
+# One value off its default for every key, distinct within each dataclass.
 OFF_DEFAULT = {
     "seed": "7", "gen.orders": "300", "gen.users": "50", "gen.batteries": "30",
     "gen.stations": "5", "gen.horizon": "20", "gen.ride_mean": "250.5",
@@ -117,13 +113,10 @@ OFF_DEFAULT = {
     "train.epochs": "3", "train.lr": "0.01", "train.batch": "16",
     "train.train_frac": "0.5", "train.val_frac": "0.3", "train.test_frac": "0.2",
     "train.s3im_weight": "0.75",
-    "model.embed_dim": "8", "model.dqk": "12", "model.dv": "10", "model.ffn_dim": "24",
+    "model.embed_dim": "8", "model.dqk": "12", "model.ffn_dim": "24",
     "model.node_dim": "6", "model.gnn_layers": "3", "model.gnn_hidden": "5",
     "model.window": "2", "model.mlp_hidden": "20", "model.baseline_hidden": "40",
-    "model.residual": "false", "model.layer_norm": "false",
-    "s3im.alpha": "2.0", "s3im.beta": "0.5", "s3im.gamma": "3.0", "s3im.k1": "0.02",
-    "s3im.k2": "0.05", "s3im.L": "25.0", "s3im.c3": "0.4", "s3im.sign": "literal",
-    "s3im.c1_mode": "linear",
+    "s3im.k1": "0.02", "s3im.k2": "0.05", "s3im.L": "25.0",
 }
 
 
@@ -141,9 +134,9 @@ def test_resolved_hashes_pinned():
     # config.resolved, and so every checkpoint's config hash, is the same
     # text whichever module holds the defaults.
     assert RunConfig.load().hash() == (
-        "b51ca6e11ff979e9ff846f1081823373aa26127b744adecbaf5b7037148ba74c")
+        "78e50e635150a84ba797b3ae006d479c2b74fb44c3b322c7f159f71963d74459")
     assert _off(*OFF_DEFAULT).hash() == (
-        "081897a1612079de4d2ea22a7ad79612cd372147263ca401f7a84bc2adb093aa")
+        "0362229ee2d1df2fe1fb14bcb98b47220b3efc677aaabd33e558e8ef42b68dbe")
 
 
 def test_each_key_sets_only_its_field():

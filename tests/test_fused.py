@@ -84,19 +84,11 @@ def composed_attention(q, k, v):
 
 def composed_encode(block, x0):
     x = add(x0, block.pos.tensor())
-    attended = composed_attention(*project_qkv(block.head, x))
-    if block.residual:
-        attended = add(attended, x)
-    if block.use_layer_norm:
-        attended = composed_layer_norm(attended, block.ln1_g.tensor(),
-                                       block.ln1_b.tensor())
+    attended = add(composed_attention(*project_qkv(block.head, x)), x)
+    attended = composed_layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
     hidden = relu(composed_linear(attended, block.w1.tensor(), block.b1.tensor()))
-    out = composed_linear(hidden, block.w2.tensor(), block.b2.tensor())
-    if block.residual:
-        out = add(out, attended)
-    if block.use_layer_norm:
-        out = composed_layer_norm(out, block.ln2_g.tensor(), block.ln2_b.tensor())
-    return out
+    out = add(composed_linear(hidden, block.w2.tensor(), block.b2.tensor()), attended)
+    return composed_layer_norm(out, block.ln2_g.tensor(), block.ln2_b.tensor())
 
 
 # -- helpers ------------------------------------------------------------------
@@ -189,7 +181,7 @@ class TestMatmulT:
             assert gf.tobytes() == gc.tobytes()
 
     def test_project_qkv_is_three_tape_nodes(self):
-        block = TransformerBlock.init(Rng(12), 4, 3, 4, 5, seq_len=6)
+        block = TransformerBlock.init(Rng(12), 4, 3, 5, seq_len=6)
         x = Tensor(np.ones((6, 4)))
         for out, w in zip(project_qkv(block.head, x), block.head.params()):
             assert len(out._parents) == 2
@@ -263,15 +255,10 @@ class TestAttentionCore:
 
 
 class TestBlock:
-    @pytest.mark.parametrize("residual, use_layer_norm",
-                             [(True, True), (False, False), (True, False),
-                              (False, True)])
     @pytest.mark.parametrize("batch", [(), (3,)])
-    def test_matches_composed(self, residual, use_layer_norm, batch):
+    def test_matches_composed(self, batch):
         r = Rng(7)
-        block = TransformerBlock.init(r, 4, 4, 4, 5, seq_len=6,
-                                      residual=residual,
-                                      use_layer_norm=use_layer_norm)
+        block = TransformerBlock.init(r, 4, 4, 5, seq_len=6)
         x0 = r.normal(size=batch + (6, 4))
         params = block.params()
         results = []

@@ -32,7 +32,7 @@ from sebrange.training import (
 
 TINY_GEN = GeneratorConfig(n_orders=120, n_users=60, n_batteries=20,
                            n_stations=4, horizon=8, seed=3)
-TINY_MODEL = ModelConfig(embed_dim=6, dqk=6, dv=6, ffn_dim=8, node_dim=4,
+TINY_MODEL = ModelConfig(embed_dim=6, dqk=6, ffn_dim=8, node_dim=4,
                          gnn_layers=1, gnn_hidden=4, mlp_hidden=8,
                          baseline_hidden=8)
 TINY_TRAIN = TrainConfig(epochs=3, lr=3e-3, batch_size=32, seed=3)
