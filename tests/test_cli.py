@@ -18,10 +18,9 @@ FAST = [
     "--set", "gen.batteries=30", "--set", "gen.stations=4",
     "--set", "gen.horizon=8", "--set", "train.epochs=2",
     "--set", "model.embed_dim=6", "--set", "model.dqk=6",
-    "--set", "model.ffn_dim=8",
-    "--set", "model.node_dim=4", "--set", "model.gnn_layers=1",
-    "--set", "model.gnn_hidden=4", "--set", "model.mlp_hidden=8",
-    "--set", "model.baseline_hidden=8",
+    "--set", "model.ffn_dim=8", "--set", "model.node_dim=4",
+    "--set", "model.gnn_layers=1", "--set", "model.gnn_hidden=4",
+    "--set", "model.mlp_hidden=8", "--set", "model.baseline_hidden=8",
 ]
 
 
