@@ -21,20 +21,20 @@ from .tensor import (
     attention_core,
     layer_norm,
     linear,
-    matmul_t,
+    matmul,
     relu,
 )
 
 
 class AttentionHead:
-    """Projection weights W_Q, W_K (D_qk x D) and W_V (D_v x D)."""
+    """Projection weights W_Q, W_K (D x D_qk) and W_V (D x D_v)."""
 
     def __init__(self, wq: Param, wk: Param, wv: Param):
         if wq.shape != wk.shape:
             raise ShapeError(f"W_Q and W_K must match: {wq.shape} vs {wk.shape}")
-        if wq.shape[1] != wv.shape[1]:
+        if wq.shape[0] != wv.shape[0]:
             raise ShapeError(
-                f"W_V input dim {wv.shape[1]} must equal W_Q input dim {wq.shape[1]}"
+                f"W_V input dim {wv.shape[0]} must equal W_Q input dim {wq.shape[0]}"
             )
         self.wq = wq
         self.wk = wk
@@ -42,38 +42,40 @@ class AttentionHead:
 
     @property
     def d(self) -> int:
-        return self.wq.shape[1]
-
-    @property
-    def d_qk(self) -> int:
         return self.wq.shape[0]
 
     @property
+    def d_qk(self) -> int:
+        return self.wq.shape[1]
+
+    @property
     def d_v(self) -> int:
-        return self.wv.shape[0]
+        return self.wv.shape[1]
 
     @classmethod
     def init(cls, rng, d: int, d_qk: int, d_v: int, name: str = "attn"):
-        return cls(
-            Param(glorot_uniform(rng, d, d_qk, (d_qk, d)), f"{name}.wq"),
-            Param(glorot_uniform(rng, d, d_qk, (d_qk, d)), f"{name}.wk"),
-            Param(glorot_uniform(rng, d, d_v, (d_v, d)), f"{name}.wv"),
-        )
+        # Drawn as (d_out, d) and stored transposed: the frozen seed-42
+        # results pin these values.
+        def weight(d_out, key):
+            w = glorot_uniform(rng, d, d_out, (d_out, d))
+            return Param(w.T.copy(), f"{name}.{key}")
+
+        return cls(weight(d_qk, "wq"), weight(d_qk, "wk"), weight(d_v, "wv"))
 
     def params(self):
         return [self.wq, self.wk, self.wv]
 
 
 def project_qkv(head: AttentionHead, x: Tensor):
-    """Linear projections Q = X W_Q^T, K = X W_K^T, V = X W_V^T, one tape
-    node each."""
+    """Linear projections Q = X W_Q, K = X W_K, V = X W_V, one tape node
+    each."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.shape[-1] != head.d:
         raise ShapeError(
             f"input width {x.shape[-1]} does not match head dim {head.d}"
         )
-    return (matmul_t(x, head.wq.tensor()), matmul_t(x, head.wk.tensor()),
-            matmul_t(x, head.wv.tensor()))
+    return (matmul(x, head.wq.tensor()), matmul(x, head.wk.tensor()),
+            matmul(x, head.wv.tensor()))
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

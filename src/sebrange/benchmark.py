@@ -32,6 +32,7 @@ def build_model(kind: str, mcfg: ModelConfig, n_users: int, n_batteries: int,
                 seed: int):
     if kind not in BENCH_MODELS:
         raise ConfigError(f"unknown model {kind!r}, expected one of {BENCH_MODELS}")
+    mcfg.validate()
     rng = Rng(derive_seed(seed, _MODEL_RNG_KEYS[kind]))
     if kind == "lr":
         return LinearBaseline(mcfg)

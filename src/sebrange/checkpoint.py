@@ -13,10 +13,10 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .benchmark import BENCH_MODELS, build_model
-from .errors import CheckpointMismatch, NumericError
+from .errors import CheckpointMismatch, ConfigError, NumericError
 from .model import ModelConfig
 
-CKPT_FORMAT = "seb-ckpt v1"
+CKPT_FORMAT = "seb-ckpt v2"
 META_KEYS = ("format", "kind", "trained_as", "config_hash", "model_config",
              "n_users", "n_batteries")
 
@@ -53,7 +53,8 @@ def load_checkpoint(path):
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format") != CKPT_FORMAT:
             raise CheckpointMismatch(
-                f"unsupported checkpoint format {meta.get('format')!r}"
+                f"unsupported checkpoint format {meta.get('format')!r}, "
+                f"expected {CKPT_FORMAT!r}; retrain the model"
             )
         if missing := [key for key in META_KEYS if key not in meta]:
             raise CheckpointMismatch(f"checkpoint metadata lacks {', '.join(missing)}")
@@ -66,20 +67,33 @@ def load_checkpoint(path):
         if getattr(model, "kind", None) != kind:
             raise CheckpointMismatch(f"unknown model kind {kind!r}")
         if kind == "lr":
-            model.coef = np.array(data["coef"], dtype=np.float64)
+            cfg = model.cfg
+            model.coef = _saved_array(data, "coef", (cfg.seq_len * cfg.n_features + 1,))
             return model, meta
         for p in model.params():
-            key = "param:" + p.name
-            if key not in data:
-                raise CheckpointMismatch(f"checkpoint is missing {key}")
-            p.value[...] = data[key]
-        model.scaler.mean = np.array(data["scaler_mean"], dtype=np.float64)
-        model.scaler.sd = np.array(data["scaler_sd"], dtype=np.float64)
+            p.value[...] = _saved_array(data, "param:" + p.name, p.shape)
+        model.scaler.mean = _saved_array(data, "scaler_mean", model.scaler.mean.shape)
+        model.scaler.sd = _saved_array(data, "scaler_sd", model.scaler.sd.shape)
         return model, meta
 
 
-def _check_model_config(saved: dict):
-    """Raise CheckpointMismatch unless ``saved`` has exactly ModelConfig's fields."""
+def _saved_array(data, key: str, shape) -> np.ndarray:
+    """The float64 array ``key`` of a checkpoint, which must have ``shape``."""
+    if key not in data:
+        raise CheckpointMismatch(f"checkpoint is missing {key}")
+    array = data[key]
+    if array.dtype != np.float64 or array.shape != shape:
+        raise CheckpointMismatch(
+            f"checkpoint {key} is {array.dtype} {array.shape}, the model needs "
+            f"float64 {shape}")
+    return array
+
+
+def _check_model_config(saved):
+    """Raise CheckpointMismatch unless ``saved`` has exactly ModelConfig's
+    fields and passes ``ModelConfig.validate``."""
+    if not isinstance(saved, dict):
+        raise CheckpointMismatch(f"checkpoint model_config is not a record: {saved!r}")
     names = {f.name for f in fields(ModelConfig)}
     problems = []
     if unknown := sorted(set(saved) - names):
@@ -88,6 +102,10 @@ def _check_model_config(saved: dict):
         problems.append(f"missing fields {', '.join(missing)}")
     if problems:
         raise CheckpointMismatch(f"checkpoint model_config has {' and '.join(problems)}")
+    try:
+        ModelConfig(**saved).validate()
+    except ConfigError as exc:
+        raise CheckpointMismatch(f"checkpoint model_config: {exc}") from None
 
 
 def verify_config_hash(meta: dict, expected_hash: str):

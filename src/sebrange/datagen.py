@@ -129,9 +129,11 @@ class GeneratorConfig:
                   self.n_stations, self.horizon)
         if any(c <= 0 for c in counts):
             raise ConfigError(f"generator counts must be positive, got {self}")
-        if self.ride_mean <= 0 or self.ride_sd <= 0:
-            raise ConfigError("ride length mean and sd must be positive")
-        if self.noise < 0:
+        # Written so that NaN fails each float check.
+        if not (self.ride_mean > 0 and self.ride_sd > 0):
+            raise ConfigError(
+                f"ride length mean and sd must be positive, got {self.ride_mean}, {self.ride_sd}")
+        if not self.noise >= 0:
             raise ConfigError(f"noise must be nonnegative, got {self.noise}")
         cap = self.horizon * min(self.n_batteries, self.n_users)
         if self.n_orders > cap:

@@ -21,8 +21,6 @@ Node input features are learned: one shared vector per node kind plus a
 per-battery bias row, so the graph branch is purely structural.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -65,34 +63,13 @@ class GcnLayer:
         return [self.w, self.b]
 
 
-@dataclass
-class GnnConfig:
-    """Layer widths d_0..d_L plus the snapshot window aggregated per step."""
-
-    dims: list = field(default_factory=lambda: [8, 8, 8])
-    window: int = 0
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.dims) - 1
-
-    def validate(self):
-        if len(self.dims) < 1 or any(d <= 0 for d in self.dims):
-            raise ConfigError(f"invalid layer dims {self.dims}")
-        if self.window < 0:
-            raise ConfigError(f"window must be nonnegative, got {self.window}")
-
-
-def build_layers(rng, config: GnnConfig):
-    """One layer per dim pair; hidden layers relu, final layer identity."""
-    config.validate()
-    layers = []
-    for i in range(config.num_layers):
-        act = "relu" if i < config.num_layers - 1 else "identity"
-        layers.append(
-            GcnLayer.init(rng, config.dims[i], config.dims[i + 1], act, f"gcn{i}")
-        )
-    return layers
+def build_layers(rng, dims):
+    """One layer per pair of widths d_0..d_L; hidden layers relu, final
+    layer identity."""
+    n = len(dims) - 1
+    return [GcnLayer.init(rng, dims[i], dims[i + 1],
+                          "relu" if i < n - 1 else "identity", f"gcn{i}")
+            for i in range(n)]
 
 
 def _propagate(layer: GcnLayer, h: Tensor, h_self: Tensor, src, dst,
@@ -128,8 +105,8 @@ def gcn_layer_forward(layer: GcnLayer, h: Tensor, g: TemporalGraph, t: int,
     return _propagate(layer, h, h, src, dst, inv_deg)
 
 
-def gnn_encode(config: GnnConfig, layers, g: TemporalGraph, features,
-               t: int, rows) -> Tensor:
+def gnn_encode(layers, g: TemporalGraph, features, t: int, rows,
+               window: int = 0) -> Tensor:
     """Encoder output at the (windowed) snapshot t for global node ``rows``.
 
     Output row i belongs to node ``rows[i]``. ``features`` supplies input
@@ -137,21 +114,8 @@ def gnn_encode(config: GnnConfig, layers, g: TemporalGraph, features,
     does. Only the rows in the receptive field of ``rows`` are computed;
     zero layers return ``features.rows(rows)``.
     """
-    config.validate()
-    if len(layers) != config.num_layers:
-        raise ConfigError(
-            f"expected {config.num_layers} layers, got {len(layers)}"
-        )
-    inputs, hops = g.window_edges(t, config.window).receptive_field(
-        rows, len(layers))
+    inputs, hops = g.window_edges(t, window).receptive_field(rows, len(layers))
     h = features.rows(inputs)
-    d_in = h.shape[1]
-    for layer in layers:
-        if layer.w.shape[0] != d_in:
-            raise ConfigError(
-                f"layer dims do not chain: {d_in} -> {layer.w.shape}"
-            )
-        d_in = layer.w.shape[1]
     for layer, hop in zip(layers, hops):
         h = _propagate(layer, h, gather_rows(h, hop.self_rows), hop.src, hop.dst,
                        hop.inv_degree)

@@ -30,7 +30,7 @@ def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
     ``numeric`` is the central difference ``(f(x + h e_i) - f(x - h e_i)) / 2h``.
     A non-finite error (a NaN gradient or loss) counts as ``inf``.
     """
-    if h <= 0:
+    if not h > 0:
         raise ContractError(f"step h must be positive, got {h}")
     for p in params:
         p.zero_grad()

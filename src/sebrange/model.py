@@ -9,13 +9,13 @@ the identical code path with the graph slice zeroed and the graph-side
 parameters frozen, which keeps the ablation apples-to-apples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .attention import MlpHead, TransformerBlock, encode_sequence, mlp_forward
 from .errors import ConfigError, NumericError, ShapeError
-from .gnn import GnnConfig, NodeFeatureTable, build_layers, gnn_encode
+from .gnn import NodeFeatureTable, build_layers, gnn_encode
 from .optim import Param, glorot_uniform
 from .tensor import Tensor, concat, gather_rows, linear, mean, reshape
 
@@ -36,6 +36,16 @@ class ModelConfig:
     seq_len: int = 64
     n_features: int = 6
     use_graph: bool = True
+
+    def validate(self):
+        """Raise ConfigError unless each field has its default's type and each
+        integer is at least 1 (``gnn_layers`` and ``window`` at least 0)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low = 0 if f.name in ("gnn_layers", "window") else 1
+            if type(value) is not type(f.default) or (type(value) is int and value < low):
+                kind = "a bool" if type(f.default) is bool else f"an integer >= {low}"
+                raise ConfigError(f"model.{f.name} must be {kind}, got {value!r}")
 
     @property
     def gnn_dims(self):
@@ -99,8 +109,7 @@ class SebTransformer:
         self.kind = "seb" if cfg.use_graph else "transformer"
         self.scaler = FeatureScaler(n_features=cfg.n_features)
         self.nodes = NodeFeatureTable(rng, n_users, n_batteries, cfg.node_dim)
-        self.gnn_cfg = GnnConfig(dims=cfg.gnn_dims, window=cfg.window)
-        self.gcn_layers = build_layers(rng, self.gnn_cfg)
+        self.gcn_layers = build_layers(rng, cfg.gnn_dims)
         f, d = cfg.n_features, cfg.embed_dim
         self.proj_w = Param(glorot_uniform(rng, f, d, (f, d)), "proj.w")
         self.proj_b = Param(np.zeros(d), "proj.b")
@@ -148,8 +157,8 @@ class SebTransformer:
             rows = [graph.node_row(o.battery) for o in orders]
             rows += [graph.node_row(o.user) for o in orders]
             targets, at = np.unique(rows, return_inverse=True)
-            x1 = gnn_encode(self.gnn_cfg, self.gcn_layers, graph, self.nodes,
-                            t, targets)
+            x1 = gnn_encode(self.gcn_layers, graph, self.nodes, t, targets,
+                            self.cfg.window)
             graph_slice = concat(
                 [gather_rows(x1, at[:batch]), gather_rows(x1, at[batch:])],
                 axis=-1,

@@ -141,7 +141,7 @@ class AdamState:
 
 def optimizer_step(params, state: AdamState, lr: float = 1e-3):
     """One adaptive-moment update. Gradients are left untouched."""
-    if lr <= 0:
+    if not lr > 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if len(params) != len(state.params) or any(
             p is not q for p, q in zip(params, state.params)):

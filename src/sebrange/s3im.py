@@ -37,7 +37,7 @@ class S3imConfig:
             raise ConfigError(
                 f"K1, K2 must lie in (0, 0.1], got {self.k1}, {self.k2}"
             )
-        if self.dynamic_range <= 0:
+        if not self.dynamic_range > 0:
             raise ConfigError(f"dynamic range must be positive, got {self.dynamic_range}")
 
     @property
@@ -105,11 +105,6 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
         return (gx.reshape(x_shape),)
 
     return Tensor(out, (x,), vjp)
-
-
-def s3im_value(x, y, cfg: S3imConfig) -> float:
-    """The index as a float, for reporting paths and tests."""
-    return s3im(x, y, cfg).item()
 
 
 def s3im_regularizer(pred, target, cfg: S3imConfig) -> Tensor:

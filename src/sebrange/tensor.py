@@ -299,27 +299,6 @@ def linear(x, w, b) -> Tensor:
     return Tensor(out, (x, w, b), vjp)
 
 
-def matmul_t(x, w) -> Tensor:
-    """Product ``x @ w^T`` for a 2-D ``w``, on the trailing axes, as one
-    tape node.
-
-    The backward repeats the numpy calls of ``x @ w^T`` built from a transpose
-    op, so the weight gradient keeps that composition's bits. Unlike ``linear``
-    it does not fold the leading axes into one product.
-    """
-    x, w = as_tensor(x), as_tensor(w)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"matmul_t inner dimensions disagree: {x.shape} @ {w.shape}^T")
-    xa, wa = x.array, w.array
-    out = np.matmul(xa, np.ascontiguousarray(wa.T))
-
-    def vjp(g):
-        gw = _sum_leading(np.matmul(np.swapaxes(xa, -1, -2), g), 2)
-        return np.matmul(g, wa), gw.T
-
-    return Tensor(out, (x, w), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions / reshaping
 # ---------------------------------------------------------------------------

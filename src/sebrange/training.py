@@ -37,15 +37,16 @@ class TrainConfig:
 
     def validate(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+        # Each float check is written so that NaN fails it.
+        if not (all(f > 0 for f in fracs) and abs(sum(fracs) - 1.0) <= 1e-9):
             raise ConfigError(f"split fractions must be positive and sum to 1, got {fracs}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigError("epochs and batch size must be positive")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ConfigError(f"learning rate must be nonnegative, got {self.lr}")
-        if self.s3im_weight < 0:
-            raise ConfigError("regularizer weight must be nonnegative")
-        if self.s3im_L != "auto" and self.s3im_L <= 0:
+        if not self.s3im_weight >= 0:
+            raise ConfigError(f"regularizer weight must be nonnegative, got {self.s3im_weight}")
+        if self.s3im_L != "auto" and not self.s3im_L > 0:
             raise ConfigError(f"s3im.L must be 'auto' or positive, got {self.s3im_L}")
 
     def make_s3im(self, train_labels) -> S3imConfig:

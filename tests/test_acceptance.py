@@ -22,9 +22,10 @@ from sebrange.gnn import GcnLayer, gcn_layer_forward
 from sebrange.graph import TemporalGraph
 from sebrange.optim import Param
 from sebrange.rng import Rng
-from sebrange.s3im import S3imConfig, s3im_value
+from sebrange.s3im import S3imConfig
 from sebrange.tensor import Tensor
 from sebrange.training import TrainConfig, objective
+from test_s3im import s3im_value
 
 
 def _report(n, text):
@@ -152,8 +153,6 @@ def test_criterion_04_attention_invariants():
 
 
 def test_criterion_05_objective_decomposition():
-    from sebrange.s3im import s3im_value as sval
-
     cfg = TrainConfig(s3im_enabled=True, s3im_weight=1.0, s3im_L=30.0)
     s3cfg = cfg.make_s3im(None)
     r = Rng(505)
@@ -166,7 +165,7 @@ def test_criterion_05_objective_decomposition():
             y = rr.normal(35.0, 6.0, size=(n,))
             p = y + rr.normal(0.0, 3.0, size=(n,))
             pairs.append((Tensor(p), y))
-            expected += ((p - y) ** 2).mean() + (1.0 - sval(p, y, s3cfg))
+            expected += ((p - y) ** 2).mean() + (1.0 - s3im_value(p, y, s3cfg))
         got = objective(pairs, cfg, s3cfg).item()
         worst = max(worst, abs(got - expected))
         assert abs(got - expected) <= 1e-12

@@ -47,13 +47,21 @@ class TestProjectQkv:
             for i in range(2):
                 for j in range(2):
                     for l in range(2):
-                        expect[i, j] += x[i, l] * w.value[j, l]
+                        expect[i, j] += x[i, l] * w.value[l, j]
             assert np.abs(m.array - expect).max() <= 1e-12
 
     def test_width_mismatch(self):
         head = make_head(Rng(4), 4, 3, 3)
         with pytest.raises(ShapeError):
             project_qkv(head, Tensor(np.ones((5, 7))))
+
+    def test_is_three_tape_nodes(self):
+        block = TransformerBlock.init(Rng(12), 4, 3, 5, seq_len=6)
+        x = Tensor(np.ones((6, 4)))
+        for out, w in zip(project_qkv(block.head, x), block.head.params()):
+            assert len(out._parents) == 2
+            assert out._parents[0] is x.node
+            assert out._parents[1]._param is w
 
 
 class TestAttend:

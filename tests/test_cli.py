@@ -72,29 +72,62 @@ def test_eval_config_mismatch_exit_4(dataset_dir, tmp_path):
     assert code == 4
 
 
-def _drop_n_batteries(meta):
+def _drop_n_batteries(meta, arrays):
     del meta["n_batteries"]
 
 
-def _add_old_block_fields(meta):
+def _add_old_block_fields(meta, arrays):
     # Fields that checkpoints written before the encoder block lost its
     # toggles still carry.
     meta["model_config"].update(dv=6, residual=True, layer_norm=True)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_add_old_block_fields, "checkpoint model_config has unknown fields dv, layer_norm, residual"),
-    (_drop_n_batteries, "checkpoint metadata lacks n_batteries"),
-], ids=["old-model-config", "missing-meta-key"])
-def test_eval_bad_checkpoint_metadata_exit_4(dataset_dir, tmp_path, capsys, edit, message):
+def _format_v1(meta, arrays):
+    # Format v1 stored the attention weights as (d_out, d).
+    meta["format"] = "seb-ckpt v1"
+
+
+def _model_config_int(meta, arrays):
+    meta["model_config"] = 5
+
+
+def _text_width(meta, arrays):
+    meta["model_config"]["baseline_hidden"] = "x"
+
+
+def _cut_first_layer(meta, arrays):
+    arrays["param:mlp.w0"] = arrays["param:mlp.w0"][:1]
+
+
+def _cut_scaler_sd(meta, arrays):
+    arrays["scaler_sd"] = arrays["scaler_sd"][:5]
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("seb", _add_old_block_fields,
+     "checkpoint model_config has unknown fields dv, layer_norm, residual"),
+    ("seb", _drop_n_batteries, "checkpoint metadata lacks n_batteries"),
+    ("seb", _format_v1,
+     "unsupported checkpoint format 'seb-ckpt v1', expected 'seb-ckpt v2'; retrain the model"),
+    ("mlp", _model_config_int, "checkpoint model_config is not a record: 5"),
+    ("mlp", _text_width,
+     "checkpoint model_config: model.baseline_hidden must be an integer >= 1, got 'x'"),
+    ("mlp", _cut_first_layer,
+     "checkpoint param:mlp.w0 is float64 (1, 8), the model needs float64 (384, 8)"),
+    ("seb", _cut_scaler_sd,
+     "checkpoint scaler_sd is float64 (5,), the model needs float64 (6,)"),
+], ids=["old-model-config", "missing-meta-key", "format-v1", "model-config-int",
+        "text-width", "cut-weight", "cut-scaler"])
+def test_eval_bad_checkpoint_metadata_exit_4(dataset_dir, tmp_path, capsys, kind, edit,
+                                             message):
     run = tmp_path / "run"
-    assert main(["train", *FAST, "--seed", "42", "--model", "seb",
+    assert main(["train", *FAST, "--seed", "42", "--model", kind,
                  "--data", str(dataset_dir), "--out", str(run)]) == 0
     ckpt = run / "model.ckpt.npz"
     with np.load(ckpt) as data:
         arrays = dict(data)
     meta = json.loads(str(arrays.pop("__meta__")))
-    edit(meta)
+    edit(meta, arrays)
     np.savez(ckpt, __meta__=json.dumps(meta, sort_keys=True), **arrays)
     capsys.readouterr()
     code = main(["eval", *FAST, "--seed", "42", "--data", str(dataset_dir),
@@ -383,6 +416,52 @@ def test_non_utf8_config_file_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"config error: {cfg}:1: invalid UTF-8 byte 0xff\n"
+
+
+# Each model key at its first out-of-range value: widths must be at least 1,
+# gnn_layers and window at least 0.
+MODEL_SETTINGS = ["model.gnn_layers=-1", "model.window=-1", "model.node_dim=0",
+                  "model.embed_dim=0", "model.dqk=0", "model.ffn_dim=0",
+                  "model.gnn_hidden=0", "model.mlp_hidden=0", "model.baseline_hidden=0"]
+
+
+@pytest.mark.parametrize("setting", MODEL_SETTINGS)
+@pytest.mark.parametrize("kind", ["lr", "mlp", "transformer", "seb", "seb-s3im"])
+def test_out_of_range_model_setting_exit_2_for_every_model(
+        dataset_dir, tmp_path, capsys, kind, setting):
+    capsys.readouterr()
+    code = main(["train", *FAST, "--set", setting, "--model", kind,
+                 "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    key, value = setting.split("=")
+    low = 0 if key in ("model.gnn_layers", "model.window") else 1
+    assert code == 2
+    assert err == f"config error: {key} must be an integer >= {low}, got {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# NaN fails no comparison, so each range check must be one that NaN fails.
+@pytest.mark.parametrize("command, setting, message", [
+    pytest.param(command, f"{key}=nan", message, id=key)
+    for command, key, message in [
+        ("train", "train.lr", "learning rate must be nonnegative, got nan"),
+        ("train", "train.s3im_weight", "regularizer weight must be nonnegative, got nan"),
+        ("train", "s3im.L", "s3im.L must be 'auto' or positive, got nan"),
+        ("train", "train.train_frac",
+         "split fractions must be positive and sum to 1, got (nan, 0.15, 0.15)"),
+        ("gen", "gen.ride_mean", "ride length mean and sd must be positive, got nan, 40.0"),
+        ("gen", "gen.ride_sd", "ride length mean and sd must be positive, got 275.0, nan"),
+        ("gen", "gen.noise", "noise must be nonnegative, got nan"),
+    ]
+])
+def test_nan_setting_exit_2(dataset_dir, tmp_path, capsys, command, setting, message):
+    args = ["--model", "seb-s3im", "--data", str(dataset_dir)] if command == "train" else []
+    capsys.readouterr()
+    code = main([command, "--seed", "3", "--set", "gen.orders=120", "--set", setting,
+                 *args, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("setting, message", [

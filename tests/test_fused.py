@@ -23,7 +23,6 @@ from sebrange.tensor import (
     layer_norm,
     linear,
     matmul,
-    matmul_t,
     mean,
     mul,
     relu,
@@ -166,33 +165,6 @@ class TestLinear:
             linear(x, Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
         with pytest.raises(ShapeError):
             linear(x, w, Tensor(np.ones(3)))
-
-
-class TestMatmulT:
-    @pytest.mark.parametrize("shape", SHAPES + [(41, 64, 16)])
-    def test_bit_identical_to_composed(self, shape):
-        # The projection's gradients must keep the composition's bits.
-        r = Rng(10)
-        arrays = [r.normal(size=shape), r.normal(size=(5, shape[-1]))]
-        out_f, grads_f = run(matmul_t, arrays, 11)
-        out_c, grads_c = run(lambda x, w: matmul(x, transpose_last(w)), arrays, 11)
-        assert np.array_equal(out_f, out_c)
-        for gf, gc in zip(grads_f, grads_c):
-            assert gf.tobytes() == gc.tobytes()
-
-    def test_project_qkv_is_three_tape_nodes(self):
-        block = TransformerBlock.init(Rng(12), 4, 3, 5, seq_len=6)
-        x = Tensor(np.ones((6, 4)))
-        for out, w in zip(project_qkv(block.head, x), block.head.params()):
-            assert len(out._parents) == 2
-            assert out._parents[0] is x.node
-            assert out._parents[1]._param is w
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            matmul_t(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))))
-        with pytest.raises(ShapeError):
-            matmul_t(Tensor(np.ones(4)), Tensor(np.ones((2, 4))))
 
 
 class TestLayerNorm:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sebrange.datagen import GeneratorConfig, generate
-from sebrange.errors import ConfigError, ShapeError
-from sebrange.gnn import GcnLayer, GnnConfig, NodeFeatureTable, build_layers, gcn_layer_forward, gnn_encode
+from sebrange.errors import ShapeError
+from sebrange.gnn import GcnLayer, NodeFeatureTable, build_layers, gcn_layer_forward, gnn_encode
 from sebrange.gradcheck import grad_check, grad_check_params
 from sebrange.graph import TemporalGraph
 from sebrange.optim import Param
@@ -52,9 +52,9 @@ class FixedFeatures:
         return gather_rows(self.h0, idx)
 
 
-def encode_all(cfg, layers, g, h0, t):
+def encode_all(layers, g, h0, t, window=0):
     """gnn_encode over every node row of g."""
-    return gnn_encode(cfg, layers, g, FixedFeatures(h0), t, np.arange(g.n_nodes))
+    return gnn_encode(layers, g, FixedFeatures(h0), t, np.arange(g.n_nodes), window)
 
 
 def identity_layer(d):
@@ -150,7 +150,7 @@ class TestGnnEncode:
     def test_zero_layers_identity(self):
         g = TemporalGraph(2, 2, 1)
         h0 = Rng(1).normal(size=(4, 3))
-        out = encode_all(GnnConfig(dims=[3]), [], g, h0, 0)
+        out = encode_all([], g, h0, 0)
         assert np.array_equal(out.array, h0)
 
     def test_empty_snapshot_one_identity_layer(self):
@@ -159,7 +159,7 @@ class TestGnnEncode:
         h0 = r.normal(size=(4, 3))
         b = r.normal(size=(3, 2))
         layer = GcnLayer(Param(r.normal(size=(3, 2))), Param(b), "identity")
-        out = encode_all(GnnConfig(dims=[3, 2]), [layer], g, h0, 1)
+        out = encode_all([layer], g, h0, 1)
         assert np.abs(out.array - h0 @ b).max() < 1e-14
 
     def test_two_layers_equals_manual_composition(self):
@@ -167,10 +167,9 @@ class TestGnnEncode:
         # path-like: u0-b0, b0-u1, u1-b1
         g.add_edges([0, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0])
         r = Rng(5)
-        cfg = GnnConfig(dims=[3, 3, 2])
-        layers = build_layers(r, cfg)
+        layers = build_layers(r, [3, 3, 2])
         h0 = r.normal(size=(4, 3))
-        got = encode_all(cfg, layers, g, h0, 0).array
+        got = encode_all(layers, g, h0, 0).array
         step1 = gcn_layer_forward(layers[0], Tensor(h0), g, 0)
         step2 = gcn_layer_forward(layers[1], step1, g, 0)
         assert np.array_equal(got, step2.array)
@@ -179,16 +178,16 @@ class TestGnnEncode:
         g = TemporalGraph(2, 2, 1)
         r = Rng(6)
         bad = [GcnLayer.init(r, 3, 3), GcnLayer.init(r, 4, 2)]
-        with pytest.raises(ConfigError):
-            encode_all(GnnConfig(dims=[3, 3, 2]), bad, g, np.ones((4, 3)), 0)
+        with pytest.raises(ShapeError):
+            encode_all(bad, g, np.ones((4, 3)), 0)
 
     def test_windowed_encode_uses_merged_edges(self):
         g = TemporalGraph(1, 1, 2)
         g.add_edges([0], [0], [0], [0])
         h0 = np.array([[1.0, 0.0], [0.0, 1.0]])
         layer = identity_layer(2)
-        lonely = encode_all(GnnConfig(dims=[2, 2], window=0), [layer], g, h0, 1).array
-        merged = encode_all(GnnConfig(dims=[2, 2], window=1), [layer], g, h0, 1).array
+        lonely = encode_all([layer], g, h0, 1, window=0).array
+        merged = encode_all([layer], g, h0, 1, window=1).array
         assert np.array_equal(lonely, h0)          # snapshot 1 has no edges
         assert np.array_equal(merged, h0 + h0[::-1])
 
@@ -212,30 +211,29 @@ def fleet():
     return g, targets
 
 
-def fleet_encoder(g, window, seed=17):
+def fleet_encoder(g, seed=17):
     r = Rng(seed)
-    cfg = GnnConfig(dims=[8, 8, 8], window=window)
-    return cfg, build_layers(r, cfg), NodeFeatureTable(r, g.n_users, g.n_batteries, 8)
+    return build_layers(r, [8, 8, 8]), NodeFeatureTable(r, g.n_users, g.n_batteries, 8)
 
 
 class TestReceptiveField:
     @pytest.mark.parametrize("window", [0, 4])
     def test_rows_bit_identical_to_full_graph(self, fleet, window):
         g, targets = fleet
-        cfg, layers, table = fleet_encoder(g, window)
+        layers, table = fleet_encoder(g)
         assert g.n_users >= 2000
         for t, rows in targets.items():
             full = table.rows(np.arange(g.n_nodes))
             for layer in layers:
                 full = gcn_layer_forward(layer, full, g, t, window)
-            got = gnn_encode(cfg, layers, g, table, t, rows)
+            got = gnn_encode(layers, g, table, t, rows, window)
             assert got.shape[0] == rows.size
             assert np.array_equal(got.array, full.array[rows])
 
     @pytest.mark.parametrize("window", [0, 4])
     def test_param_gradients_match_full_graph(self, fleet, window):
         g, targets = fleet
-        cfg, layers, table = fleet_encoder(g, window)
+        layers, table = fleet_encoder(g)
         params = table.params() + [p for layer in layers for p in layer.params()]
         t = sorted(targets)[3]
         rows = targets[t]
@@ -247,8 +245,8 @@ class TestReceptiveField:
             sum_(mul(out, c)).backward()
             return [p.grad.copy() for p in params]
 
-        local = grads(gnn_encode(cfg, layers, g, table, t, rows))
-        everything = gnn_encode(cfg, layers, g, table, t, np.arange(g.n_nodes))
+        local = grads(gnn_encode(layers, g, table, t, rows, window))
+        everything = gnn_encode(layers, g, table, t, np.arange(g.n_nodes), window)
         full = grads(gather_rows(everything, rows))
         for a, b in zip(local, full):
             assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
@@ -260,9 +258,8 @@ class TestReceptiveField:
         table = NodeFeatureTable(r, 3, 2, 3)
         b = r.normal(size=(3, 3))
         layer = GcnLayer(Param(r.normal(size=(3, 3))), Param(b), "relu")
-        cfg = GnnConfig(dims=[3, 3])
         rows = np.array([1, 4])  # user 1 and battery 1 have no edge at t=1
-        got = gnn_encode(cfg, [layer], g, table, 1, rows).array
+        got = gnn_encode([layer], g, table, 1, rows).array
         h0 = table.rows(np.arange(g.n_nodes)).array
         assert np.array_equal(got, np.maximum(h0[rows] @ b, 0.0))
         full = gcn_layer_forward(layer, table.rows(np.arange(g.n_nodes)), g, 1).array
@@ -270,23 +267,22 @@ class TestReceptiveField:
 
     def test_repeated_and_unordered_targets(self, fleet):
         g, targets = fleet
-        cfg, layers, table = fleet_encoder(g, 4)
+        layers, table = fleet_encoder(g)
         t = sorted(targets)[5]
         rows = targets[t]
-        expect = gnn_encode(cfg, layers, g, table, t, rows).array
+        expect = gnn_encode(layers, g, table, t, rows, 4).array
         picks = np.array([3, 0, 3, 1, 0])
-        got = gnn_encode(cfg, layers, g, table, t, rows[picks]).array
+        got = gnn_encode(layers, g, table, t, rows[picks], 4).array
         assert np.array_equal(got, expect[picks])
 
     def test_sees_edge_added_after_lookup(self):
         g = TemporalGraph(2, 2, 2)
         g.add_edges([0], [0], [0], [0])
         h0 = np.arange(8.0).reshape(4, 2)
-        cfg = GnnConfig(dims=[2, 2], window=1)
         layer = identity_layer(2)
-        before = encode_all(cfg, [layer], g, h0, 1).array
+        before = encode_all([layer], g, h0, 1, window=1).array
         g.add_edges([1], [1], [1], [0])
-        after = encode_all(cfg, [layer], g, h0, 1).array
+        after = encode_all([layer], g, h0, 1, window=1).array
         full = gcn_layer_forward(layer, Tensor(h0), g, 1, 1).array
         assert not np.array_equal(before, after)
         assert np.array_equal(after, full)

@@ -29,6 +29,7 @@ from sebrange.training import (
     split_orders,
     train,
 )
+from test_s3im import s3im_value
 
 TINY_GEN = GeneratorConfig(n_orders=120, n_users=60, n_batteries=20,
                            n_stations=4, horizon=8, seed=3)
@@ -158,8 +159,6 @@ class TestObjective:
         assert objective(pairs, cfg).item() == 9.0
 
     def test_matches_term_wise_oracle(self):
-        from sebrange.s3im import s3im_value
-
         cfg = TrainConfig(s3im_enabled=True, s3im_weight=0.7, s3im_L=25.0)
         s3cfg = cfg.make_s3im(None)
         r = Rng(4)

@@ -9,8 +9,13 @@ import pytest
 from sebrange.errors import ConfigError, SampleSizeError, ShapeError
 from sebrange.gradcheck import grad_check
 from sebrange.rng import Rng
-from sebrange.s3im import S3imConfig, _terms, s3im, s3im_regularizer, s3im_value
+from sebrange.s3im import S3imConfig, _terms, s3im, s3im_regularizer
 from sebrange.tensor import Tensor
+
+
+def s3im_value(x, y, cfg):
+    """The index as a float."""
+    return s3im(x, y, cfg).item()
 
 
 # One term of the index, as s3im() computes it.
