@@ -15,67 +15,24 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .optim import Param, glorot_uniform
-from .tensor import (
-    Tensor,
-    add,
-    attention_core,
-    layer_norm,
-    linear,
-    matmul,
-    relu,
-)
+from .tensor import Tensor, add, attention_core, layer_norm, linear, matmul, relu
 
 
-class AttentionHead:
-    """Projection weights W_Q, W_K (D x D_qk) and W_V (D x D_v)."""
+def qkv_weights(rng, d: int, d_qk: int, d_v: int):
+    """W_Q, W_K (D x D_qk) and W_V (D x D_v), named ``attn.wq/wk/wv``. Each is
+    drawn as (d_out, d) and stored transposed: the frozen seed-42 results pin
+    these values."""
+    def weight(d_out, key):
+        w = glorot_uniform(rng, d, d_out, (d_out, d))
+        return Param(w.T.copy(), f"attn.{key}")
 
-    def __init__(self, wq: Param, wk: Param, wv: Param):
-        if wq.shape != wk.shape:
-            raise ShapeError(f"W_Q and W_K must match: {wq.shape} vs {wk.shape}")
-        if wq.shape[0] != wv.shape[0]:
-            raise ShapeError(
-                f"W_V input dim {wv.shape[0]} must equal W_Q input dim {wq.shape[0]}"
-            )
-        self.wq = wq
-        self.wk = wk
-        self.wv = wv
-
-    @property
-    def d(self) -> int:
-        return self.wq.shape[0]
-
-    @property
-    def d_qk(self) -> int:
-        return self.wq.shape[1]
-
-    @property
-    def d_v(self) -> int:
-        return self.wv.shape[1]
-
-    @classmethod
-    def init(cls, rng, d: int, d_qk: int, d_v: int, name: str = "attn"):
-        # Drawn as (d_out, d) and stored transposed: the frozen seed-42
-        # results pin these values.
-        def weight(d_out, key):
-            w = glorot_uniform(rng, d, d_out, (d_out, d))
-            return Param(w.T.copy(), f"{name}.{key}")
-
-        return cls(weight(d_qk, "wq"), weight(d_qk, "wk"), weight(d_v, "wv"))
-
-    def params(self):
-        return [self.wq, self.wk, self.wv]
+    return weight(d_qk, "wq"), weight(d_qk, "wk"), weight(d_v, "wv")
 
 
-def project_qkv(head: AttentionHead, x: Tensor):
+def project_qkv(x, wq: Param, wk: Param, wv: Param):
     """Linear projections Q = X W_Q, K = X W_K, V = X W_V, one tape node
     each."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.shape[-1] != head.d:
-        raise ShapeError(
-            f"input width {x.shape[-1]} does not match head dim {head.d}"
-        )
-    return (matmul(x, head.wq.tensor()), matmul(x, head.wk.tensor()),
-            matmul(x, head.wv.tensor()))
+    return matmul(x, wq.tensor()), matmul(x, wk.tensor()), matmul(x, wv.tensor())
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -88,15 +45,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 class TransformerBlock:
-    """One attention + feed-forward encoder block over a fixed sequence length."""
+    """One attention + feed-forward encoder block over a fixed sequence length.
 
-    def __init__(self, head: AttentionHead, ffn_dim: int, seq_len: int, rng):
-        d = head.d
-        if head.d_v != d:
-            raise ConfigError(
-                f"residual connections require d_v == d, got {head.d_v} != {d}"
-            )
-        self.head = head
+    W_V is (D x D), so the attention output adds onto its input."""
+
+    def __init__(self, rng, d: int, d_qk: int, ffn_dim: int, seq_len: int = 64):
+        self.wq, self.wk, self.wv = qkv_weights(rng, d, d_qk, d)
         self.seq_len = seq_len
         self.pos = Param(glorot_uniform(rng, seq_len, d, (seq_len, d)), "block.pos")
         self.w1 = Param(glorot_uniform(rng, d, ffn_dim, (d, ffn_dim)), "block.w1")
@@ -108,27 +62,21 @@ class TransformerBlock:
         self.ln2_g = Param(np.ones(d), "block.ln2_g")
         self.ln2_b = Param(np.zeros(d), "block.ln2_b")
 
-    @classmethod
-    def init(cls, rng, d: int, d_qk: int, ffn_dim: int, seq_len: int = 64):
-        head = AttentionHead.init(rng, d, d_qk, d)
-        return cls(head, ffn_dim, seq_len, rng)
-
     def params(self):
-        return self.head.params() + [
-            self.pos, self.w1, self.b1, self.w2, self.b2,
+        return [
+            self.wq, self.wk, self.wv, self.pos, self.w1, self.b1, self.w2, self.b2,
             self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,
         ]
 
 
 def encode_sequence(block: TransformerBlock, x0: Tensor) -> Tensor:
     """Encode (..., S, D) telemetry embeddings to (..., S, D)."""
-    x0 = x0 if isinstance(x0, Tensor) else Tensor(x0)
     if x0.shape[-2] != block.seq_len:
         raise ShapeError(
             f"sequence length {x0.shape[-2]} does not match block ({block.seq_len})"
         )
     x = add(x0, block.pos.tensor())
-    attended = add(attend(*project_qkv(block.head, x)), x)
+    attended = add(attend(*project_qkv(x, block.wq, block.wk, block.wv)), x)
     attended = layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
     hidden = relu(linear(attended, block.w1.tensor(), block.b1.tensor()))
     out = add(linear(hidden, block.w2.tensor(), block.b2.tensor()), attended)
@@ -143,7 +91,6 @@ class MlpHead:
             raise ConfigError(f"need at least input and output dims, got {dims}")
         if dims[-1] != 1:
             raise ConfigError(f"final output dim must be 1, got {dims[-1]}")
-        self.dims = list(dims)
         self.layers = []
         for i in range(len(dims) - 1):
             w = Param(glorot_uniform(rng, dims[i], dims[i + 1],
@@ -161,11 +108,6 @@ class MlpHead:
 
 def mlp_forward(head: MlpHead, x: Tensor) -> Tensor:
     """(..., d_in) -> (..., 1); relu between affine layers, none on output."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.shape[-1] != head.dims[0]:
-        raise ShapeError(
-            f"input width {x.shape[-1]} does not match head ({head.dims[0]})"
-        )
     out = x
     for i, (w, b) in enumerate(head.layers):
         out = linear(out, w.tensor(), b.tensor())

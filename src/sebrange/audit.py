@@ -13,13 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .attention import (
-    AttentionHead,
     MlpHead,
     TransformerBlock,
     attend,
     encode_sequence,
     mlp_forward,
     project_qkv,
+    qkv_weights,
 )
 from .errors import ConfigError
 from .gnn import GcnLayer, gcn_layer_forward
@@ -29,7 +29,7 @@ from .model import ModelConfig, SebTransformer
 from .optim import Param
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im, s3im_regularizer
-from .tensor import layer_norm, linear, matmul, mul, relu, softmax_rows, sum_
+from .tensor import add, layer_norm, linear, matmul, mul, relu, softmax_rows, sum_
 from .training import TrainConfig, bucket_by_t, objective
 
 TOL_ELEMENTWISE = 1e-6
@@ -101,27 +101,27 @@ def _check_gcn_layer(r):
 
 
 def _check_qkv(r):
-    head = AttentionHead.init(r, 4, 3, 3)
+    weights = qkv_weights(r, 4, 3, 3)
     cq = r.normal(size=(5, 3))
     ck = r.normal(size=(5, 3))
     cv = r.normal(size=(5, 3))
 
     def f(t):
-        q, k, v = project_qkv(head, t)
-        return sum_(mul(q, cq)) + sum_(mul(k, ck)) + sum_(mul(v, cv))
+        q, k, v = project_qkv(t, *weights)
+        return add(add(sum_(mul(q, cq)), sum_(mul(k, ck))), sum_(mul(v, cv)))
 
     return grad_check(f, r.normal(size=(5, 4)))
 
 
 def _check_attention(r):
-    head = AttentionHead.init(r, 4, 4, 4)
+    weights = qkv_weights(r, 4, 4, 4)
     c = r.normal(size=(5, 4))
-    return grad_check(lambda t: sum_(mul(attend(*project_qkv(head, t)), c)),
+    return grad_check(lambda t: sum_(mul(attend(*project_qkv(t, *weights)), c)),
                       r.normal(size=(5, 4)))
 
 
 def _check_block(r):
-    block = TransformerBlock.init(r, 4, 4, 5, seq_len=6)
+    block = TransformerBlock(r, 4, 4, 5, seq_len=6)
     c = r.normal(size=(6, 4))
     return grad_check(lambda t: sum_(mul(encode_sequence(block, t), c)),
                       r.normal(size=(6, 4)))

@@ -3,6 +3,7 @@ and reports test MAE plus relative improvement over the vanilla
 transformer baseline.
 """
 
+import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,8 @@ class BenchRow:
     mae_mean: float
     mae_std: float
     improvement_vs_transformer_pct: float = float("nan")
+    weights_sha256: str = ""
+    residuals_sha256: str = ""
 
 
 @dataclass
@@ -100,7 +103,10 @@ def run_benchmark(orders, graph, mcfg: ModelConfig, cfg: TrainConfig,
         result = train_model(kind, model, orders, graph, cfg)
         test_split = result.splits[2]
         mae = evaluate_mae(model, test_split, graph)
-        rows.append(BenchRow(kind, mae.mean, mae.std))
+        weights = [model.coef] if kind == "lr" else [p.value for p in model.params()]
+        rows.append(BenchRow(kind, mae.mean, mae.std,
+                             weights_sha256=_sha256(weights),
+                             residuals_sha256=_sha256([mae.residuals])))
         histories[kind] = result.history
     by_kind = {r.model: r for r in rows}
     improvement = float("nan")
@@ -111,6 +117,14 @@ def run_benchmark(orders, graph, mcfg: ModelConfig, cfg: TrainConfig,
         if "seb-s3im" in by_kind:
             improvement = by_kind["seb-s3im"].improvement_vs_transformer_pct
     return BenchmarkResult(rows, histories, improvement)
+
+
+def _sha256(arrays) -> str:
+    """SHA-256 of the arrays' bytes, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
 
 
 def metrics_csv_text(result: BenchmarkResult) -> str:

@@ -7,13 +7,17 @@ it. Loading rebuilds the model and overwrites every parameter, so reloaded
 predictions match the saved model bit for bit.
 """
 
+import io
 import json
+import zipfile
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .benchmark import BENCH_MODELS, build_model
-from .errors import CheckpointMismatch, ConfigError, NumericError
+from .errors import CheckpointMismatch, ConfigError, InputError, NumericError
 from .model import ModelConfig
 
 CKPT_FORMAT = "seb-ckpt v2"
@@ -48,9 +52,19 @@ def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
 
 
 def load_checkpoint(path):
-    """Rebuild the saved model; returns (model, meta)."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
+    """Rebuild the saved model; returns (model, meta). Raises InputError when
+    ``path`` is not an npz archive, CheckpointMismatch when its contents are
+    not a checkpoint this code can rebuild."""
+    try:
+        # From memory: np.load leaves a file it opened open when the archive is bad.
+        data = np.load(io.BytesIO(Path(path).read_bytes()), allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise InputError(f"checkpoint {path} is not a readable npz archive "
+                         f"({type(exc).__name__})") from None
+    if not isinstance(data, NpzFile):
+        raise InputError(f"checkpoint {path} is not an npz archive (a single array)")
+    with data:
+        meta = _saved_meta(data)
         if meta.get("format") != CKPT_FORMAT:
             raise CheckpointMismatch(
                 f"unsupported checkpoint format {meta.get('format')!r}, "
@@ -58,6 +72,10 @@ def load_checkpoint(path):
             )
         if missing := [key for key in META_KEYS if key not in meta]:
             raise CheckpointMismatch(f"checkpoint metadata lacks {', '.join(missing)}")
+        for key in ("n_users", "n_batteries"):
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise CheckpointMismatch(
+                    f"checkpoint {key} must be an integer >= 0, got {meta[key]!r}")
         _check_model_config(meta["model_config"])
         # Init values are fully overwritten below; the seed is a placeholder.
         # A saved kind is a model's own kind, so "seb-s3im" (a seb) is unknown.
@@ -75,6 +93,19 @@ def load_checkpoint(path):
         model.scaler.mean = _saved_array(data, "scaler_mean", model.scaler.mean.shape)
         model.scaler.sd = _saved_array(data, "scaler_sd", model.scaler.sd.shape)
         return model, meta
+
+
+def _saved_meta(data) -> dict:
+    """The checkpoint's JSON metadata record."""
+    if "__meta__" not in data:
+        raise CheckpointMismatch("checkpoint has no __meta__ record")
+    try:
+        meta = json.loads(str(data["__meta__"]))
+    except ValueError as exc:
+        raise CheckpointMismatch(f"checkpoint __meta__ is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointMismatch(f"checkpoint __meta__ is not a record: {meta!r}")
+    return meta
 
 
 def _saved_array(data, key: str, shape) -> np.ndarray:

@@ -24,7 +24,7 @@ from .benchmark import (
 from .checkpoint import load_checkpoint, save_checkpoint, verify_config_hash
 from .config import RunConfig
 from .datagen import generate, read_dataset, summarize, write_dataset
-from .errors import CheckpointMismatch, ConfigError, NumericError, ParseError
+from .errors import CheckpointMismatch, ConfigError, InputError, NumericError
 from .training import evaluate_mae, split_orders
 
 EXIT_OK = 0
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     except CheckpointMismatch as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except ParseError as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except FileNotFoundError as exc:

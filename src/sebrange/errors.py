@@ -33,7 +33,11 @@ class NumericError(SebrangeError, ArithmeticError):
     """A numeric solve failed (singular system, non-finite values)."""
 
 
-class ParseError(SebrangeError, ValueError):
+class InputError(SebrangeError, ValueError):
+    """An input file could not be read."""
+
+
+class ParseError(InputError):
     """A data file could not be parsed. Carries the offending line number."""
 
     def __init__(self, path, line_no, message):

@@ -99,7 +99,18 @@ def _stack_telemetry(orders) -> np.ndarray:
     return np.stack([o.telemetry for o in orders], axis=0)
 
 
-class SebTransformer:
+class _TrainedModel:
+    """What the gradient-trained models share: a telemetry scaler and an
+    output ``head`` (an MlpHead)."""
+
+    def prepare(self, train_orders):
+        """Fit the telemetry scaler and center the output at the label mean."""
+        self.scaler.fit(train_orders)
+        labels = np.array([o.label for o in train_orders])
+        self.head.out_bias.value[...] = labels.mean()
+
+
+class SebTransformer(_TrainedModel):
     """Graph branch + sequence branch fused into one scalar km prediction."""
 
     def __init__(self, cfg: ModelConfig, n_users: int, n_batteries: int, rng):
@@ -113,8 +124,8 @@ class SebTransformer:
         f, d = cfg.n_features, cfg.embed_dim
         self.proj_w = Param(glorot_uniform(rng, f, d, (f, d)), "proj.w")
         self.proj_b = Param(np.zeros(d), "proj.b")
-        self.block = TransformerBlock.init(rng, d, cfg.dqk, cfg.ffn_dim, cfg.seq_len)
-        self.fusion = MlpHead([cfg.fusion_in, cfg.mlp_hidden, 1], rng, "fusion")
+        self.block = TransformerBlock(rng, d, cfg.dqk, cfg.ffn_dim, cfg.seq_len)
+        self.head = MlpHead([cfg.fusion_in, cfg.mlp_hidden, 1], rng, "fusion")
 
     def params(self):
         return (
@@ -122,23 +133,14 @@ class SebTransformer:
             + self.block.params()
             + self.nodes.params()
             + [p for layer in self.gcn_layers for p in layer.params()]
-            + self.fusion.params()
+            + self.head.params()
         )
 
     def trainable_params(self):
         """Graph-side params are frozen when the graph branch is disabled."""
-        graph_side = set(
-            id(p) for p in self.nodes.params()
-        ) | set(id(p) for layer in self.gcn_layers for p in layer.params())
         if self.cfg.use_graph:
             return self.params()
-        return [p for p in self.params() if id(p) not in graph_side]
-
-    def prepare(self, train_orders):
-        """Fit the telemetry scaler and center the output at the label mean."""
-        self.scaler.fit(train_orders)
-        labels = np.array([o.label for o in train_orders])
-        self.fusion.out_bias.value[...] = labels.mean()
+        return [self.proj_w, self.proj_b] + self.block.params() + self.head.params()
 
     def forward_batch(self, orders, graph) -> Tensor:
         """Predictions (B,) for a batch of orders sharing one swap timestep."""
@@ -166,13 +168,13 @@ class SebTransformer:
         else:
             graph_slice = Tensor(np.zeros((batch, self.cfg.graph_slice_dim)))
         fused = concat([x0_pooled, graph_slice, x2_pooled], axis=-1)
-        return reshape(mlp_forward(self.fusion, fused), (batch,))
+        return reshape(mlp_forward(self.head, fused), (batch,))
 
     def predict(self, orders, graph) -> np.ndarray:
         return self.forward_batch(orders, graph).array.copy()
 
 
-class MlpBaseline:
+class MlpBaseline(_TrainedModel):
     """Two-layer perceptron on the flattened, normalized telemetry."""
 
     kind = "mlp"
@@ -181,23 +183,18 @@ class MlpBaseline:
         self.cfg = cfg
         self.scaler = FeatureScaler(n_features=cfg.n_features)
         self.in_dim = cfg.seq_len * cfg.n_features
-        self.mlp = MlpHead([self.in_dim, cfg.baseline_hidden, 1], rng, "mlp")
+        self.head = MlpHead([self.in_dim, cfg.baseline_hidden, 1], rng, "mlp")
 
     def params(self):
-        return self.mlp.params()
+        return self.head.params()
 
     def trainable_params(self):
         return self.params()
 
-    def prepare(self, train_orders):
-        self.scaler.fit(train_orders)
-        labels = np.array([o.label for o in train_orders])
-        self.mlp.out_bias.value[...] = labels.mean()
-
     def forward_batch(self, orders, graph=None) -> Tensor:
         flat = self.scaler.apply(_stack_telemetry(orders)).reshape(
             len(orders), self.in_dim)
-        return reshape(mlp_forward(self.mlp, Tensor(flat)), (len(orders),))
+        return reshape(mlp_forward(self.head, Tensor(flat)), (len(orders),))
 
     def predict(self, orders, graph=None) -> np.ndarray:
         return self.forward_batch(orders).array.copy()

@@ -74,11 +74,6 @@ class Tensor:
     def size(self):
         return self.array.size
 
-    @property
-    def data(self):
-        """Flat row-major view of the values."""
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
 
@@ -112,27 +107,6 @@ class Tensor:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from sebrange.attention import (
-    AttentionHead,
     MlpHead,
     TransformerBlock,
     attend,
     encode_sequence,
     mlp_forward,
     project_qkv,
+    qkv_weights,
 )
 from sebrange.errors import ConfigError, ShapeError
 from sebrange.gradcheck import grad_check
@@ -19,30 +19,24 @@ from sebrange.rng import Rng
 from sebrange.tensor import Tensor, mul, sum_
 
 
-def make_head(r, d, dqk, dv):
-    return AttentionHead.init(r, d, dqk, dv)
-
-
 class TestProjectQkv:
     def test_zero_input(self):
-        head = make_head(Rng(1), 4, 3, 2)
-        q, k, v = project_qkv(head, Tensor(np.zeros((5, 4))))
+        weights = qkv_weights(Rng(1), 4, 3, 2)
+        q, k, v = project_qkv(Tensor(np.zeros((5, 4))), *weights)
         for m, width in ((q, 3), (k, 3), (v, 2)):
             assert np.array_equal(m.array, np.zeros((5, width)))
 
     def test_identity_projection(self):
-        head = AttentionHead(Param(np.eye(3)), Param(np.eye(3)),
-                             Param(np.eye(3)))
         x = Rng(2).normal(size=(4, 3))
-        q, _, _ = project_qkv(head, Tensor(x))
+        q, _, _ = project_qkv(Tensor(x), *(Param(np.eye(3)) for _ in range(3)))
         assert np.array_equal(q.array, x)
 
     def test_matches_matmul_oracle(self):
         r = Rng(3)
-        head = make_head(r, 2, 2, 2)
+        weights = qkv_weights(r, 2, 2, 2)
         x = r.normal(size=(2, 2))
-        q, k, v = project_qkv(head, Tensor(x))
-        for m, w in ((q, head.wq), (k, head.wk), (v, head.wv)):
+        q, k, v = project_qkv(Tensor(x), *weights)
+        for m, w in zip((q, k, v), weights):
             expect = np.zeros((2, 2))
             for i in range(2):
                 for j in range(2):
@@ -51,14 +45,14 @@ class TestProjectQkv:
             assert np.abs(m.array - expect).max() <= 1e-12
 
     def test_width_mismatch(self):
-        head = make_head(Rng(4), 4, 3, 3)
         with pytest.raises(ShapeError):
-            project_qkv(head, Tensor(np.ones((5, 7))))
+            project_qkv(Tensor(np.ones((5, 7))), *qkv_weights(Rng(4), 4, 3, 3))
 
     def test_is_three_tape_nodes(self):
-        block = TransformerBlock.init(Rng(12), 4, 3, 5, seq_len=6)
+        block = TransformerBlock(Rng(12), 4, 3, 5, seq_len=6)
         x = Tensor(np.ones((6, 4)))
-        for out, w in zip(project_qkv(block.head, x), block.head.params()):
+        weights = (block.wq, block.wk, block.wv)
+        for out, w in zip(project_qkv(x, *weights), weights):
             assert len(out._parents) == 2
             assert out._parents[0] is x.node
             assert out._parents[1]._param is w
@@ -137,7 +131,7 @@ class TestAttend:
 class TestEncodeSequence:
     def test_output_shape(self):
         r = Rng(12)
-        block = TransformerBlock.init(r, 4, 4, 6, seq_len=7)
+        block = TransformerBlock(r, 4, 4, 6, seq_len=7)
         out = encode_sequence(block, Tensor(r.normal(size=(7, 4))))
         assert out.shape == (7, 4)
         batched = encode_sequence(block, Tensor(r.normal(size=(3, 7, 4))))
@@ -145,7 +139,7 @@ class TestEncodeSequence:
 
     def test_gradient_through_block(self):
         r = Rng(13)
-        block = TransformerBlock.init(r, 3, 3, 4, seq_len=4)
+        block = TransformerBlock(r, 3, 3, 4, seq_len=4)
         c = r.normal(size=(4, 3))
         err = grad_check(
             lambda t: sum_(mul(encode_sequence(block, t), c)),
@@ -153,13 +147,14 @@ class TestEncodeSequence:
         assert err <= 1e-4
 
     def test_wrong_sequence_length(self):
-        block = TransformerBlock.init(Rng(14), 3, 3, 4, seq_len=6)
+        block = TransformerBlock(Rng(14), 3, 3, 4, seq_len=6)
         with pytest.raises(ShapeError):
             encode_sequence(block, Tensor(np.ones((5, 3))))
 
-    def test_residual_requires_matching_widths(self):
-        with pytest.raises(ConfigError):
-            TransformerBlock(make_head(Rng(15), 4, 4, 2), 4, 5, Rng(15))
+    def test_value_width_matches_residual(self):
+        block = TransformerBlock(Rng(15), 4, 2, 5, seq_len=6)
+        assert (block.wq.shape, block.wk.shape, block.wv.shape) == ((4, 2), (4, 2), (4, 4))
+        assert encode_sequence(block, Tensor(np.ones((6, 4)))).shape == (6, 4)
 
 
 class TestMlpHead:

@@ -103,6 +103,27 @@ def _cut_scaler_sd(meta, arrays):
     arrays["scaler_sd"] = arrays["scaler_sd"][:5]
 
 
+# The edits below replace the whole __meta__ record; None leaves it out.
+def _no_meta(meta, arrays):
+    arrays["__meta__"] = None
+
+
+def _meta_not_json(meta, arrays):
+    arrays["__meta__"] = "{format: v2"
+
+
+def _meta_array(meta, arrays):
+    arrays["__meta__"] = json.dumps([meta])
+
+
+def _text_n_batteries(meta, arrays):
+    meta["n_batteries"] = "x"
+
+
+def _float_n_users(meta, arrays):
+    meta["n_users"] = 80.0
+
+
 @pytest.mark.parametrize("kind, edit, message", [
     ("seb", _add_old_block_fields,
      "checkpoint model_config has unknown fields dv, layer_norm, residual"),
@@ -116,8 +137,15 @@ def _cut_scaler_sd(meta, arrays):
      "checkpoint param:mlp.w0 is float64 (1, 8), the model needs float64 (384, 8)"),
     ("seb", _cut_scaler_sd,
      "checkpoint scaler_sd is float64 (5,), the model needs float64 (6,)"),
+    ("mlp", _no_meta, "checkpoint has no __meta__ record"),
+    ("mlp", _meta_not_json, "checkpoint __meta__ is not JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("mlp", _meta_array, "checkpoint __meta__ is not a record: [{"),
+    ("seb", _text_n_batteries, "checkpoint n_batteries must be an integer >= 0, got 'x'"),
+    ("seb", _float_n_users, "checkpoint n_users must be an integer >= 0, got 80.0"),
 ], ids=["old-model-config", "missing-meta-key", "format-v1", "model-config-int",
-        "text-width", "cut-weight", "cut-scaler"])
+        "text-width", "cut-weight", "cut-scaler", "no-meta", "meta-not-json",
+        "meta-array", "text-n-batteries", "float-n-users"])
 def test_eval_bad_checkpoint_metadata_exit_4(dataset_dir, tmp_path, capsys, kind, edit,
                                              message):
     run = tmp_path / "run"
@@ -128,12 +156,41 @@ def test_eval_bad_checkpoint_metadata_exit_4(dataset_dir, tmp_path, capsys, kind
         arrays = dict(data)
     meta = json.loads(str(arrays.pop("__meta__")))
     edit(meta, arrays)
-    np.savez(ckpt, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    arrays.setdefault("__meta__", json.dumps(meta, sort_keys=True))
+    np.savez(ckpt, **{key: a for key, a in arrays.items() if a is not None})
     capsys.readouterr()
     code = main(["eval", *FAST, "--seed", "42", "--data", str(dataset_dir),
                  "--ckpt", str(ckpt)])
     assert code == 4
-    assert capsys.readouterr().err == f"checkpoint mismatch: {message}\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint mismatch: {message}") and err.count("\n") == 1
+
+
+def _write_npy(ckpt):
+    with open(ckpt, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ckpt: ckpt.write_text("model = seb\n"), "a readable npz archive (ValueError)"),
+    (lambda ckpt: ckpt.write_bytes(b""), "a readable npz archive (EOFError)"),
+    (lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:2000]),
+     "a readable npz archive (BadZipFile)"),
+    (lambda ckpt: (ckpt.unlink(), ckpt.mkdir()),
+     "a readable npz archive (IsADirectoryError)"),
+    (_write_npy, "an npz archive (a single array)"),
+], ids=["text", "empty", "truncated", "directory", "npy"])
+def test_eval_unreadable_checkpoint_exit_3(dataset_dir, tmp_path, capsys, make, message):
+    run = tmp_path / "run"
+    assert main(["train", *FAST, "--seed", "42", "--model", "mlp",
+                 "--data", str(dataset_dir), "--out", str(run)]) == 0
+    ckpt = run / "model.ckpt.npz"
+    make(ckpt)
+    capsys.readouterr()
+    code = main(["eval", *FAST, "--seed", "42", "--data", str(dataset_dir),
+                 "--ckpt", str(ckpt)])
+    assert code == 3
+    assert capsys.readouterr().err == f"input error: checkpoint {ckpt} is not {message}\n"
 
 
 def test_missing_dataset_exit_3(tmp_path):

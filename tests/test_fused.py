@@ -83,7 +83,7 @@ def composed_attention(q, k, v):
 
 def composed_encode(block, x0):
     x = add(x0, block.pos.tensor())
-    attended = add(composed_attention(*project_qkv(block.head, x)), x)
+    attended = add(composed_attention(*project_qkv(x, block.wq, block.wk, block.wv)), x)
     attended = composed_layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
     hidden = relu(composed_linear(attended, block.w1.tensor(), block.b1.tensor()))
     out = add(composed_linear(hidden, block.w2.tensor(), block.b2.tensor()), attended)
@@ -230,7 +230,7 @@ class TestBlock:
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_composed(self, batch):
         r = Rng(7)
-        block = TransformerBlock.init(r, 4, 4, 5, seq_len=6)
+        block = TransformerBlock(r, 4, 4, 5, seq_len=6)
         x0 = r.normal(size=batch + (6, 4))
         params = block.params()
         results = []

@@ -60,7 +60,7 @@ class TestForward:
         model = fresh_model()
         for p in model.params():
             p.value[...] = 0.0
-        model.fusion.out_bias.value[...] = 12.25
+        model.head.out_bias.value[...] = 12.25
         assert forward_one(model, orders[0], graph) == 12.25
 
     def test_deterministic_bit_equal(self, tiny_data):
@@ -262,7 +262,7 @@ class TestTraining:
         train(model, orders, graph, cfg)
         # prepare() re-centers the output bias; every other weight is frozen
         for p, b in zip(model.params(), before):
-            if p is model.fusion.out_bias:
+            if p is model.head.out_bias:
                 continue
             assert np.array_equal(p.value, b)
 
@@ -338,6 +338,28 @@ def test_split_deterministic_and_disjoint(tiny_data):
 
 
 class TestCheckpoint:
+    def test_default_seb_param_layout(self):
+        """A checkpoint stores one array per name; these names, shapes and
+        their order are what a seb-ckpt v2 file holds."""
+        model = build_model("seb", ModelConfig(), 10, 5, 1)
+        assert [(p.name, p.shape) for p in model.params()] == [
+            ("proj.w", (6, 16)), ("proj.b", (16,)),
+            ("attn.wq", (16, 16)), ("attn.wk", (16, 16)), ("attn.wv", (16, 16)),
+            ("block.pos", (64, 16)), ("block.w1", (16, 32)), ("block.b1", (32,)),
+            ("block.w2", (32, 16)), ("block.b2", (16,)),
+            ("block.ln1_g", (16,)), ("block.ln1_b", (16,)),
+            ("block.ln2_g", (16,)), ("block.ln2_b", (16,)),
+            ("h0.user", (8,)), ("h0.battery", (8,)), ("h0.battery_bias", (5, 8)),
+            ("gcn0.w", (8, 8)), ("gcn0.b", (8, 8)), ("gcn1.w", (8, 8)), ("gcn1.b", (8, 8)),
+            ("fusion.w0", (48, 32)), ("fusion.b0", (32,)),
+            ("fusion.w1", (32, 1)), ("fusion.b1", (1,)),
+        ]
+        vanilla = build_model("transformer", ModelConfig(), 10, 5, 1)
+        frozen = {"h0.user", "h0.battery", "h0.battery_bias", "gcn0.w", "gcn0.b",
+                  "gcn1.w", "gcn1.b"}
+        assert [p.name for p in vanilla.trainable_params()] == [
+            p.name for p in vanilla.params() if p.name not in frozen]
+
     def test_round_trip_bit_exact_predictions(self, tiny_data, tmp_path):
         orders, graph = tiny_data
         model = fresh_model()

@@ -243,6 +243,7 @@ def test_outputs_finite_on_finite_inputs():
 
 def test_tensor_data_flat_row_major():
     t = Tensor(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(t.data, [0, 1, 2, 3, 4, 5])
+    assert t.array.flags.c_contiguous
+    assert np.array_equal(t.array.reshape(-1), [0, 1, 2, 3, 4, 5])
     assert t.shape == (2, 3)
     assert t.size == 6
