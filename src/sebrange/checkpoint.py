@@ -56,7 +56,7 @@ def load_checkpoint(path):
     ``path`` is not an npz archive, CheckpointMismatch when its contents are
     not a checkpoint this code can rebuild."""
     try:
-        # From memory: np.load leaves a file it opened open when the archive is bad.
+        # Read whole: np.load leaves the file it opened unclosed when the archive is bad.
         data = np.load(io.BytesIO(Path(path).read_bytes()), allow_pickle=False)
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise InputError(f"checkpoint {path} is not a readable npz archive "
