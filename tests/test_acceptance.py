@@ -5,8 +5,8 @@ lines; the frozen-benchmark criteria share one module-scoped run
 (seed 42, 2,000 orders, default config).
 """
 
+import ctypes
 import json
-import os
 import time
 from pathlib import Path
 
@@ -257,17 +257,37 @@ FROZEN_PIN = Path(__file__).parent / "data" / "frozen_seed42.json"
 FROZEN_MAE_RTOL = 1e-6
 
 
+def _openblas_state():
+    """The thread count and core name that numpy's bundled OpenBLAS reports,
+    each ``"unknown"`` when the library or its symbol is not found."""
+    root = Path(np.__file__).parent
+    libs = sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(
+        root.glob(".dylibs/*openblas*"))
+    threads = core = "unknown"
+    if libs:
+        lib = ctypes.CDLL(str(libs[0]))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            threads = lib.scipy_openblas_get_num_threads64_()
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            corename = lib.scipy_openblas_get_corename64_
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return threads, core
+
+
 def _float_environment():
     """What the frozen bits depend on besides the code: numpy, its BLAS
-    build, the SIMD extensions numpy dispatches to, and the BLAS threads."""
+    build, the SIMD extensions numpy dispatches to, and the threads and
+    kernel core that BLAS runs with."""
     info = np.show_config(mode="dicts")
     blas = info["Build Dependencies"]["blas"]
+    threads, core = _openblas_state()
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "simd_found": info["SIMD Extensions"]["found"],
-        "cpus": os.cpu_count(),
-        **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "blas_threads": threads,
+        "blas_core": core,
     }
 
 
@@ -299,16 +319,3 @@ def test_frozen_seed42_pin(frozen_benchmark):
                 float(want["mae"]), rel=FROZEN_MAE_RTOL), kind
     print(f"\n[acceptance] frozen seed-42 pin: PASS ({mode})")
 
-
-if __name__ == "__main__":
-    # Pin this tree's frozen run in the current environment, replacing that
-    # environment's entry. After a change to the bits, re-pin in each one.
-    rc = RunConfig.load()
-    result = run_benchmark(*generate(rc.generator_config()), rc.model_config(),
-                           rc.train_config())
-    env = _float_environment()
-    pins = json.loads(FROZEN_PIN.read_text())["pins"] if FROZEN_PIN.exists() else []
-    pins = [p for p in pins if p["environment"] != env]
-    pins.append({"environment": env, "values": _frozen_values(result)})
-    FROZEN_PIN.parent.mkdir(exist_ok=True)
-    FROZEN_PIN.write_text(json.dumps({"pins": pins}, indent=1) + "\n")
