@@ -106,8 +106,9 @@ class MlpHead:
         return self.layers[-1][1]
 
 
-def mlp_forward(head: MlpHead, x: Tensor) -> Tensor:
-    """(..., d_in) -> (..., 1); relu between affine layers, none on output."""
+def mlp_forward(head: MlpHead, x) -> Tensor:
+    """(..., d_in) -> (..., 1); relu between affine layers, none on output.
+    ``x`` is a Tensor, or an array when it is a constant."""
     out = x
     for i, (w, b) in enumerate(head.layers):
         out = linear(out, w.tensor(), b.tensor())

@@ -26,14 +26,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .graph import TemporalGraph
 from .optim import Param, glorot_uniform
-from .tensor import (
-    Tensor,
-    add,
-    gather_rows,
-    matmul,
-    neighbor_mean,
-    relu,
-)
+from .tensor import Tensor, _record, add, gather_rows, matmul, neighbor_mean, relu
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -158,4 +151,4 @@ class NodeFeatureTable:
             g_batt = g[is_batt]
             return g[~is_batt].sum(axis=0), g_batt.sum(axis=0), g_batt
 
-        return Tensor(out, (user_vec, battery_vec, bias), vjp)
+        return _record(out, (user_vec, battery_vec, bias), vjp)

@@ -151,7 +151,7 @@ class SebTransformer(_TrainedModel):
             raise ConfigError("orders in one batch must share a swap timestep")
         batch = len(orders)
         telemetry = self.scaler.apply(_stack_telemetry(orders))
-        x0 = linear(Tensor(telemetry), self.proj_w.tensor(), self.proj_b.tensor())
+        x0 = linear(telemetry, self.proj_w.tensor(), self.proj_b.tensor())
         x0_pooled = mean(x0, axis=-2)
         x2 = encode_sequence(self.block, x0)
         x2_pooled = mean(x2, axis=-2)
@@ -166,7 +166,7 @@ class SebTransformer(_TrainedModel):
                 axis=-1,
             )
         else:
-            graph_slice = Tensor(np.zeros((batch, self.cfg.graph_slice_dim)))
+            graph_slice = np.zeros((batch, self.cfg.graph_slice_dim))
         fused = concat([x0_pooled, graph_slice, x2_pooled], axis=-1)
         return reshape(mlp_forward(self.head, fused), (batch,))
 
@@ -194,7 +194,7 @@ class MlpBaseline(_TrainedModel):
     def forward_batch(self, orders, graph=None) -> Tensor:
         flat = self.scaler.apply(_stack_telemetry(orders)).reshape(
             len(orders), self.in_dim)
-        return reshape(mlp_forward(self.head, Tensor(flat)), (len(orders),))
+        return reshape(mlp_forward(self.head, flat), (len(orders),))
 
     def predict(self, orders, graph=None) -> np.ndarray:
         return self.forward_batch(orders).array.copy()

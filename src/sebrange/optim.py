@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor
+from .tensor import Tensor, _record
 
 
 class Param:
@@ -41,7 +41,7 @@ class Param:
 
     def tensor(self) -> Tensor:
         """Leaf tensor sharing this param's storage; backward deposits here."""
-        return Tensor(self.value, _param=self)
+        return _record(self.value, (), None, self)
 
     def rows(self, idx) -> Tensor:
         """Leaf tensor holding rows ``idx`` (repeats allowed); backward adds
@@ -49,7 +49,7 @@ class Param:
         idx = np.asarray(idx, dtype=np.int64)
         if self.touched is None:
             self.touched = [slice(None)] if self.grad.any() else []
-        return Tensor(self.value[idx], _param=self, _rows=idx)
+        return _record(self.value[idx], (), None, self, idx)
 
     def accumulate(self, g: np.ndarray, rows=None):
         """Add a leaf's gradient into ``grad``: into the whole array, or

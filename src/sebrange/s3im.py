@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SampleSizeError, ShapeError
-from .tensor import Tensor, as_tensor, sub
+from .tensor import Tensor, _record, _value, sub
 
 
 @dataclass
@@ -85,9 +85,9 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
     through the two means, the deviation of ``x`` and the covariance (Wang
     et al., 2004).
     """
-    x = as_tensor(x)
-    x_shape = x.shape
-    xv, yv = x.array.reshape(-1), as_tensor(y).array.reshape(-1)
+    xa = _value(x)
+    x_shape = xa.shape
+    xv, yv = xa.reshape(-1), _value(y).reshape(-1)
     (r1, r2, r3), (mx, my, cx, cy, sx, sy, d1, d2, d3) = _terms(xv, yv, cfg)
     n = xv.size
     out = (r1 * r2) * r3
@@ -104,7 +104,7 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
         gx = g_mx * (1.0 / n) + (g_dev + g3 / d3 * cy) / (n - 1)
         return (gx.reshape(x_shape),)
 
-    return Tensor(out, (x,), vjp)
+    return _record(out, (x,), vjp)
 
 
 def s3im_regularizer(pred, target, cfg: S3imConfig) -> Tensor:

@@ -2,12 +2,16 @@
 
 A :class:`Tensor` is a row-major float64 numpy array plus the :class:`Node`
 that records it on the tape: its parents' nodes and a vector-Jacobian-product
-closure. Calling :meth:`Tensor.backward` on a scalar output walks the tape
-in reverse topological order and accumulates gradients; leaf tensors built
-from a :class:`~sebrange.optim.Param` deposit their gradient into the
-param's accumulator, a row leaf into only the rows it holds. The sweep
-consumes the tape: each interior node frees its gradient and the arrays its
-VJP saved once that VJP has run, so a graph is differentiated once.
+closure. ``_record`` is the one place an op's output or a leaf goes on the
+tape. An operand that is a Tensor is on the tape; a numpy array or Python
+float is a constant, with no Tensor, no Node and no gradient. A seb-s3im
+training step records 67 nodes and a seb step 63. Calling
+:meth:`Tensor.backward` on a scalar output walks the tape in reverse
+topological order and accumulates gradients; leaf tensors built from a
+:class:`~sebrange.optim.Param` deposit their gradient into the param's
+accumulator, a row leaf into only the rows it holds. The sweep consumes the
+tape: each interior node frees its gradient and the arrays its VJP saved
+once that VJP has run, so a graph is differentiated once.
 
 The tape keeps what backward reads, and never a value that only the caller
 holds: a node holds no array, and a VJP closure captures only the arrays it
@@ -48,31 +52,20 @@ class Node:
 
 
 class Tensor:
-    """A float64 array plus the tape node that produced it."""
+    """A float64 array plus the tape node that produced it. ``Tensor(array)``
+    is a leaf, which keeps its gradient in ``.grad`` after a backward."""
 
     __slots__ = ("array", "node")
 
-    def __init__(self, array, _parents=(), _vjp=None, _param=None, _rows=None):
-        self.array = np.asarray(array, dtype=np.float64)
-        self.node = Node(tuple([p.node for p in _parents]) if _parents else (),
-                         _vjp, _param, _rows)
+    def __new__(cls, array):
+        return _record(array, (), None)
 
     # The node's fields that callers and tape walkers read, through its tensor.
     grad = property(lambda self: self.node.grad)
     _parents = property(lambda self: self.node._parents)
     _param = property(lambda self: self.node._param)
-
-    @property
-    def shape(self):
-        return self.array.shape
-
-    @property
-    def ndim(self):
-        return self.array.ndim
-
-    @property
-    def size(self):
-        return self.array.size
+    shape = property(lambda self: self.array.shape)
+    size = property(lambda self: self.array.size)
 
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
@@ -117,9 +110,26 @@ def _spent_vjp(g):
                         "its saved arrays are freed")
 
 
-def as_tensor(x) -> Tensor:
-    """Wrap a value as a constant Tensor (no-op for existing Tensors)."""
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _record(out, operands, vjp, param=None, rows=None) -> Tensor:
+    """Put ``out`` on the tape, the one place a Tensor and its Node are made.
+
+    ``vjp`` returns one gradient per operand, in order. The Tensor operands'
+    nodes are the parents, and a constant operand's gradient is dropped. A
+    leaf has no operands and no VJP; a Param leaf names its param and rows.
+    """
+    t = object.__new__(Tensor)
+    t.array = np.asarray(out, dtype=np.float64)
+    parents = tuple([x.node for x in operands if isinstance(x, Tensor)])
+    if len(parents) < len(operands):
+        keep, op_vjp = [isinstance(x, Tensor) for x in operands], vjp
+        vjp = lambda g: [grad for grad, kept in zip(op_vjp(g), keep) if kept]
+    t.node = Node(parents, vjp, param, rows)
+    return t
+
+
+def _value(x) -> np.ndarray:
+    """A Tensor operand's array, or a constant as a float64 array."""
+    return x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _toposort(root: Node):
@@ -159,36 +169,32 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.array + b.array
-    a_shape, b_shape = a.array.shape, b.array.shape
+    x, y = _value(a), _value(b)
+    a_shape, b_shape = x.shape, y.shape
 
     def vjp(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return Tensor(out, (a, b), vjp)
+    return _record(x + y, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.array - b.array
-    a_shape, b_shape = a.array.shape, b.array.shape
+    x, y = _value(a), _value(b)
+    a_shape, b_shape = x.shape, y.shape
 
     def vjp(g):
         return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
-    return Tensor(out, (a, b), vjp)
+    return _record(x - y, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    x, y = a.array, b.array
-    out = x * y
+    x, y = _value(a), _value(b)
 
     def vjp(g):
         return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return Tensor(out, (a, b), vjp)
+    return _record(x * y, (a, b), vjp)
 
 
 def relu(a) -> Tensor:
@@ -198,11 +204,10 @@ def relu(a) -> Tensor:
     equal ``np.where(a <= 0.0, 0.0, a)`` for every input. The VJP keeps only
     the mask ``out > 0``, which is ``a > 0``: an eighth of the output's bytes.
     """
-    a = as_tensor(a)
-    out = np.maximum(a.array, 0.0)
+    out = np.maximum(_value(a), 0.0)
     out += 0.0
     mask = out > 0.0
-    return Tensor(out, (a,), lambda g: (g * mask,))
+    return _record(out, (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +221,18 @@ def matmul(a, b) -> Tensor:
     batched products (numpy matmul semantics). Gradients are reduced over
     any broadcast leading axes.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    x, y = a.array, b.array
-    out = np.matmul(x, y)
+    x, y = _value(a), _value(b)
+    if x.ndim < 2 or y.ndim < 2:
+        raise ShapeError(f"matmul requires 2-D operands, got {x.shape} @ {y.shape}")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {x.shape} @ {y.shape}")
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(y, -1, -2))
         gb = np.matmul(np.swapaxes(x, -1, -2), g)
         return _sum_leading(ga, x.ndim), _sum_leading(gb, y.ndim)
 
-    return Tensor(out, (a, b), vjp)
+    return _record(np.matmul(x, y), (a, b), vjp)
 
 
 def _sum_leading(g: np.ndarray, ndim: int) -> np.ndarray:
@@ -245,22 +248,21 @@ def linear(x, w, b) -> Tensor:
 
     ``x`` is (..., d_in), ``w`` (d_in, d_out) and ``b`` (d_out,). The weight
     and bias gradients fold the leading axes of ``x`` into one 2-D product.
-    A constant leaf ``x`` (no tape entry, no param) gets no gradient.
+    A constant ``x`` gets no gradient, so its product is skipped.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
-    xa, wa = x.array, w.array
+    xa, wa, ba = _value(x), _value(w), _value(b)
+    if xa.ndim < 1 or wa.ndim != 2 or xa.shape[-1] != wa.shape[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {xa.shape} @ {wa.shape}")
+    if ba.shape != (wa.shape[1],):
+        raise ShapeError(f"linear bias {ba.shape} does not match weight {wa.shape}")
     out = np.matmul(xa, wa)
     if out.ndim < 3:
-        out += b.array
+        out += ba
     else:  # the bias goes over rows of S * d_out values: long loops, same adds
         s = out.shape[-2]
         rows = out.reshape(-1, s * wa.shape[1])
-        rows += b.array[None].repeat(s, axis=0).reshape(-1)
-    x_constant = x.node._vjp is None and x.node._param is None
+        rows += ba[None].repeat(s, axis=0).reshape(-1)
+    x_constant = not isinstance(x, Tensor)
 
     def vjp(g):
         rows = g.reshape(-1, g.shape[-1])
@@ -270,7 +272,7 @@ def linear(x, w, b) -> Tensor:
             rows.sum(axis=0),
         )
 
-    return Tensor(out, (x, w, b), vjp)
+    return _record(out, (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +280,27 @@ def linear(x, w, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    out = a.array.sum(axis=axis, keepdims=keepdims)
-    a_shape = a.array.shape
+    x = _value(a)
+    a_shape = x.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a_shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, a_shape).copy(),)
 
-    return Tensor(out, (a,), vjp)
+    return _record(x.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
     """Mean over one axis, or over all of them when ``axis`` is None."""
-    a = as_tensor(a)
-    a_shape = a.array.shape
-    scale = 1.0 / (a.size if axis is None else a_shape[axis])
-    if axis is None or axis % a.ndim == a.ndim - 1:
-        out = a.array.sum(axis=axis, keepdims=keepdims) * scale
+    x = _value(a)
+    a_shape = x.shape
+    scale = 1.0 / (x.size if axis is None else a_shape[axis])
+    if axis is None or axis % x.ndim == x.ndim - 1:
+        out = x.sum(axis=axis, keepdims=keepdims) * scale
     else:
         # numpy sums a non-last axis in sequence, as this copy does in one loop.
-        ax = axis % a.ndim
-        moved = a.array.transpose((ax, *range(ax), *range(ax + 1, a.ndim)))
+        ax = axis % x.ndim
+        moved = x.transpose((ax, *range(ax), *range(ax + 1, x.ndim)))
         out = np.ascontiguousarray(moved).sum(axis=0) * scale
         out = np.expand_dims(out, axis) if keepdims else out
 
@@ -310,27 +309,27 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g * scale, a_shape).copy(),)
 
-    return Tensor(out, (a,), vjp)
+    return _record(out, (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    a_shape = a.array.shape
-    return Tensor(a.array.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
+    x = _value(a)
+    a_shape = x.shape
+    return _record(x.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def concat(tensors, axis=-1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.array for t in tensors], axis=axis)
+    arrays = [_value(t) for t in tensors]
+    out = np.concatenate(arrays, axis=axis)
     lead, parts, end = (slice(None),) * (axis % out.ndim), [], 0
-    for t in tensors:
-        parts.append(lead + (slice(end, end + t.shape[axis]),))
-        end += t.shape[axis]
+    for x in arrays:
+        parts.append(lead + (slice(end, end + x.shape[axis]),))
+        end += x.shape[axis]
 
     def vjp(g):
         return tuple(g[part] for part in parts)
 
-    return Tensor(out, tuple(tensors), vjp)
+    return _record(out, tensors, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +387,8 @@ def softmax_rows(a) -> Tensor:
     subtracted before exponentiation so arbitrarily large finite logits do
     not overflow.
     """
-    a = as_tensor(a)
-    out = _softmax(a.array)
-    return Tensor(out, (a,), lambda g: (_softmax_vjp(out, g.copy()),))
+    out = _softmax(_value(a))
+    return _record(out, (a,), lambda g: (_softmax_vjp(out, g.copy()),))
 
 
 def attention_core(q, k, v) -> Tensor:
@@ -406,8 +404,7 @@ def attention_core(q, k, v) -> Tensor:
     loop per query row. The softmax sums also run over axis -2, in numpy's
     row order (``_pairwise_sum_rows``), so no transposed copy is made.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    qa, ka, va = q.array, k.array, v.array
+    qa, ka, va = _value(q), _value(k), _value(v)
     scale = 1.0 / np.sqrt(qa.shape[-1])
     st = np.matmul(ka, np.ascontiguousarray(np.swapaxes(qa, -1, -2)))
     st *= scale
@@ -432,24 +429,24 @@ def attention_core(q, k, v) -> Tensor:
             gv,
         )
 
-    return Tensor(out, (q, k, v), vjp)
+    return _record(out, (q, k, v), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
     ``gain`` and shift by ``bias``; one tape node with a closed-form backward.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d, gain_a, bias_shape = x.shape[-1], gain.array, bias.shape
+    xa, gain_a, bias_a = _value(x), _value(gain), _value(bias)
+    d, bias_shape = xa.shape[-1], bias_a.shape
     scale = 1.0 / d
     # Centered rows, normalized in place once their variance is known; the
     # in-place steps are the same float operations as fresh arrays.
-    normed = x.array - x.array.sum(axis=-1, keepdims=True) * scale
+    normed = xa - xa.sum(axis=-1, keepdims=True) * scale
     var = (normed * normed).sum(axis=-1, keepdims=True) * scale
     rstd = 1.0 / np.sqrt(var + eps)
     normed *= rstd
     out = normed * gain_a
-    out += bias.array
+    out += bias_a
 
     def vjp(g):
         gn = g * gain_a
@@ -464,7 +461,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             _unbroadcast(g, bias_shape),
         )
 
-    return Tensor(out, (x, gain, bias), vjp)
+    return _record(out, (x, gain, bias), vjp)
 
 
 def scatter_add_rows(x, take, put, n_out) -> np.ndarray:
@@ -480,18 +477,17 @@ def scatter_add_rows(x, take, put, n_out) -> np.ndarray:
 
 def gather_rows(a, indices) -> Tensor:
     """Select rows of a 2-D tensor; backward scatter-adds into the source."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"gather_rows requires a 2-D tensor, got {a.shape}")
+    x = _value(a)
+    if x.ndim != 2:
+        raise ShapeError(f"gather_rows requires a 2-D tensor, got {x.shape}")
     idx = np.ascontiguousarray(indices, dtype=np.int64)
-    out = a.array[idx]
-    n_rows = a.shape[0]
+    n_rows = x.shape[0]
 
     def vjp(g):
         take = np.arange(idx.shape[0], dtype=np.int64)
         return (scatter_add_rows(g, take, idx, n_rows),)
 
-    return Tensor(out, (a,), vjp)
+    return _record(x[idx], (a,), vjp)
 
 
 def neighbor_mean(h, src, dst, n_out, inv_deg) -> Tensor:
@@ -501,14 +497,14 @@ def neighbor_mean(h, src, dst, n_out, inv_deg) -> Tensor:
     ``inv_deg[v]`` must be 1/degree(v), with 0 for empty neighborhoods so
     isolated destinations receive the zero vector.
     """
-    h = as_tensor(h)
+    x = _value(h)
     src = np.ascontiguousarray(src, dtype=np.int64)
     dst = np.ascontiguousarray(dst, dtype=np.int64)
     scale = inv_deg[:, None]
-    out = scatter_add_rows(h.array, src, dst, n_out) * scale
-    n_in = h.shape[0]
+    out = scatter_add_rows(x, src, dst, n_out) * scale
+    n_in = x.shape[0]
 
     def vjp(g):
         return (scatter_add_rows(g * scale, dst, src, n_in),)
 
-    return Tensor(out, (h,), vjp)
+    return _record(out, (h,), vjp)

@@ -15,7 +15,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .optim import AdamState, optimizer_step
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im_regularizer
-from .tensor import add, as_tensor, mean, mul, sub
+from .tensor import add, mean, mul, sub
 
 _SPLIT_KEY = 101
 _SHUFFLE_KEY = 102
@@ -71,13 +71,12 @@ def objective(pairs, cfg: TrainConfig, s3im_cfg: S3imConfig = None):
         s3im_cfg = cfg.make_s3im(np.concatenate([y for _, y in pairs]))
     total = None
     for i, (pred, y) in enumerate(pairs):
-        values = as_tensor(pred)
-        if values.size != y.size:
-            raise ShapeError(f"batch {i}: {values.size} predictions vs {y.size} labels")
-        diff = sub(values, y)
+        if pred.size != y.size:
+            raise ShapeError(f"batch {i}: {pred.size} predictions vs {y.size} labels")
+        diff = sub(pred, y)
         term = mean(mul(diff, diff))
         if cfg.s3im_enabled and y.size >= 2:
-            reg = s3im_regularizer(values, y, s3im_cfg)
+            reg = s3im_regularizer(pred, y, s3im_cfg)
             term = add(term, mul(reg, cfg.s3im_weight))
         total = term if total is None else add(total, term)
     if total is None:

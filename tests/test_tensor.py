@@ -6,12 +6,16 @@ import pytest
 from sebrange.errors import ContractError, ShapeError
 from sebrange.optim import Param
 from sebrange.rng import Rng
+from sebrange.s3im import S3imConfig, s3im
 from sebrange.tensor import (
     Tensor,
     _pairwise_sum_rows,
     add,
+    attention_core,
     concat,
     gather_rows,
+    layer_norm,
+    linear,
     matmul,
     mean,
     mul,
@@ -20,6 +24,7 @@ from sebrange.tensor import (
     reshape,
     scatter_add_rows,
     softmax_rows,
+    sub,
     sum_,
 )
 from test_fused import transpose_last
@@ -247,3 +252,66 @@ def test_tensor_data_flat_row_major():
     assert np.array_equal(t.array.reshape(-1), [0, 1, 2, 3, 4, 5])
     assert t.shape == (2, 3)
     assert t.size == 6
+
+
+# -- constants: an operand that is not a Tensor is not on the tape -------------
+
+_r = Rng(12)
+_a, _b, _row = _r.normal(size=(3, 4)), _r.normal(size=(3, 4)), _r.normal(size=(4,))
+_q, _k, _v = (_r.normal(size=(2, 5, 4)) for _ in range(3))
+_x3 = _r.normal(size=(2, 3, 4))
+
+# (name, op over its operands, operand values); each case is run once per
+# operand made a constant.
+CONSTANT_CASES = [
+    ("add", add, [_a, _row]),
+    ("add-float", add, [_a, 2.5]),
+    ("sub", sub, [_a, _b]),
+    ("sub-float", sub, [1.0, _a]),
+    ("mul", mul, [_a, _row]),
+    ("mul-float", mul, [_a, 0.75]),
+    ("relu", relu, [_a]),
+    ("matmul", matmul, [_a, _b.T]),
+    ("linear", linear, [_x3, _b.T, _r.normal(size=(3,))]),
+    ("sum", lambda t: sum_(t, axis=-1), [_a]),
+    ("mean", lambda t: mean(t, axis=-2), [_x3]),
+    ("reshape", lambda t: reshape(t, (4, 3)), [_a]),
+    ("concat", lambda s, t: concat([s, t], axis=-1), [_a, _b]),
+    ("softmax", softmax_rows, [_a]),
+    ("attention", attention_core, [_q, _k, _v]),
+    ("layer-norm", layer_norm, [_x3, _row, _r.normal(size=(4,))]),
+    ("gather", lambda t: gather_rows(t, np.array([2, 0, 2])), [_a]),
+    ("neighbor-mean", lambda t: neighbor_mean(
+        t, np.array([0, 1, 2]), np.array([1, 1, 0]), 2, np.array([1.0, 0.5])), [_a]),
+    ("s3im", lambda t: s3im(t, _b, S3imConfig()), [_a]),
+]
+
+
+def _run_with(op, values, constant, as_leaf):
+    """``op`` with operand ``constant`` passed as its value, or as a
+    ``Tensor`` leaf, and every other operand a Param leaf. Returns the
+    output's bytes, its parents, the leaves' nodes and the Param grads
+    of sum(out * c)."""
+    params = [Param(v) for v in values]
+    operands = [p.tensor() for p in params]
+    operands[constant] = Tensor(values[constant]) if as_leaf else values[constant]
+    out = op(*operands)
+    parents = out._parents
+    sum_(mul(out, Rng(3).normal(size=out.shape))).backward()
+    nodes = [t.node for t in operands if isinstance(t, Tensor)]
+    grads = [p.grad.tobytes() for i, p in enumerate(params) if i != constant]
+    return out.array.tobytes(), parents, nodes, grads
+
+
+@pytest.mark.parametrize("name, op, values", CONSTANT_CASES,
+                         ids=[c[0] for c in CONSTANT_CASES])
+def test_constant_operand_matches_a_leaf(name, op, values):
+    for constant in range(len(values)):
+        out, parents, nodes, grads = _run_with(op, values, constant, False)
+        leaf_out, leaf_parents, leaf_nodes, leaf_grads = _run_with(
+            op, values, constant, True)
+        assert out == leaf_out, constant
+        assert parents == tuple(nodes), constant
+        assert len(leaf_parents) == len(parents) + 1, constant
+        assert grads == leaf_grads, constant
+
