@@ -7,6 +7,7 @@ lines; the frozen-benchmark criteria share one module-scoped run
 
 import ctypes
 import json
+import platform
 import time
 from pathlib import Path
 
@@ -258,36 +259,43 @@ FROZEN_MAE_RTOL = 1e-6
 
 
 def _openblas_state():
-    """The thread count and core name that numpy's bundled OpenBLAS reports,
-    each ``"unknown"`` when the library or its symbol is not found."""
+    """The thread count, core name and build line that numpy's bundled
+    OpenBLAS reports, each ``"unknown"`` when the library or its symbol is
+    not found."""
     root = Path(np.__file__).parent
     libs = sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(
         root.glob(".dylibs/*openblas*"))
-    threads = core = "unknown"
-    if libs:
-        lib = ctypes.CDLL(str(libs[0]))
-        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            threads = lib.scipy_openblas_get_num_threads64_()
-        if hasattr(lib, "scipy_openblas_get_corename64_"):
-            corename = lib.scipy_openblas_get_corename64_
-            corename.restype = ctypes.c_char_p
-            core = corename().decode()
-    return threads, core
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
+
+    def text(symbol):
+        if not hasattr(lib, symbol):
+            return "unknown"
+        read = getattr(lib, symbol)
+        read.restype = ctypes.c_char_p
+        return read().decode()
+
+    threads = "unknown"
+    if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        threads = lib.scipy_openblas_get_num_threads64_()
+    return (threads, text("scipy_openblas_get_corename64_"),
+            text("scipy_openblas_get_config64_"))
 
 
 def _float_environment():
     """What the frozen bits depend on besides the code: numpy, its BLAS
-    build, the SIMD extensions numpy dispatches to, and the threads and
-    kernel core that BLAS runs with."""
+    build, the SIMD extensions numpy dispatches to, the threads and kernel
+    core that BLAS runs with, and the C library."""
     info = np.show_config(mode="dicts")
     blas = info["Build Dependencies"]["blas"]
-    threads, core = _openblas_state()
+    threads, core, config = _openblas_state()
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "simd_found": info["SIMD Extensions"]["found"],
         "blas_threads": threads,
         "blas_core": core,
+        "blas_config": config,
+        "libc": " ".join(filter(None, platform.libc_ver())) or "unknown",
     }
 
 

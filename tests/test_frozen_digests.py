@@ -41,9 +41,13 @@ def test_frozen_seed42_digests(frozen_seed42_run):
     pinned = [p["digests"] for p in json.loads(FROZEN_PIN.read_text())["pins"]
               if p["environment"] == env]
     if not pinned:
+        print("\n[acceptance] frozen seed-42 digests: SKIP (tolerance: "
+              "environment not pinned)")
         pytest.skip("float environment not pinned; test_frozen_seed42_pin "
                     "checks the MAEs within its tolerance")
     assert frozen_digests(frozen_seed42_run[0]) == pinned[0]
+    print("\n[acceptance] frozen seed-42 digests: PASS (exact: every weight "
+          "and residual digest)")
 
 
 if __name__ == "__main__":
