@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor, _record
 
 
@@ -53,9 +53,13 @@ class Param:
 
     def accumulate(self, g: np.ndarray, rows=None):
         """Add a leaf's gradient into ``grad``: into the whole array, or
-        into ``rows`` only, in their order."""
+        into ``rows`` only, in their order. ``g`` must have the leaf's shape."""
+        shape = self.shape if rows is None else rows.shape + self.shape[1:]
+        if g.shape != shape:
+            raise ContractError(f"{self!r} got a gradient of shape {g.shape}, "
+                                f"expected {shape}")
         if rows is None:
-            self.grad += g.reshape(self.grad.shape)
+            self.grad += g
             rows = slice(None)
         else:
             np.add.at(self.grad, rows, g)

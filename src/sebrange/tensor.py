@@ -26,8 +26,9 @@ for read-only use.
 
 Conventions fixed repo-wide:
   * features-times-weights row-vector products, ``h @ W``;
-  * elementwise ops broadcast like numpy, gradients are summed back down
-    to each operand's shape;
+  * operands broadcast like numpy, leading axes of ``matmul`` and
+    ``attention_core`` as in numpy's ``matmul``, and every gradient comes
+    back in its operand's shape, summed by the one rule ``_unbroadcast``;
   * reductions and row-wise ops act on the trailing axes, so every op
     works on batched (leading-axis) inputs unchanged;
   * BLAS gets contiguous operands; a non-last axis is summed in numpy's order.
@@ -88,8 +89,6 @@ class Tensor:
             t.grad = None
         self.node.grad = np.ones_like(self.array)
         for t in reversed(order):
-            if t.grad is None:
-                continue
             if t._param is not None:
                 t._param.accumulate(t.grad, t._rows)
             if t._vjp is None:
@@ -97,8 +96,6 @@ class Tensor:
             grads = t._vjp(t.grad)
             t.grad, t._vjp = None, _spent_vjp
             for parent, g in zip(t._parents, grads):
-                if g is None:
-                    continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
     def __repr__(self):
@@ -113,8 +110,9 @@ def _spent_vjp(g):
 def _record(out, operands, vjp, param=None, rows=None) -> Tensor:
     """Put ``out`` on the tape, the one place a Tensor and its Node are made.
 
-    ``vjp`` returns one gradient per operand, in order. The Tensor operands'
-    nodes are the parents, and a constant operand's gradient is dropped. A
+    ``vjp`` returns one gradient per operand, in order, each in its
+    operand's exact shape. The Tensor operands' nodes are the parents, and a
+    constant operand's entry is dropped unread, so it may be None. A
     leaf has no operands and no VJP; a Param leaf names its param and rows.
     """
     t = object.__new__(Tensor)
@@ -152,8 +150,9 @@ def _toposort(root: Node):
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if g.shape == tuple(shape):
+    """Sum a broadcast gradient back down to the operand's shape: over the
+    extra leading axes, then over the operand's size-1 axes."""
+    if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra:
@@ -230,17 +229,9 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(y, -1, -2))
         gb = np.matmul(np.swapaxes(x, -1, -2), g)
-        return _sum_leading(ga, x.ndim), _sum_leading(gb, y.ndim)
+        return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
 
     return _record(np.matmul(x, y), (a, b), vjp)
-
-
-def _sum_leading(g: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum a batched product's gradient over the leading axes its operand
-    was broadcast along."""
-    while g.ndim > ndim:
-        g = g.sum(axis=0)
-    return g
 
 
 def linear(x, w, b) -> Tensor:
@@ -420,12 +411,12 @@ def attention_core(q, k, v) -> Tensor:
         weights, st = np.ascontiguousarray(np.swapaxes(st, -1, -2)), None
         gs = np.matmul(g, np.ascontiguousarray(np.swapaxes(va, -1, -2)))
         gs = _softmax_vjp(weights, gs)
-        gv = _sum_leading(np.matmul(np.swapaxes(weights, -1, -2), g), va.ndim)
+        gv = _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g), va.shape)
         del weights
         # The scale is applied to the narrow (S, D) products, not the (S, S) rows.
         return (
-            _sum_leading(np.matmul(gs, ka) * scale, qa.ndim),
-            _sum_leading(np.matmul(np.swapaxes(gs, -1, -2), qa) * scale, ka.ndim),
+            _unbroadcast(np.matmul(gs, ka) * scale, qa.shape),
+            _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qa) * scale, ka.shape),
             gv,
         )
 

@@ -315,3 +315,67 @@ def test_constant_operand_matches_a_leaf(name, op, values):
         assert len(leaf_parents) == len(parents) + 1, constant
         assert grads == leaf_grads, constant
 
+
+
+# -- broadcasting: every gradient comes back in its operand's shape -------------
+
+_broadcast_rng = Rng(13)
+
+
+def _normal(*shape):
+    return _broadcast_rng.normal(size=shape)
+
+
+# (name, op over its operands, operand values, trailing axes each operand
+# keeps as its own: 0 for elementwise broadcasting, 2 for numpy matmul's).
+BROADCAST_CASES = [
+    ("add", add, [_normal(1, 4, 3), _normal(5, 4, 3)], 0),
+    ("sub", sub, [_normal(5, 4, 3), _normal(1, 4, 3)], 0),
+    ("mul", mul, [_normal(1, 4, 3), _normal(5, 1, 3)], 0),
+    ("matmul-1", matmul, [_normal(1, 4, 3), _normal(5, 3, 2)], 2),
+    ("matmul-2d-left", matmul, [_normal(4, 3), _normal(5, 3, 2)], 2),
+    ("matmul-2d-right", matmul, [_normal(5, 4, 3), _normal(3, 2)], 2),
+    ("attention-query", attention_core,
+     [_normal(1, 6, 4), _normal(3, 6, 4), _normal(3, 6, 4)], 2),
+    ("attention-keys", attention_core,
+     [_normal(3, 6, 4), _normal(1, 6, 4), _normal(3, 6, 4)], 2),
+    ("layer-norm", layer_norm, [_normal(2, 3, 4), _normal(4), _normal(1, 1, 4)], 0),
+]
+
+
+def _param_grads(op, values):
+    """Each operand as a Param leaf: the leaves' ``.grad`` shapes and the
+    Param grads of sum(op(...) * c)."""
+    params = [Param(v) for v in values]
+    leaves = [p.tensor() for p in params]
+    out = op(*leaves)
+    sum_(mul(out, Rng(4).normal(size=out.shape))).backward()
+    return [t.grad.shape for t in leaves], [p.grad for p in params]
+
+
+@pytest.mark.parametrize("name, op, values, core", BROADCAST_CASES,
+                         ids=[c[0] for c in BROADCAST_CASES])
+def test_broadcast_operand_gets_its_own_shape(name, op, values, core):
+    leading = np.broadcast_shapes(*(v.shape[:v.ndim - core] for v in values))
+    targets = [leading + v.shape[v.ndim - core:] for v in values]
+    shapes, grads = _param_grads(op, values)
+    _, full = _param_grads(op, [np.broadcast_to(v, s).copy()
+                                for v, s in zip(values, targets)])
+    for i, (v, target) in enumerate(zip(values, targets)):
+        assert shapes[i] == v.shape, i
+        # The broadcast is a gather; its transpose sums each element's copies.
+        owner = np.broadcast_to(np.arange(v.size).reshape(v.shape), target)
+        want = np.bincount(owner.reshape(-1), weights=full[i].reshape(-1),
+                           minlength=v.size).reshape(v.shape)
+        assert np.abs(grads[i] - want).max() <= 1e-12, i
+
+
+def test_accumulate_rejects_a_gradient_of_another_shape():
+    p = Param(np.zeros((4, 3)))
+    with pytest.raises(ContractError, match=r"\(3, 4\)"):
+        p.accumulate(np.ones((3, 4)))
+    rows = np.array([0, 2])
+    p.rows(rows)
+    with pytest.raises(ContractError, match=r"\(2, 4\)"):
+        p.accumulate(np.ones((2, 4)), rows)
+    assert not p.grad.any()
