@@ -316,7 +316,6 @@ def test_constant_operand_matches_a_leaf(name, op, values):
         assert grads == leaf_grads, constant
 
 
-
 # -- broadcasting: every gradient comes back in its operand's shape -------------
 
 _broadcast_rng = Rng(13)
