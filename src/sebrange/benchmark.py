@@ -85,12 +85,6 @@ class BenchmarkResult:
     histories: dict
     improvement_pct: float
 
-    def row(self, kind: str) -> BenchRow:
-        for r in self.rows:
-            if r.model == kind:
-                return r
-        raise KeyError(kind)
-
 
 def run_benchmark(orders, graph, mcfg: ModelConfig, cfg: TrainConfig,
                   models=BENCH_MODELS) -> BenchmarkResult:

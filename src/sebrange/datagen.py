@@ -492,6 +492,8 @@ def _parse_meta(path, line, line_no, seen):
     seen.add(oid)
     if not (math.isfinite(ride_length) and math.isfinite(label)):
         raise ParseError(path, line_no, f"non-finite ride_length or label in {line!r}")
+    if label < 0:
+        raise ParseError(path, line_no, f"label must be nonnegative, got {label}")
     return oid, u_idx, b_idx, t, ride_length, label
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .graph import TemporalGraph
-from .optim import Param, glorot_uniform
+from .optim import Param, RowTable, glorot_uniform
 from .tensor import Tensor, _record, add, gather_rows, matmul, neighbor_mean, relu
 
 ACTIVATIONS = ("relu", "identity")
@@ -124,7 +124,7 @@ class NodeFeatureTable:
         self.dim = dim
         self.user_vec = Param(glorot_uniform(rng, dim, dim, (dim,)), "h0.user")
         self.battery_vec = Param(glorot_uniform(rng, dim, dim, (dim,)), "h0.battery")
-        self.battery_bias = Param(
+        self.battery_bias = RowTable(
             glorot_uniform(rng, dim, dim, (n_batteries, dim)), "h0.battery_bias"
         )
 

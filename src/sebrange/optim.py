@@ -12,44 +12,25 @@ class Param:
     ``grad`` always has the same shape as ``value`` and is all zeros right
     after :meth:`zero_grad`. Backward passes add into ``grad``; the caller
     zeroes it between steps.
-
-    A param read through :meth:`rows` is a row table from then on: it
-    records in ``touched`` the rows backward passes added into since the
-    last :meth:`zero_grad`, which clears only those rows, so its ``grad``
-    must change only through backward passes.
     """
 
-    __slots__ = ("value", "grad", "name", "touched")
+    __slots__ = ("value", "grad", "name")
 
     def __init__(self, value, name: str = ""):
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.name = name
-        self.touched = None  # None, or the row indices added into since zero_grad
 
     @property
     def shape(self):
         return self.value.shape
 
     def zero_grad(self):
-        if self.touched is None:
-            self.grad[...] = 0.0
-            return
-        for rows in self.touched:
-            self.grad[rows] = 0.0
-        self.touched.clear()
+        self.grad[...] = 0.0
 
     def tensor(self) -> Tensor:
         """Leaf tensor sharing this param's storage; backward deposits here."""
         return _record(self.value, (), None, self)
-
-    def rows(self, idx) -> Tensor:
-        """Leaf tensor holding rows ``idx`` (repeats allowed); backward adds
-        its gradient into only those rows of ``grad``."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if self.touched is None:
-            self.touched = [slice(None)] if self.grad.any() else []
-        return _record(self.value[idx], (), None, self, idx)
 
     def accumulate(self, g: np.ndarray, rows=None):
         """Add a leaf's gradient into ``grad``: into the whole array, or
@@ -60,14 +41,42 @@ class Param:
                                 f"expected {shape}")
         if rows is None:
             self.grad += g
-            rows = slice(None)
         else:
             np.add.at(self.grad, rows, g)
-        if self.touched is not None:
-            self.touched.append(rows)
 
     def __repr__(self):
-        return f"Param({self.name or 'unnamed'}, shape={self.shape})"
+        return f"{type(self).__name__}({self.name or 'unnamed'}, shape={self.shape})"
+
+
+class RowTable(Param):
+    """A param read row by row through :meth:`rows`, such as one feature
+    row per node.
+
+    It records in ``touched`` every deposit since the last
+    :meth:`zero_grad`, ``slice(None)`` for a whole read, and zeroes only
+    those rows, so its ``grad`` must change only through backward passes.
+    """
+
+    __slots__ = ("touched",)
+
+    def __init__(self, value, name: str = ""):
+        super().__init__(value, name)
+        self.touched = []  # the row indices added into since zero_grad
+
+    def zero_grad(self):
+        for rows in self.touched:
+            self.grad[rows] = 0.0
+        self.touched.clear()
+
+    def rows(self, idx) -> Tensor:
+        """Leaf tensor holding rows ``idx`` (repeats allowed); backward adds
+        its gradient into only those rows of ``grad``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return _record(self.value[idx], (), None, self, idx)
+
+    def accumulate(self, g: np.ndarray, rows=None):
+        super().accumulate(g, rows)
+        self.touched.append(slice(None) if rows is None else rows)
 
 
 def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -80,7 +89,7 @@ class _RowMoments:
     """Adam moments of a row table's live rows, in the order the rows
     became live: row ``idx[i]`` has moments ``m[i]`` and ``v[i]``."""
 
-    def __init__(self, param: Param):
+    def __init__(self, param: RowTable):
         self.param = param
         self.live = np.zeros(param.shape[0], dtype=bool)
         self.idx = np.zeros(0, dtype=np.int64)
@@ -102,34 +111,23 @@ class AdamState:
 
     Decay rates 0.9 / 0.999 with epsilon 1e-8; moments are bias-corrected.
 
-    A row table (a param read through :meth:`Param.rows`) is updated on its
-    live rows only: the rows any backward has reached. Any other row has
-    m = v = 0 and a zero gradient, for which the update leaves its value, m
-    and v unchanged bit for bit, so skipping it is exact, not lazy Adam. The
-    other params share one flat moment buffer, updated in one pass. Which
-    params are tables is settled at the first step, after a forward has
-    read them.
+    A :class:`RowTable` is updated on its live rows only: the rows any
+    backward has reached. Any other row has m = v = 0 and a zero gradient,
+    for which the update leaves its value, m and v unchanged bit for bit,
+    so skipping it is exact, not lazy Adam. The other params share one flat
+    moment buffer, updated in one pass.
     """
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.step = 0
-        self.dense = None   # params in the flat buffer
-        self.bounds = None  # their offsets in it
-        self.m = None
-        self.v = None
-        self.tables = None  # a _RowMoments per row table
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def _lay_out(self):
-        self.dense = [p for p in self.params if p.touched is None]
+    def __init__(self, params):
+        self.params = list(params)
+        self.step = 0
+        self.dense = [p for p in self.params if not isinstance(p, RowTable)]
         self.bounds = np.cumsum([0] + [p.value.size for p in self.dense])
         self.m = np.zeros(self.bounds[-1])
         self.v = np.zeros(self.bounds[-1])
-        self.tables = [_RowMoments(p) for p in self.params if p.touched is not None]
+        self.tables = [_RowMoments(p) for p in self.params if isinstance(p, RowTable)]
 
     def _decrement(self, g, m, v, lr):
         """Advance ``m`` and ``v`` in place by gradient ``g``; returns the
@@ -143,15 +141,11 @@ class AdamState:
                 / (np.sqrt(v / (1.0 - b2**self.step)) + self.eps))
 
 
-def optimizer_step(params, state: AdamState, lr: float = 1e-3):
-    """One adaptive-moment update. Gradients are left untouched."""
+def optimizer_step(state: AdamState, lr: float):
+    """One adaptive-moment update of ``state.params``. Gradients are left
+    untouched."""
     if not lr > 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(state.params) or any(
-            p is not q for p, q in zip(params, state.params)):
-        raise ConfigError("optimizer state does not match the param list")
-    if state.dense is None:
-        state._lay_out()
     state.step += 1
     if state.dense:
         g = np.concatenate([p.grad.reshape(-1) for p in state.dense])

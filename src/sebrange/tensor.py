@@ -76,7 +76,7 @@ class Tensor:
 
         Leaves keep their gradient in ``.grad``, and a Param leaf adds it into
         the param's ``grad``: the whole array for ``Param.tensor()``, only the
-        rows it holds for ``Param.rows()``. An interior node drops its ``.grad``
+        rows it holds for ``RowTable.rows()``. An interior node drops its ``.grad``
         and its VJP, with the arrays the VJP saved, once the VJP has run; a
         second sweep through that node raises ContractError.
         """

@@ -186,7 +186,7 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
             loss = objective([(pred, labels)], cfg, s3im_cfg)
             loss.backward()
             if cfg.lr > 0:
-                optimizer_step(params, adam, cfg.lr)
+                optimizer_step(adam, cfg.lr)
             epoch_loss += loss.item()
             # The graph's forward arrays would otherwise live through the next forward.
             del pred, loss

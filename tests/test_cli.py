@@ -63,6 +63,41 @@ def test_train_eval_flow(dataset_dir, tmp_path):
     assert code == 0
 
 
+@pytest.fixture(scope="module")
+def one_epoch_run(dataset_dir, tmp_path_factory):
+    run = tmp_path_factory.mktemp("one_epoch")
+    assert main(["train", *FAST, "--seed", "42", "--model", "seb", "--epochs", "1",
+                 "--data", str(dataset_dir), "--out", str(run)]) == 0
+    return run
+
+
+def test_epochs_flag_sets_the_epoch_count(one_epoch_run):
+    loss = (one_epoch_run / "loss.csv").read_text().strip().split("\n")
+    assert len(loss) == 2  # header + 1 epoch
+    assert "train.epochs=1\n" in (one_epoch_run / "config.resolved").read_text()
+
+
+def test_eval_out_writes_scores_and_config(dataset_dir, one_epoch_run, tmp_path, capsys):
+    out = tmp_path / "scores"
+    code = main(["eval", *FAST, "--seed", "42", "--set", "train.epochs=1", "--data",
+                 str(dataset_dir), "--ckpt", str(one_epoch_run / "model.ckpt.npz"),
+                 "--out", str(out)])
+    assert code == 0
+    mae_mean, mae_std = capsys.readouterr().out.split()[1::3]
+    assert (out / "eval.csv").read_text() == (
+        f"model,mae_mean,mae_std\nseb,{mae_mean},{mae_std}\n")
+    assert (out / "config.resolved").read_bytes() == (
+        one_epoch_run / "config.resolved").read_bytes()
+
+
+def test_eval_missing_checkpoint_exit_3(dataset_dir, tmp_path, capsys):
+    ckpt = tmp_path / "none.ckpt.npz"
+    code, err = _one_error_line(capsys, ["eval", *FAST, "--data", str(dataset_dir),
+                                         "--ckpt", str(ckpt)])
+    assert code == 3
+    assert err == f"missing input: checkpoint not found: {ckpt}\n"
+
+
 def test_eval_config_mismatch_exit_4(dataset_dir, tmp_path):
     run = tmp_path / "run"
     assert main(["train", *FAST, "--seed", "42", "--model", "mlp",
@@ -103,6 +138,14 @@ def _cut_scaler_sd(meta, arrays):
     arrays["scaler_sd"] = arrays["scaler_sd"][:5]
 
 
+def _drop_first_layer(meta, arrays):
+    del arrays["param:mlp.w0"]
+
+
+def _drop_model_config_field(meta, arrays):
+    del meta["model_config"]["dqk"]
+
+
 # The edits below replace the whole __meta__ record; None leaves it out.
 def _no_meta(meta, arrays):
     arrays["__meta__"] = None
@@ -137,6 +180,8 @@ def _float_n_users(meta, arrays):
      "checkpoint param:mlp.w0 is float64 (1, 8), the model needs float64 (384, 8)"),
     ("seb", _cut_scaler_sd,
      "checkpoint scaler_sd is float64 (5,), the model needs float64 (6,)"),
+    ("mlp", _drop_first_layer, "checkpoint is missing param:mlp.w0"),
+    ("seb", _drop_model_config_field, "checkpoint model_config has missing fields dqk"),
     ("mlp", _no_meta, "checkpoint has no __meta__ record"),
     ("mlp", _meta_not_json, "checkpoint __meta__ is not JSON: Expecting property name "
      "enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -144,7 +189,8 @@ def _float_n_users(meta, arrays):
     ("seb", _text_n_batteries, "checkpoint n_batteries must be an integer >= 0, got 'x'"),
     ("seb", _float_n_users, "checkpoint n_users must be an integer >= 0, got 80.0"),
 ], ids=["old-model-config", "missing-meta-key", "format-v1", "model-config-int",
-        "text-width", "cut-weight", "cut-scaler", "no-meta", "meta-not-json",
+        "text-width", "cut-weight", "cut-scaler", "dropped-weight",
+        "dropped-model-config-field", "no-meta", "meta-not-json",
         "meta-array", "text-n-batteries", "float-n-users"])
 def test_eval_bad_checkpoint_metadata_exit_4(dataset_dir, tmp_path, capsys, kind, edit,
                                              message):
@@ -222,11 +268,18 @@ def _corrupt_field(src, dst, line_no, field, value):
     (dst / "graph.seb").write_text((src / "graph.seb").read_text())
 
 
-def _input_error(capsys, argv):
+def _one_error_line(capsys, argv):
+    """Run ``main(argv)``: its exit code and its one line of stderr."""
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
-    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return code, err
+
+
+def _input_error(capsys, argv):
+    code, err = _one_error_line(capsys, argv)
+    assert err.startswith("input error: ")
     return code, err
 
 
@@ -286,6 +339,33 @@ def test_bad_graph_record_exit_3(dataset_dir, tmp_path, capsys, field, value, wh
         "--data", str(bad), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "graph.seb:4: " in err and why in err
+
+
+@pytest.mark.parametrize("lines, line_no, why", [
+    (lambda lines: lines[:1] + lines[2:], 2, "missing #dims line"),
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], 4,
+     "expected 4 fields, got 3"),
+], ids=["no-dims", "three-fields"])
+def test_bad_graph_layout_exit_3(dataset_dir, tmp_path, capsys, lines, line_no, why):
+    bad = tmp_path / "graph"
+    shutil.copytree(dataset_dir, bad)
+    text = (bad / "graph.seb").read_text().split("\n")
+    (bad / "graph.seb").write_text("\n".join(lines(text)))
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"graph.seb:{line_no}: {why}" in err
+
+
+def test_negative_label_exit_3(dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "negative"
+    _corrupt_field(dataset_dir, bad, 2, 5, "-1.0")
+    code, err = _input_error(capsys, [
+        "train", *FAST, "--seed", "42", "--model", "seb",
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "orders.seb:2: label must be nonnegative, got -1.0" in err
 
 
 def test_duplicate_order_id_exit_3(dataset_dir, tmp_path, capsys):
@@ -425,6 +505,31 @@ def test_gradcheck_nonpositive_tolerance_exit_2(capsys, tolerance):
 def test_unknown_set_key_exit_2(tmp_path):
     code = main(["gen", "--set", "bogus.key=1", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_set_without_equals_exit_2(tmp_path, capsys):
+    code, err = _one_error_line(capsys, ["gen", "--set", "seed", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert err == "config error: override must look like key=value, got 'seed'\n"
+
+
+def test_config_line_without_equals_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=4\n# a comment\ngen.orders 120\n")
+    code, err = _one_error_line(capsys, ["gen", "--config", str(cfg),
+                                         "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert err == f"config error: {cfg}:3: expected key=value, got 'gen.orders 120'\n"
+
+
+@pytest.mark.parametrize("setting", ["train.epochs=0", "train.batch=0"])
+def test_nonpositive_epochs_or_batch_exit_2(dataset_dir, tmp_path, capsys, setting):
+    code, err = _one_error_line(capsys, ["train", *FAST, "--set", setting, "--model", "seb",
+                                         "--data", str(dataset_dir),
+                                         "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err == "config error: epochs and batch size must be positive\n"
+    assert not (tmp_path / "o").exists()
 
 
 # Keys the encoder block and the similarity index no longer have, each with

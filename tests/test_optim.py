@@ -7,7 +7,7 @@ from sebrange import audit, training
 from sebrange.benchmark import build_model, train_model
 from sebrange.datagen import GeneratorConfig, generate
 from sebrange.model import ModelConfig
-from sebrange.optim import AdamState, Param, optimizer_step
+from sebrange.optim import AdamState, Param, RowTable, optimizer_step
 from sebrange.rng import Rng
 from sebrange.tensor import add, mul, sum_
 from sebrange.training import TrainConfig
@@ -16,20 +16,21 @@ from sebrange.training import TrainConfig
 class DenseAdam:
     """Adam over every element of every param, one param at a time."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
 
 
-def dense_adam_step(params, state, lr=1e-3):
+def dense_adam_step(state, lr):
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, m, v in zip(params, state.m, state.v):
+    for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad
         m *= b1
         m += (1.0 - b1) * g
@@ -75,7 +76,8 @@ def row_schedule(r, steps):
 def test_row_sparse_adam_matches_dense_adam_bit_for_bit():
     r = Rng(5)
     init = [r.normal(size=(4, 3)), r.normal(size=(N_ROWS, 3)), r.normal(size=(3,))]
-    sparse = [Param(a.copy(), f"p{i}") for i, a in enumerate(init)]
+    sparse = [kind(a.copy(), f"p{i}")
+              for i, (kind, a) in enumerate(zip((Param, RowTable, Param), init))]
     dense = [Param(a.copy(), f"p{i}") for i, a in enumerate(init)]
     s_state, d_state = AdamState(sparse), DenseAdam(dense)
     c_w, c_b = r.normal(size=(4, 3)), r.normal(size=(3,))
@@ -94,8 +96,8 @@ def test_row_sparse_adam_matches_dense_adam_bit_for_bit():
         dense[0].grad += c_w
         dense[2].grad += c_b
         assert sparse[1].grad.tobytes() == dense[1].grad.tobytes()
-        optimizer_step(sparse, s_state, lr=0.05)
-        dense_adam_step(dense, d_state, lr=0.05)
+        optimizer_step(s_state, lr=0.05)
+        dense_adam_step(d_state, lr=0.05)
         live.update(rows.tolist())
         for ps, pd in zip(sparse, dense):
             assert ps.value.tobytes() == pd.value.tobytes(), (step, ps.name)
@@ -118,7 +120,7 @@ def test_row_sparse_adam_matches_dense_adam_bit_for_bit():
 
 
 def test_zero_grad_clears_a_row_table_read_whole():
-    p = Param(np.ones((5, 2)))
+    p = RowTable(np.ones((5, 2)))
     q = p.rows([1, 1, 3])
     sum_(add(sum_(q), sum_(p.tensor()))).backward()
     assert np.array_equal(p.grad[:, 0], [1.0, 3.0, 1.0, 2.0, 1.0])
@@ -127,12 +129,20 @@ def test_zero_grad_clears_a_row_table_read_whole():
     assert p.touched == []
 
 
-def test_row_leaf_on_dirty_grad_counts_every_row():
+def test_adam_state_is_laid_out_when_made():
+    w, table = Param(np.ones((2, 3))), RowTable(np.ones((5, 3)))
+    state = AdamState([w, table])
+    assert state.dense == [w]
+    assert state.m.shape == state.v.shape == (6,)
+    (moments,) = state.tables
+    assert moments.param is table
+    assert moments.idx.size == 0 and moments.m.shape == (5, 3)
+
+
+def test_plain_param_has_no_row_leaf():
     p = Param(np.ones((4, 2)))
-    p.grad += 1.0
-    p.rows([2])
-    p.zero_grad()
-    assert np.all(p.grad == 0.0)
+    assert not hasattr(p, "rows")
+    assert not hasattr(p, "touched")
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +161,10 @@ def test_sparse_fleet_training_matches_dense_adam(sparse_fleet, monkeypatch):
         """History, weights after every step and the best-epoch weights."""
         trail = []
 
-        def recorded(params, state, lr):
+        def recorded(state, lr):
             states.append(state)
-            step(params, state, lr)
-            trail.append(b"".join(p.value.tobytes() for p in params))
+            step(state, lr)
+            trail.append(b"".join(p.value.tobytes() for p in state.params))
 
         monkeypatch.setattr(training, "optimizer_step", recorded)
         model = build_model("seb", ModelConfig(), graph.n_users,

@@ -59,6 +59,8 @@ def reference_read_orders(path):
         if not (math.isfinite(ride_length) and math.isfinite(label)):
             raise ParseError(path, line_no,
                              f"non-finite ride_length or label in {lines[i]!r}")
+        if label < 0:
+            raise ParseError(path, line_no, f"label must be nonnegative, got {label}")
         if i + SEQ_LEN >= len(lines):
             raise ParseError(path, len(lines) + 1,
                              f"order {oid} truncated: expected {SEQ_LEN} telemetry rows")

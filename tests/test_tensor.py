@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sebrange.errors import ContractError, ShapeError
-from sebrange.optim import Param
+from sebrange.optim import Param, RowTable
 from sebrange.rng import Rng
 from sebrange.s3im import S3imConfig, s3im
 from sebrange.tensor import (
@@ -370,11 +370,10 @@ def test_broadcast_operand_gets_its_own_shape(name, op, values, core):
 
 
 def test_accumulate_rejects_a_gradient_of_another_shape():
-    p = Param(np.zeros((4, 3)))
+    p = RowTable(np.zeros((4, 3)))
     with pytest.raises(ContractError, match=r"\(3, 4\)"):
         p.accumulate(np.ones((3, 4)))
     rows = np.array([0, 2])
-    p.rows(rows)
     with pytest.raises(ContractError, match=r"\(2, 4\)"):
         p.accumulate(np.ones((2, 4)), rows)
     assert not p.grad.any()
