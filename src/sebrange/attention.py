@@ -32,7 +32,7 @@ def qkv_weights(rng, d: int, d_qk: int, d_v: int):
 def project_qkv(x, wq: Param, wk: Param, wv: Param):
     """Linear projections Q = X W_Q, K = X W_K, V = X W_V, one tape node
     each."""
-    return matmul(x, wq.tensor()), matmul(x, wk.tensor()), matmul(x, wv.tensor())
+    return matmul(x, wq), matmul(x, wk), matmul(x, wv)
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -75,12 +75,12 @@ def encode_sequence(block: TransformerBlock, x0: Tensor) -> Tensor:
         raise ShapeError(
             f"sequence length {x0.shape[-2]} does not match block ({block.seq_len})"
         )
-    x = add(x0, block.pos.tensor())
+    x = add(x0, block.pos)
     attended = add(attend(*project_qkv(x, block.wq, block.wk, block.wv)), x)
-    attended = layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
-    hidden = relu(linear(attended, block.w1.tensor(), block.b1.tensor()))
-    out = add(linear(hidden, block.w2.tensor(), block.b2.tensor()), attended)
-    return layer_norm(out, block.ln2_g.tensor(), block.ln2_b.tensor())
+    attended = layer_norm(attended, block.ln1_g, block.ln1_b)
+    hidden = relu(linear(attended, block.w1, block.b1))
+    out = add(linear(hidden, block.w2, block.b2), attended)
+    return layer_norm(out, block.ln2_g, block.ln2_b)
 
 
 class MlpHead:
@@ -111,7 +111,7 @@ def mlp_forward(head: MlpHead, x) -> Tensor:
     ``x`` is a Tensor, or an array when it is a constant."""
     out = x
     for i, (w, b) in enumerate(head.layers):
-        out = linear(out, w.tensor(), b.tensor())
+        out = linear(out, w, b)
         if i < len(head.layers) - 1:
             out = relu(out)
     return out

@@ -71,24 +71,18 @@ def _check_relu(r):
 def _check_layer_norm(r):
     gain = Param(r.normal(size=(5,)))
     bias = Param(r.normal(size=(5,)))
-    x = r.normal(size=(2, 3, 5))
+    x = Param(r.normal(size=(2, 3, 5)))
     c = r.normal(size=(2, 3, 5))
-    return max(
-        grad_check(lambda t: sum_(mul(layer_norm(t, gain.tensor(), bias.tensor()), c)), x),
-        grad_check_params(
-            lambda: sum_(mul(layer_norm(x, gain.tensor(), bias.tensor()), c)),
-            [gain, bias]))
+    return grad_check_params(lambda: sum_(mul(layer_norm(x, gain, bias), c)),
+                             [x, gain, bias])
 
 
 def _check_linear(r):
     w = Param(r.normal(size=(4, 3)))
     b = Param(r.normal(size=(3,)))
-    x = r.normal(size=(2, 5, 4))
+    x = Param(r.normal(size=(2, 5, 4)))
     c = r.normal(size=(2, 5, 3))
-    return max(
-        grad_check(lambda t: sum_(mul(linear(t, w.tensor(), b.tensor()), c)), x),
-        grad_check_params(
-            lambda: sum_(mul(linear(x, w.tensor(), b.tensor()), c)), [w, b]))
+    return grad_check_params(lambda: sum_(mul(linear(x, w, b), c)), [x, w, b])
 
 
 def _check_gcn_layer(r):

@@ -27,7 +27,7 @@ META_KEYS = ("format", "kind", "trained_as", "config_hash", "model_config",
 
 def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
     """Write the model to ``path``; raises NumericError, writing nothing,
-    when any parameter is non-finite."""
+    when any saved array, a parameter or the scaler's, is non-finite."""
     meta = {
         "format": CKPT_FORMAT,
         "kind": model.kind,
@@ -37,17 +37,14 @@ def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
         "n_users": getattr(model, "n_users", 0),
         "n_batteries": getattr(model, "n_batteries", 0),
     }
-    arrays = {}
     if model.kind == "lr":
-        arrays["coef"] = model.coef
+        arrays = {"coef": model.coef}
     else:
-        for p in model.params():
-            if not np.isfinite(p.value).all():
-                raise NumericError(
-                    f"parameter {p.name} has non-finite values; checkpoint not saved")
-            arrays["param:" + p.name] = p.value
-        arrays["scaler_mean"] = model.scaler.mean
-        arrays["scaler_sd"] = model.scaler.sd
+        arrays = {"param:" + p.name: p.value for p in model.params()}
+        arrays.update(scaler_mean=model.scaler.mean, scaler_sd=model.scaler.sd)
+    for key, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise NumericError(f"{key} has non-finite values; checkpoint not saved")
     np.savez(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
 

@@ -73,7 +73,7 @@ def _propagate(layer: GcnLayer, h: Tensor, h_self: Tensor, src, dst,
     holds 1/degree per destination row, 0 where it has no edge.
     """
     m = neighbor_mean(h, src, dst, h_self.shape[0], inv_deg)
-    out = add(matmul(m, layer.w.tensor()), matmul(h_self, layer.b.tensor()))
+    out = add(matmul(m, layer.w), matmul(h_self, layer.b))
     if layer.activation == "relu":
         out = relu(out)
     return out
@@ -136,19 +136,17 @@ class NodeFeatureTable:
 
         A user row is the user vector; battery row ``n_users + j`` is
         ``battery_bias[j] + battery_vec``. The bias rows come through one
-        row leaf, so a backward touches only the batteries in ``idx``.
+        row read, so a backward touches only the batteries in ``idx``.
         """
         idx = np.asarray(idx, dtype=np.int64)
         is_batt = idx >= self.n_users
-        user_vec = self.user_vec.tensor()
-        battery_vec = self.battery_vec.tensor()
         bias = self.battery_bias.rows(idx[is_batt] - self.n_users)
         out = np.empty((idx.shape[0], self.dim))
-        out[is_batt] = bias.array + battery_vec.array
-        out[~is_batt] = 0.0 + user_vec.array
+        out[is_batt] = bias.value + self.battery_vec.value
+        out[~is_batt] = 0.0 + self.user_vec.value
 
         def vjp(g):
             g_batt = g[is_batt]
             return g[~is_batt].sum(axis=0), g_batt.sum(axis=0), g_batt
 
-        return _record(out, (user_vec, battery_vec, bias), vjp)
+        return _record(out, (self.user_vec, self.battery_vec, bias), vjp)

@@ -12,12 +12,12 @@ from .tensor import Tensor
 def grad_check(f, point, h: float = 1e-5) -> float:
     """Compare analytic and central-difference gradients of a scalar function.
 
-    ``f`` maps a Tensor to a scalar Tensor. The check runs on a copy of
+    ``f`` maps a Param to a scalar Tensor. The check runs on a copy of
     ``point``, which is never written. Error metric as in
     :func:`grad_check_params`.
     """
-    leaf = Param(point)
-    return grad_check_params(lambda: f(leaf.tensor()), [leaf], h)
+    p = Param(point)
+    return grad_check_params(lambda: f(p), [p], h)
 
 
 def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:

@@ -70,7 +70,8 @@ class FeatureScaler:
     def fit(self, orders):
         """Mean and sd over all telemetry rows, read 64 orders at a time. Each
         sum adds the rows in sequence, as numpy's axis-0 reduction does, so
-        both equal a fit on every row at once, bit for bit."""
+        both equal a fit on every row at once, bit for bit. Raises
+        NumericError when a channel's mean or sd overflows float64."""
         def blocks():
             for i in range(0, len(orders), 64):
                 yield np.concatenate([o.telemetry for o in orders[i:i + 64]])
@@ -78,6 +79,8 @@ class FeatureScaler:
         n = sum(len(o.telemetry) for o in orders)
         self.mean = _sum_rows_in_order(blocks()) / n
         sd = np.sqrt(_sum_rows_in_order(np.square(b - self.mean) for b in blocks()) / n)
+        _check_overflow(np.isinf(np.concatenate([self.mean, sd])),
+                        "scaler's mean or sd", sd.size)
         sd[sd == 0.0] = 1.0
         self.sd = sd
 
@@ -93,6 +96,15 @@ def _sum_rows_in_order(blocks) -> np.ndarray:
             b = np.concatenate([total[None], b])
         total = b.sum(axis=0)
     return total
+
+
+def _check_overflow(inf, what: str, n_channels: int):
+    """Raise NumericError naming the first telemetry channel whose ``what``
+    overflowed float64, where ``inf`` is set; entry j is channel j % n_channels.
+    A NaN is NaN telemetry, which training reports as a non-finite loss."""
+    if inf.any():
+        raise NumericError(f"telemetry channel {int(np.argmax(inf)) % n_channels} "
+                           f"overflows float64 in the {what}")
 
 
 def _stack_telemetry(orders) -> np.ndarray:
@@ -151,7 +163,7 @@ class SebTransformer(_TrainedModel):
             raise ConfigError("orders in one batch must share a swap timestep")
         batch = len(orders)
         telemetry = self.scaler.apply(_stack_telemetry(orders))
-        x0 = linear(telemetry, self.proj_w.tensor(), self.proj_b.tensor())
+        x0 = linear(telemetry, self.proj_w, self.proj_b)
         x0_pooled = mean(x0, axis=-2)
         x2 = encode_sequence(self.block, x0)
         x2_pooled = mean(x2, axis=-2)
@@ -201,8 +213,9 @@ class MlpBaseline(_TrainedModel):
 
 
 def fit_linear_regression(features: np.ndarray, labels: np.ndarray,
-                          ridge: float = 1e-8) -> np.ndarray:
-    """Ridge-damped normal equations; returns slopes plus trailing intercept."""
+                          ridge: float = 1e-8, channels: int = 1) -> np.ndarray:
+    """Ridge-damped normal equations; returns slopes plus trailing intercept.
+    Feature column j is telemetry channel j % channels."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -211,6 +224,7 @@ def fit_linear_regression(features: np.ndarray, labels: np.ndarray,
         )
     aug = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
     gram = aug.T @ aug
+    _check_overflow(np.isinf(gram).any(axis=0), "Gram matrix", channels)
     gram[np.diag_indices_from(gram)] += ridge
     try:
         coef = np.linalg.solve(gram, aug.T @ y)
@@ -233,7 +247,7 @@ class LinearBaseline:
     def fit(self, train_orders):
         x = _stack_telemetry(train_orders).reshape(len(train_orders), -1)
         y = np.array([o.label for o in train_orders])
-        self.coef = fit_linear_regression(x, y)
+        self.coef = fit_linear_regression(x, y, channels=self.cfg.n_features)
         return self
 
     def predict(self, orders, graph=None) -> np.ndarray:

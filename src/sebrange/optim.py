@@ -1,17 +1,19 @@
 """Trainable parameters and the adaptive-moment optimizer."""
 
+from collections import namedtuple
+from functools import partial
+
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, _record
 
 
 class Param:
     """A trainable float64 array paired with its gradient accumulator.
 
     ``grad`` always has the same shape as ``value`` and is all zeros right
-    after :meth:`zero_grad`. Backward passes add into ``grad``; the caller
-    zeroes it between steps.
+    after :meth:`zero_grad`. Backward adds each use's gradient into
+    ``grad``; the caller zeroes it between steps.
     """
 
     __slots__ = ("value", "grad", "name")
@@ -28,13 +30,9 @@ class Param:
     def zero_grad(self):
         self.grad[...] = 0.0
 
-    def tensor(self) -> Tensor:
-        """Leaf tensor sharing this param's storage; backward deposits here."""
-        return _record(self.value, (), None, self)
-
     def accumulate(self, g: np.ndarray, rows=None):
-        """Add a leaf's gradient into ``grad``: into the whole array, or
-        into ``rows`` only, in their order. ``g`` must have the leaf's shape."""
+        """Add one use's gradient into ``grad``: into the whole array, or
+        into ``rows`` only, in their order. ``g`` must have the used shape."""
         shape = self.shape if rows is None else rows.shape + self.shape[1:]
         if g.shape != shape:
             raise ContractError(f"{self!r} got a gradient of shape {g.shape}, "
@@ -68,15 +66,20 @@ class RowTable(Param):
             self.grad[rows] = 0.0
         self.touched.clear()
 
-    def rows(self, idx) -> Tensor:
-        """Leaf tensor holding rows ``idx`` (repeats allowed); backward adds
+    def rows(self, idx) -> "RowRead":
+        """Rows ``idx`` (repeats allowed) as an op operand; backward adds
         its gradient into only those rows of ``grad``."""
         idx = np.asarray(idx, dtype=np.int64)
-        return _record(self.value[idx], (), None, self, idx)
+        return RowRead(self.value[idx], partial(self.accumulate, rows=idx))
 
     def accumulate(self, g: np.ndarray, rows=None):
         super().accumulate(g, rows)
         self.touched.append(slice(None) if rows is None else rows)
+
+
+# Rows of a RowTable read as an op operand: a copy of their values, and the
+# sink that adds a gradient into those rows only.
+RowRead = namedtuple("RowRead", ["value", "accumulate"])
 
 
 def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:

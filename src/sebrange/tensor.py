@@ -1,17 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` is a row-major float64 numpy array plus the :class:`Node`
-that records it on the tape: its parents' nodes and a vector-Jacobian-product
-closure. ``_record`` is the one place an op's output or a leaf goes on the
-tape. An operand that is a Tensor is on the tape; a numpy array or Python
-float is a constant, with no Tensor, no Node and no gradient. A seb-s3im
-training step records 67 nodes and a seb step 63. Calling
-:meth:`Tensor.backward` on a scalar output walks the tape in reverse
-topological order and accumulates gradients; leaf tensors built from a
-:class:`~sebrange.optim.Param` deposit their gradient into the param's
-accumulator, a row leaf into only the rows it holds. The sweep consumes the
-tape: each interior node frees its gradient and the arrays its VJP saved
-once that VJP has run, so a graph is differentiated once.
+that records it on the tape: a vector-Jacobian-product closure and where each
+operand's gradient goes. ``_record`` is the one place an op's output or a
+leaf goes on the tape. An operand is one of three kinds: a Tensor, whose node
+takes its gradient; a :class:`~sebrange.optim.Param` or a ``RowTable.rows()``
+read, whose ``accumulate`` adds it into the param's ``grad`` (a row read's
+into only its rows) as each consuming op's VJP runs; or a constant, a numpy
+array or Python float, with no node and no gradient. A seb-s3im training step
+records 42 nodes and a seb step 38. Calling :meth:`Tensor.backward` on a
+scalar output walks the tape in reverse topological order. The sweep
+consumes the tape: each interior node frees its gradient and the arrays its
+VJP saved once that VJP has run, so a graph is differentiated once.
 
 The tape keeps what backward reads, and never a value that only the caller
 holds: a node holds no array, and a VJP closure captures only the arrays it
@@ -37,19 +37,23 @@ Conventions fixed repo-wide:
 import numpy as np
 
 from .errors import ContractError, ShapeError
+from .optim import Param, RowRead
+
+_LEAVES = (Param, RowRead)
 
 
 class Node:
-    """A tape entry: gradient, parents' nodes, VJP, Param leaf's param and rows."""
+    """A tape entry: gradient, VJP, and the sink of each operand's gradient."""
 
-    __slots__ = ("grad", "_parents", "_vjp", "_param", "_rows")
+    __slots__ = ("grad", "_vjp", "_sinks")
 
-    def __init__(self, parents, vjp, param, rows):
+    def __init__(self, vjp, sinks):
         self.grad = None
-        self._parents = parents
         self._vjp = vjp
-        self._param = param
-        self._rows = rows
+        self._sinks = sinks
+
+    # The operands' nodes: the tape edges that walkers follow.
+    _parents = property(lambda self: tuple([s for s in self._sinks if type(s) is Node]))
 
 
 class Tensor:
@@ -64,7 +68,6 @@ class Tensor:
     # The node's fields that callers and tape walkers read, through its tensor.
     grad = property(lambda self: self.node.grad)
     _parents = property(lambda self: self.node._parents)
-    _param = property(lambda self: self.node._param)
     shape = property(lambda self: self.array.shape)
     size = property(lambda self: self.array.size)
 
@@ -74,11 +77,10 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar output; consumes the graph.
 
-        Leaves keep their gradient in ``.grad``, and a Param leaf adds it into
-        the param's ``grad``: the whole array for ``Param.tensor()``, only the
-        rows it holds for ``RowTable.rows()``. An interior node drops its ``.grad``
-        and its VJP, with the arrays the VJP saved, once the VJP has run; a
-        second sweep through that node raises ContractError.
+        Each VJP sends its gradients to the operands' sinks as it runs, one
+        deposit per use of a param; leaves keep theirs in ``.grad``. An
+        interior node drops its ``.grad`` and its VJP, with the arrays the
+        VJP saved, once the VJP has run; a second sweep through it raises.
         """
         if self.array.size != 1:
             raise ContractError(
@@ -89,14 +91,15 @@ class Tensor:
             t.grad = None
         self.node.grad = np.ones_like(self.array)
         for t in reversed(order):
-            if t._param is not None:
-                t._param.accumulate(t.grad, t._rows)
             if t._vjp is None:
                 continue
             grads = t._vjp(t.grad)
             t.grad, t._vjp = None, _spent_vjp
-            for parent, g in zip(t._parents, grads):
-                parent.grad = g if parent.grad is None else parent.grad + g
+            for sink, g in zip(t._sinks, grads):
+                if type(sink) is Node:
+                    sink.grad = g if sink.grad is None else sink.grad + g
+                elif sink is not None:
+                    sink(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -107,27 +110,32 @@ def _spent_vjp(g):
                         "its saved arrays are freed")
 
 
-def _record(out, operands, vjp, param=None, rows=None) -> Tensor:
+def _record(out, operands, vjp) -> Tensor:
     """Put ``out`` on the tape, the one place a Tensor and its Node are made.
 
     ``vjp`` returns one gradient per operand, in order, each in its
-    operand's exact shape. The Tensor operands' nodes are the parents, and a
-    constant operand's entry is dropped unread, so it may be None. A
-    leaf has no operands and no VJP; a Param leaf names its param and rows.
+    operand's exact shape, for the operand's ``_sink``; a constant's entry is
+    dropped unread, so it may be None. A leaf has no operands and no VJP.
     """
     t = object.__new__(Tensor)
     t.array = np.asarray(out, dtype=np.float64)
-    parents = tuple([x.node for x in operands if isinstance(x, Tensor)])
-    if len(parents) < len(operands):
-        keep, op_vjp = [isinstance(x, Tensor) for x in operands], vjp
-        vjp = lambda g: [grad for grad, kept in zip(op_vjp(g), keep) if kept]
-    t.node = Node(parents, vjp, param, rows)
+    t.node = Node(vjp, tuple([_sink(x) for x in operands]))
     return t
 
 
 def _value(x) -> np.ndarray:
-    """A Tensor operand's array, or a constant as a float64 array."""
-    return x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    """An operand's array: a Tensor's, a param's or a row read's, or a constant's."""
+    if type(x) is Tensor:
+        return x.array
+    return x.value if isinstance(x, _LEAVES) else np.asarray(x, dtype=np.float64)
+
+
+def _sink(x):
+    """An operand's sink: a Tensor's node, a param's or a row read's
+    ``accumulate``, or None for a constant."""
+    if type(x) is Tensor:
+        return x.node
+    return x.accumulate if isinstance(x, _LEAVES) else None
 
 
 def _toposort(root: Node):
@@ -143,8 +151,8 @@ def _toposort(root: Node):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node._sinks:
+            if type(p) is Node and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -170,30 +178,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     x, y = _value(a), _value(b)
     a_shape, b_shape = x.shape, y.shape
-
-    def vjp(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return _record(x + y, (a, b), vjp)
+    return _record(x + y, (a, b),
+                   lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def sub(a, b) -> Tensor:
     x, y = _value(a), _value(b)
     a_shape, b_shape = x.shape, y.shape
-
-    def vjp(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _record(x - y, (a, b), vjp)
+    return _record(x - y, (a, b),
+                   lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
 
 
 def mul(a, b) -> Tensor:
     x, y = _value(a), _value(b)
-
-    def vjp(g):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
-
-    return _record(x * y, (a, b), vjp)
+    return _record(x * y, (a, b),
+                   lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def relu(a) -> Tensor:
@@ -239,7 +238,8 @@ def linear(x, w, b) -> Tensor:
 
     ``x`` is (..., d_in), ``w`` (d_in, d_out) and ``b`` (d_out,). The weight
     and bias gradients fold the leading axes of ``x`` into one 2-D product.
-    A constant ``x`` gets no gradient, so its product is skipped.
+    A constant ``x`` gets no gradient, so its product is skipped; a Param
+    ``x``, as in the gradient audit, gets one.
     """
     xa, wa, ba = _value(x), _value(w), _value(b)
     if xa.ndim < 1 or wa.ndim != 2 or xa.shape[-1] != wa.shape[0]:
@@ -253,7 +253,7 @@ def linear(x, w, b) -> Tensor:
         s = out.shape[-2]
         rows = out.reshape(-1, s * wa.shape[1])
         rows += ba[None].repeat(s, axis=0).reshape(-1)
-    x_constant = not isinstance(x, Tensor)
+    x_constant = _sink(x) is None
 
     def vjp(g):
         rows = g.reshape(-1, g.shape[-1])
@@ -317,10 +317,7 @@ def concat(tensors, axis=-1) -> Tensor:
         parts.append(lead + (slice(end, end + x.shape[axis]),))
         end += x.shape[axis]
 
-    def vjp(g):
-        return tuple(g[part] for part in parts)
-
-    return _record(out, tensors, vjp)
+    return _record(out, tensors, lambda g: tuple(g[part] for part in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +491,4 @@ def neighbor_mean(h, src, dst, n_out, inv_deg) -> Tensor:
     scale = inv_deg[:, None]
     out = scatter_add_rows(x, src, dst, n_out) * scale
     n_in = x.shape[0]
-
-    def vjp(g):
-        return (scatter_add_rows(g * scale, dst, src, n_in),)
-
-    return _record(out, (h,), vjp)
+    return _record(out, (h,), lambda g: (scatter_add_rows(g * scale, dst, src, n_in),))

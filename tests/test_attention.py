@@ -53,9 +53,12 @@ class TestProjectQkv:
         x = Tensor(np.ones((6, 4)))
         weights = (block.wq, block.wk, block.wv)
         for out, w in zip(project_qkv(x, *weights), weights):
-            assert len(out._parents) == 2
-            assert out._parents[0] is x.node
-            assert out._parents[1]._param is w
+            # The weight is an operand, not a node: its gradient goes
+            # straight into w.grad, here x^T 1 = 6 in every entry.
+            assert out._parents == (x.node,)
+            w.zero_grad()
+            sum_(out).backward()
+            assert np.array_equal(w.grad, np.full(w.shape, 6.0))
 
 
 class TestAttend:

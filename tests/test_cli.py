@@ -419,6 +419,25 @@ def test_diverging_run_prints_one_stderr_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("model", ["lr", "seb"])
+def test_overflowing_telemetry_exit_6(dataset_dir, tmp_path, capsys, model):
+    # 1e200 is finite, but its square is not: the scaler's sd and the lr Gram
+    # matrix overflow, and both models once trained with the channel zeroed.
+    bad = tmp_path / "overflow"
+    bad.mkdir()
+    lines = (dataset_dir / "orders.seb").read_text().split("\n")
+    for i in range(2, len(lines), 65):  # each order's first telemetry row
+        lines[i] = "1e200" + lines[i][lines[i].index(","):]
+    (bad / "orders.seb").write_text("\n".join(lines))
+    (bad / "graph.seb").write_text((dataset_dir / "graph.seb").read_text())
+    code, err = _one_error_line(capsys, [
+        "train", *FAST, "--seed", "42", "--model", model,
+        "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 6
+    assert err.startswith("numeric failure: telemetry channel 0 overflows float64")
+    assert not (tmp_path / "o" / "model.ckpt.npz").exists()
+
+
 def test_train_twice_identical_loss_csv(dataset_dir, tmp_path):
     outs = (tmp_path / "t1", tmp_path / "t2")
     for out in outs:

@@ -18,6 +18,7 @@ from sebrange.rng import Rng
 from sebrange.tensor import (
     Tensor,
     _record,
+    _value,
     add,
     attention_core,
     layer_norm,
@@ -42,31 +43,25 @@ GRAD_RTOL = 1e-12
 
 # -- composed references ------------------------------------------------------
 
-def as_tensor(x):
-    """``x`` as a Tensor: a new leaf unless it is one already."""
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def transpose_last(a):
     """Swap the trailing two axes, as a tape op."""
-    a = as_tensor(a)
-    if a.array.ndim < 2:
-        raise ShapeError(f"transpose_last requires ndim >= 2, got {a.shape}")
-    out = np.swapaxes(a.array, -1, -2)
-    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    x = _value(a)
+    if x.ndim < 2:
+        raise ShapeError(f"transpose_last requires ndim >= 2, got {x.shape}")
+    return _record(np.swapaxes(x, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def composed_mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
+    x = _value(a)
+    count = x.size if axis is None else x.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def rsqrt(a):
     """Elementwise ``1 / sqrt(a)``; the tensor module has no division op."""
-    a = as_tensor(a)
-    out = 1.0 / np.sqrt(a.array)
-    return _record(out, (a,), lambda g: (g * (-0.5 * out / a.array),))
+    x = _value(a)
+    out = 1.0 / np.sqrt(x)
+    return _record(out, (a,), lambda g: (g * (-0.5 * out / x),))
 
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
@@ -87,12 +82,12 @@ def composed_attention(q, k, v):
 
 
 def composed_encode(block, x0):
-    x = add(x0, block.pos.tensor())
+    x = add(x0, block.pos)
     attended = add(composed_attention(*project_qkv(x, block.wq, block.wk, block.wv)), x)
-    attended = composed_layer_norm(attended, block.ln1_g.tensor(), block.ln1_b.tensor())
-    hidden = relu(composed_linear(attended, block.w1.tensor(), block.b1.tensor()))
-    out = add(composed_linear(hidden, block.w2.tensor(), block.b2.tensor()), attended)
-    return composed_layer_norm(out, block.ln2_g.tensor(), block.ln2_b.tensor())
+    attended = composed_layer_norm(attended, block.ln1_g, block.ln1_b)
+    hidden = relu(composed_linear(attended, block.w1, block.b1))
+    out = add(composed_linear(hidden, block.w2, block.b2), attended)
+    return composed_layer_norm(out, block.ln2_g, block.ln2_b)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -100,7 +95,7 @@ def composed_encode(block, x0):
 def run(op, arrays, seed):
     """Forward values and every operand's gradient of sum(op(...) * c)."""
     params = [Param(a) for a in arrays]
-    out = op(*[p.tensor() for p in params])
+    out = op(*params)
     c = Rng(seed).normal(size=out.shape)
     sum_(mul(out, c)).backward()
     return out.array, [p.grad for p in params]
@@ -157,9 +152,8 @@ class TestLinear:
         r = Rng(4)
         x = r.normal(size=(3, 6, 4))
         w, b = Param(r.normal(size=(4, 5))), Param(r.normal(size=(5,)))
-        w_leaf, b_leaf = w.tensor(), b.tensor()
-        out = linear(x, w_leaf, b_leaf)
-        assert out._parents == (w_leaf.node, b_leaf.node)
+        out = linear(x, w, b)
+        assert out._parents == ()
         sum_(mul(out, Rng(0).normal(size=out.shape))).backward()
         _, grads = run(linear, [x, w.value, b.value], 0)
         assert np.array_equal(w.grad, grads[1]) and np.array_equal(b.grad, grads[2])
@@ -284,11 +278,13 @@ def test_seb_s3im_step_tape_nodes():
     # The composed ops gave 194 nodes per seb-s3im step at the default
     # architecture and the fused ones 71, one of them the S3IM term and one
     # per Q, K and V projection; 4 of the 71 were constants: the telemetry,
-    # the labels, the 1.0 in 1 - s3im and the S3IM weight.
-    assert step_tape_nodes("seb-s3im") == 67
+    # the labels, the 1.0 in 1 - s3im and the S3IM weight. 25 of the other
+    # 67 were leaves, one per use of a param (the battery-bias rows among
+    # them), before params became op operands.
+    assert step_tape_nodes("seb-s3im") == 42
 
 
 def test_seb_step_tape_nodes():
     # The seb-s3im step without the S3IM term, the 1 - s3im, its weight and
     # the add.
-    assert step_tape_nodes("seb") == 63
+    assert step_tape_nodes("seb") == 38

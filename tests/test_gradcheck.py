@@ -33,9 +33,9 @@ def grad_check_oracle(f, point, h=1e-5):
     """The central-difference loop ``grad_check`` once ran on its own: it
     perturbs ``point`` in place and calls ``f`` on fresh constants."""
     point = np.asarray(point, dtype=np.float64)
-    leaf = Param(point.copy())
-    f(leaf.tensor()).backward()
-    analytic = leaf.grad.reshape(-1).copy()
+    p = Param(point.copy())
+    f(p).backward()
+    analytic = p.grad.reshape(-1).copy()
 
     worst = 0.0
     flat = point.reshape(-1)
@@ -127,7 +127,7 @@ def test_constant_gradient_sum():
 def test_sum_of_squares_analytic():
     point = np.array([1.0, 2.0, 3.0])
     p = Param(point.copy())
-    out = sum_(mul(p.tensor(), p.tensor()))
+    out = sum_(mul(p, p))
     out.backward()
     assert np.abs(p.grad - [2.0, 4.0, 6.0]).max() < 1e-12
     assert grad_check(lambda t: sum_(mul(t, t)), point) <= 1e-8
@@ -146,7 +146,7 @@ def test_bad_step_rejected():
 def test_grad_check_params_restores_values():
     p = Param(np.array([1.0, 2.0]))
     before = p.value.copy()
-    err = grad_check_params(lambda: sum_(mul(p.tensor(), p.tensor())), [p])
+    err = grad_check_params(lambda: sum_(mul(p, p)), [p])
     assert err <= 1e-8
     assert np.array_equal(p.value, before)
 
@@ -156,7 +156,7 @@ def test_nan_gradient_is_an_infinite_error(monkeypatch):
     monkeypatch.setattr(Param, "accumulate",
                         lambda self, g, rows=None: accumulate(self, g * np.nan, rows))
     p = Param(np.array([1.0, 2.0]))
-    assert grad_check_params(lambda: sum_(mul(p.tensor(), p.tensor())), [p]) == np.inf
+    assert grad_check_params(lambda: sum_(mul(p, p)), [p]) == np.inf
 
 
 def test_pack_unpack_round_trip():
@@ -194,7 +194,7 @@ class TestOptimizer:
         state = AdamState([w])
         for _ in range(200):
             w.zero_grad()
-            loss = mul(w.tensor(), w.tensor())
+            loss = mul(w, w)
             loss.backward()
             optimizer_step(state, lr=0.05)
         assert abs(float(w.value)) < 0.01

@@ -67,8 +67,10 @@ def test_backward_consumes_the_tape(largest_step):
     loss = forward()
     loss.backward()
     nodes = tape(loss)
-    assert all(n.grad is None for n in nodes if n._parents)
-    assert all(n.grad is not None for n in nodes if n._param is not None)
+    # Every node of a step is an op output: the params are operands, not
+    # leaves, and each got its gradient while the sweep ran.
+    assert all(n.grad is None for n in nodes)
+    assert all(p.grad.any() for p in params)
     grads = pack_params_grads(params)
     # Taken when backward kept every interior gradient and closure, and the
     # attention head stored W_Q, W_K and W_V as (d_out, d): the head's
@@ -94,9 +96,9 @@ def test_backward_keeps_the_values_the_caller_holds():
     r = Rng(5)
     x, w1, w2 = (Param(r.normal(size=s)) for s in [(3, 8, 4), (4, 6), (6, 4)])
     b1, b2, gain, bias = (Param(r.normal(size=n)) for n in (6, 4, 4, 4))
-    hidden = relu(linear(x.tensor(), w1.tensor(), b1.tensor()))
-    residual = add(linear(hidden, w2.tensor(), b2.tensor()), x.tensor())
-    pred = layer_norm(residual, gain.tensor(), bias.tensor())
+    hidden = relu(linear(x, w1, b1))
+    residual = add(linear(hidden, w2, b2), x)
+    pred = layer_norm(residual, gain, bias)
     held = [t.array.copy() for t in (hidden, residual, pred)]
     sum_(mul(pred, pred)).backward()
     for t, before in zip((hidden, residual, pred), held):

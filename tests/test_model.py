@@ -139,6 +139,14 @@ class TestFeatureScaler:
         assert scaler.sd.tobytes() == sd.tobytes()
         assert scaler.sd[2] == 1.0
 
+    def test_overflowing_channel_is_named(self, orders):
+        # 1e200 is finite, but its square is not: the sd would be inf.
+        t = orders[0].telemetry.copy()
+        t[5, 3] = 1e200
+        with pytest.raises(NumericError, match="channel 3 overflows"), \
+                np.errstate(over="ignore"):
+            FeatureScaler().fit([SimpleNamespace(telemetry=t)] + orders[1:64])
+
     def test_fit_peak(self, orders, traced):
         # Fitting on all 1,400 orders' rows at once peaked at 8.27 MiB.
         _, _, peak = traced(FeatureScaler().fit, orders)
@@ -241,6 +249,13 @@ class TestLinearRegression:
         coef = fit_linear_regression(x, np.full(50, 4.0))
         assert np.abs(coef[:-1]).max() <= 1e-6
         assert abs(coef[-1] - 4.0) <= 1e-6
+
+    def test_overflowing_gram_names_the_channel(self):
+        x = Rng(9).normal(size=(40, 6))
+        x[7, 4] = 1e200  # column 4 is channel 1 of two-channel rows
+        with pytest.raises(NumericError, match="channel 1 overflows float64 in the Gram"), \
+                np.errstate(over="ignore"):
+            fit_linear_regression(x, np.ones(40), channels=3)
 
     def test_duplicated_column_survives_ridge(self):
         r = Rng(8)
@@ -387,6 +402,15 @@ class TestCheckpoint:
         model.block.w1.value[2, 3] = np.nan
         path = tmp_path / "m.npz"
         with pytest.raises(NumericError, match="block.w1"):
+            save_checkpoint(path, model, "h")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key", ["mean", "sd"])
+    def test_non_finite_scaler_refused(self, tmp_path, key):
+        model = fresh_model()
+        getattr(model.scaler, key)[1] = np.inf
+        path = tmp_path / "m.npz"
+        with pytest.raises(NumericError, match=f"scaler_{key}"):
             save_checkpoint(path, model, "h")
         assert not path.exists()
 

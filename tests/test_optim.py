@@ -87,11 +87,11 @@ def test_row_sparse_adam_matches_dense_adam_bit_for_bit():
             for p in ps:
                 p.zero_grad()
             assert all(np.all(p.grad == 0.0) for p in ps)
-        # The sparse table is read through a row leaf, the dense one whole
+        # The sparse table is read through a row read, the dense one whole
         # with the same rows' gradients scattered in.
         w, table, b = sparse
-        sum_(add(add(sum_(mul(table.rows(rows), c)), sum_(mul(w.tensor(), c_w))),
-                 sum_(mul(b.tensor(), c_b)))).backward()
+        sum_(add(add(sum_(mul(table.rows(rows), c)), sum_(mul(w, c_w))),
+                 sum_(mul(b, c_b)))).backward()
         np.add.at(dense[1].grad, rows, c)
         dense[0].grad += c_w
         dense[2].grad += c_b
@@ -122,7 +122,7 @@ def test_row_sparse_adam_matches_dense_adam_bit_for_bit():
 def test_zero_grad_clears_a_row_table_read_whole():
     p = RowTable(np.ones((5, 2)))
     q = p.rows([1, 1, 3])
-    sum_(add(sum_(q), sum_(p.tensor()))).backward()
+    sum_(add(sum_(q), sum_(p))).backward()
     assert np.array_equal(p.grad[:, 0], [1.0, 3.0, 1.0, 2.0, 1.0])
     p.zero_grad()
     assert np.all(p.grad == 0.0)

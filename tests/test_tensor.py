@@ -233,7 +233,7 @@ def test_transpose_and_reshape_round_trip():
     assert np.array_equal(t.array, x.T)
     p = Param(x)
     c = Rng(9).normal(size=(5, 3))
-    sum_(mul(transpose_last(p.tensor()), c)).backward()
+    sum_(mul(transpose_last(p), c)).backward()
     assert np.array_equal(p.grad, c.T)
     r = reshape(Tensor(x), (5, 3))
     assert np.array_equal(r.array, x.reshape(5, 3))
@@ -289,11 +289,11 @@ CONSTANT_CASES = [
 
 def _run_with(op, values, constant, as_leaf):
     """``op`` with operand ``constant`` passed as its value, or as a
-    ``Tensor`` leaf, and every other operand a Param leaf. Returns the
-    output's bytes, its parents, the leaves' nodes and the Param grads
-    of sum(out * c)."""
+    ``Tensor`` leaf, and every other operand a Param. Returns the output's
+    bytes, its parents, the Tensor operands' nodes and the Param grads of
+    sum(out * c)."""
     params = [Param(v) for v in values]
-    operands = [p.tensor() for p in params]
+    operands = list(params)
     operands[constant] = Tensor(values[constant]) if as_leaf else values[constant]
     out = op(*operands)
     parents = out._parents
@@ -342,14 +342,13 @@ BROADCAST_CASES = [
 ]
 
 
-def _param_grads(op, values):
-    """Each operand as a Param leaf: the leaves' ``.grad`` shapes and the
-    Param grads of sum(op(...) * c)."""
-    params = [Param(v) for v in values]
-    leaves = [p.tensor() for p in params]
+def _leaf_grads(op, values):
+    """Each operand as a Tensor leaf: the leaves' gradients of
+    sum(op(...) * c), in the shapes the VJP returned them."""
+    leaves = [Tensor(v) for v in values]
     out = op(*leaves)
     sum_(mul(out, Rng(4).normal(size=out.shape))).backward()
-    return [t.grad.shape for t in leaves], [p.grad for p in params]
+    return [t.grad.shape for t in leaves], [t.grad for t in leaves]
 
 
 @pytest.mark.parametrize("name, op, values, core", BROADCAST_CASES,
@@ -357,8 +356,8 @@ def _param_grads(op, values):
 def test_broadcast_operand_gets_its_own_shape(name, op, values, core):
     leading = np.broadcast_shapes(*(v.shape[:v.ndim - core] for v in values))
     targets = [leading + v.shape[v.ndim - core:] for v in values]
-    shapes, grads = _param_grads(op, values)
-    _, full = _param_grads(op, [np.broadcast_to(v, s).copy()
+    shapes, grads = _leaf_grads(op, values)
+    _, full = _leaf_grads(op, [np.broadcast_to(v, s).copy()
                                 for v, s in zip(values, targets)])
     for i, (v, target) in enumerate(zip(values, targets)):
         assert shapes[i] == v.shape, i
@@ -377,3 +376,74 @@ def test_accumulate_rejects_a_gradient_of_another_shape():
     with pytest.raises(ContractError, match=r"\(2, 4\)"):
         p.accumulate(np.ones((2, 4)), rows)
     assert not p.grad.any()
+
+
+# -- operands: a Tensor's gradient goes to its node, a param's into its grad ---
+
+class _CountingParam(Param):
+    """A Param that keeps a copy of every gradient deposited into it."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.deposits = []
+
+    def accumulate(self, g, rows=None):
+        self.deposits.append(g.copy())
+        super().accumulate(g, rows)
+
+
+def test_param_as_linear_input_gets_its_gradient():
+    r = Rng(21)
+    x, w, b = r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)), r.normal(size=(5,))
+    c = r.normal(size=(2, 3, 5))
+    p, leaf = Param(x), Tensor(x)
+    for operand in (p, leaf):
+        sum_(mul(linear(operand, w, b), c)).backward()
+    assert p.grad.tobytes() == np.matmul(c, w.T).tobytes()
+    assert p.grad.tobytes() == leaf.grad.tobytes()
+
+
+def test_each_use_of_a_param_deposits_once():
+    v = np.array([1.5, -2.0, 0.25])
+    p = _CountingParam(v)
+    sum_(mul(p, p)).backward()
+    assert [d.tobytes() for d in p.deposits] == [v.tobytes()] * 2
+    assert p.grad.tobytes() == (v + v).tobytes()
+
+
+def test_row_read_deposits_only_its_rows():
+    table = RowTable(Rng(22).normal(size=(5, 2)))
+    idx = np.array([3, 1, 3])
+    read = table.rows(idx)
+    assert read.value.tobytes() == table.value[idx].tobytes()
+    c = Rng(23).normal(size=(3, 2))
+    sum_(mul(read, c)).backward()
+    want = np.zeros((5, 2))
+    want[1] = c[1]
+    want[3] = c[0] + c[2]
+    assert table.grad.tobytes() == want.tobytes()
+    (touched,) = table.touched
+    assert np.array_equal(touched, idx)
+
+
+def test_constant_operand_receives_nothing():
+    c = np.array([[2.0, -1.0], [0.5, 3.0]])
+    before = c.copy()
+    p = Param(np.ones((2, 2)))
+    out = mul(p, c)
+    assert out._parents == () and out.node._sinks[1] is None
+    sum_(out).backward()
+    assert c.tobytes() == before.tobytes()
+    assert p.grad.tobytes() == c.tobytes()
+
+
+def test_second_backward_through_a_spent_node_raises():
+    p = Param(np.array([1.0, 2.0]))
+    loss = sum_(mul(p, p))
+    loss.backward()
+    grad = p.grad.copy()
+    with pytest.raises(ContractError, match="already ran"):
+        loss.backward()
+    with pytest.raises(ContractError, match="already ran"):
+        mul(loss, 2.0).backward()
+    assert p.grad.tobytes() == grad.tobytes()
