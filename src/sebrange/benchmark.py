@@ -11,14 +11,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import LinearBaseline, MlpBaseline, ModelConfig, SebTransformer
 from .rng import Rng, derive_seed
-from .training import (
-    EpochStats,
-    TrainConfig,
-    TrainResult,
-    evaluate_mae,
-    split_orders,
-    train,
-)
+from .training import TrainConfig, TrainResult, evaluate_mae, train
 
 BENCH_MODELS = ("lr", "mlp", "transformer", "seb", "seb-s3im")
 _MODEL_RNG_KEYS = {"lr": 11, "mlp": 12, "transformer": 13, "seb": 14, "seb-s3im": 15}
@@ -43,28 +36,7 @@ def build_model(kind: str, mcfg: ModelConfig, n_users: int, n_batteries: int,
     return SebTransformer(cfg, n_users, n_batteries, rng)
 
 
-def _fit_linear(model, orders, cfg: TrainConfig) -> TrainResult:
-    """Closed-form fit wrapped in the TrainResult shape (one pseudo-epoch)."""
-    cfg.validate()
-    splits = split_orders(orders, cfg)
-    train_split, val_split, _ = splits
-    if not train_split or not val_split:
-        raise ConfigError("split produced empty train/val sets")
-    model.fit(train_split)
-
-    def mse_mae(split):
-        pred = model.predict(split)
-        y = np.array([o.label for o in split])
-        return float(((pred - y) ** 2).mean()), float(np.abs(pred - y).mean())
-
-    train_mse, _ = mse_mae(train_split)
-    val_mse, val_mae = mse_mae(val_split)
-    return TrainResult([EpochStats(1, train_mse, val_mse, val_mae)], 1, splits)
-
-
 def train_model(kind: str, model, orders, graph, cfg: TrainConfig) -> TrainResult:
-    if kind == "lr":
-        return _fit_linear(model, orders, cfg)
     model_cfg = replace(cfg, s3im_enabled=(kind == "seb-s3im"))
     return train(model, orders, graph, model_cfg)
 
@@ -97,9 +69,8 @@ def run_benchmark(orders, graph, mcfg: ModelConfig, cfg: TrainConfig,
         result = train_model(kind, model, orders, graph, cfg)
         test_split = result.splits[2]
         mae = evaluate_mae(model, test_split, graph)
-        weights = [model.coef] if kind == "lr" else [p.value for p in model.params()]
         rows.append(BenchRow(kind, mae.mean, mae.std,
-                             weights_sha256=_sha256(weights),
+                             weights_sha256=_sha256(p.value for p in model.params()),
                              residuals_sha256=_sha256([mae.residuals])))
         histories[kind] = result.history
     by_kind = {r.model: r for r in rows}

@@ -1,10 +1,10 @@
 """Versioned model checkpoints with bit-exact reload.
 
-A checkpoint is an npz container holding every parameter array as float64
-plus a JSON metadata record: format tag, model kind, architecture config,
-node counts, and the hash of the resolved run configuration that produced
-it. Loading rebuilds the model and overwrites every parameter, so reloaded
-predictions match the saved model bit for bit.
+A checkpoint is an npz container holding the float64 arrays the model's
+``checkpoint_arrays`` names, plus a JSON metadata record: format tag, model
+kind, architecture config, node counts, and the hash of the resolved run
+configuration that produced it. Loading rebuilds the model and overwrites
+each of those arrays, so reloaded predictions match the saved model bit for bit.
 """
 
 import io
@@ -37,11 +37,7 @@ def save_checkpoint(path, model, config_hash: str, trained_as: str = None):
         "n_users": getattr(model, "n_users", 0),
         "n_batteries": getattr(model, "n_batteries", 0),
     }
-    if model.kind == "lr":
-        arrays = {"coef": model.coef}
-    else:
-        arrays = {"param:" + p.name: p.value for p in model.params()}
-        arrays.update(scaler_mean=model.scaler.mean, scaler_sd=model.scaler.sd)
+    arrays = model.checkpoint_arrays()
     for key, value in arrays.items():
         if not np.isfinite(value).all():
             raise NumericError(f"{key} has non-finite values; checkpoint not saved")
@@ -81,14 +77,8 @@ def load_checkpoint(path):
                             meta["n_batteries"], seed=0) if kind in BENCH_MODELS else None
         if getattr(model, "kind", None) != kind:
             raise CheckpointMismatch(f"unknown model kind {kind!r}")
-        if kind == "lr":
-            cfg = model.cfg
-            model.coef = _saved_array(data, "coef", (cfg.seq_len * cfg.n_features + 1,))
-            return model, meta
-        for p in model.params():
-            p.value[...] = _saved_array(data, "param:" + p.name, p.shape)
-        model.scaler.mean = _saved_array(data, "scaler_mean", model.scaler.mean.shape)
-        model.scaler.sd = _saved_array(data, "scaler_sd", model.scaler.sd.shape)
+        for key, live in model.checkpoint_arrays().items():
+            live[...] = _saved_array(data, key, live.shape)
         return model, meta
 
 

@@ -71,7 +71,7 @@ class FeatureScaler:
         """Mean and sd over all telemetry rows, read 64 orders at a time. Each
         sum adds the rows in sequence, as numpy's axis-0 reduction does, so
         both equal a fit on every row at once, bit for bit. Raises
-        NumericError when a channel's mean or sd overflows float64."""
+        NumericError when a channel's mean or sd is NaN or overflows float64."""
         def blocks():
             for i in range(0, len(orders), 64):
                 yield np.concatenate([o.telemetry for o in orders[i:i + 64]])
@@ -79,8 +79,7 @@ class FeatureScaler:
         n = sum(len(o.telemetry) for o in orders)
         self.mean = _sum_rows_in_order(blocks()) / n
         sd = np.sqrt(_sum_rows_in_order(np.square(b - self.mean) for b in blocks()) / n)
-        _check_overflow(np.isinf(np.concatenate([self.mean, sd])),
-                        "scaler's mean or sd", sd.size)
+        _check_finite(np.concatenate([self.mean, sd]), "scaler's mean or sd", sd.size)
         sd[sd == 0.0] = 1.0
         self.sd = sd
 
@@ -98,13 +97,15 @@ def _sum_rows_in_order(blocks) -> np.ndarray:
     return total
 
 
-def _check_overflow(inf, what: str, n_channels: int):
-    """Raise NumericError naming the first telemetry channel whose ``what``
-    overflowed float64, where ``inf`` is set; entry j is channel j % n_channels.
-    A NaN is NaN telemetry, which training reports as a non-finite loss."""
-    if inf.any():
-        raise NumericError(f"telemetry channel {int(np.argmax(inf)) % n_channels} "
-                           f"overflows float64 in the {what}")
+def _check_finite(values, what: str, n_channels: int):
+    """Raise NumericError when an entry of ``values`` (the ``what``) is NaN or
+    overflowed float64, naming the first one's telemetry channel: entry j is
+    channel j % n_channels."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        j = int(np.argmax(bad))
+        problem = "is NaN" if np.isnan(values[j]) else "overflows float64"
+        raise NumericError(f"telemetry channel {j % n_channels} {problem} in the {what}")
 
 
 def _stack_telemetry(orders) -> np.ndarray:
@@ -112,14 +113,25 @@ def _stack_telemetry(orders) -> np.ndarray:
 
 
 class _TrainedModel:
-    """What the gradient-trained models share: a telemetry scaler and an
-    output ``head`` (an MlpHead)."""
+    """What the gradient-trained models share: a telemetry scaler, an output
+    ``head`` (an MlpHead) and a taped ``forward_batch``."""
 
     def prepare(self, train_orders):
         """Fit the telemetry scaler and center the output at the label mean."""
         self.scaler.fit(train_orders)
         labels = np.array([o.label for o in train_orders])
         self.head.out_bias.value[...] = labels.mean()
+
+    def trainable_params(self):
+        return self.params()
+
+    def predict(self, orders, graph=None) -> np.ndarray:
+        return self.forward_batch(orders, graph).array.copy()
+
+    def checkpoint_arrays(self) -> dict:
+        """The live arrays a checkpoint holds, by key."""
+        arrays = {"param:" + p.name: p.value for p in self.params()}
+        return {**arrays, "scaler_mean": self.scaler.mean, "scaler_sd": self.scaler.sd}
 
 
 class SebTransformer(_TrainedModel):
@@ -182,9 +194,6 @@ class SebTransformer(_TrainedModel):
         fused = concat([x0_pooled, graph_slice, x2_pooled], axis=-1)
         return reshape(mlp_forward(self.head, fused), (batch,))
 
-    def predict(self, orders, graph) -> np.ndarray:
-        return self.forward_batch(orders, graph).array.copy()
-
 
 class MlpBaseline(_TrainedModel):
     """Two-layer perceptron on the flattened, normalized telemetry."""
@@ -200,16 +209,10 @@ class MlpBaseline(_TrainedModel):
     def params(self):
         return self.head.params()
 
-    def trainable_params(self):
-        return self.params()
-
     def forward_batch(self, orders, graph=None) -> Tensor:
         flat = self.scaler.apply(_stack_telemetry(orders)).reshape(
             len(orders), self.in_dim)
         return reshape(mlp_forward(self.head, flat), (len(orders),))
-
-    def predict(self, orders, graph=None) -> np.ndarray:
-        return self.forward_batch(orders).array.copy()
 
 
 def fit_linear_regression(features: np.ndarray, labels: np.ndarray,
@@ -224,7 +227,8 @@ def fit_linear_regression(features: np.ndarray, labels: np.ndarray,
         )
     aug = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
     gram = aug.T @ aug
-    _check_overflow(np.isinf(gram).any(axis=0), "Gram matrix", channels)
+    # A bad value in column j spreads along row and column j; the diagonal names j.
+    _check_finite(np.diagonal(gram), "Gram matrix", channels)
     gram[np.diag_indices_from(gram)] += ridge
     try:
         coef = np.linalg.solve(gram, aug.T @ y)
@@ -236,23 +240,30 @@ def fit_linear_regression(features: np.ndarray, labels: np.ndarray,
 
 
 class LinearBaseline:
-    """Ridge linear regression on the flattened raw telemetry."""
+    """Ridge linear regression on the flattened raw telemetry, fitted in
+    closed form by ``prepare``; it has no trainable params."""
 
     kind = "lr"
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.coef = None
+        self.coef = Param(np.zeros(cfg.seq_len * cfg.n_features + 1), "coef")
 
-    def fit(self, train_orders):
+    def params(self):
+        return [self.coef]
+
+    def trainable_params(self):
+        return []
+
+    def prepare(self, train_orders):
         x = _stack_telemetry(train_orders).reshape(len(train_orders), -1)
         y = np.array([o.label for o in train_orders])
-        self.coef = fit_linear_regression(x, y, channels=self.cfg.n_features)
-        return self
+        self.coef.value[...] = fit_linear_regression(x, y, channels=self.cfg.n_features)
 
     def predict(self, orders, graph=None) -> np.ndarray:
-        if self.coef is None:
-            raise ConfigError("linear baseline is not fitted")
         x = _stack_telemetry(orders).reshape(len(orders), -1)
         aug = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-        return aug @ self.coef
+        return aug @ self.coef.value
+
+    def checkpoint_arrays(self) -> dict:
+        return {"coef": self.coef.value}

@@ -153,20 +153,26 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     Raises NumericError when no epoch reaches a finite validation MAE.
     With lr == 0 the loop runs without applying updates, leaving the
     weights bit-identical to initialization (optimizer smoke contract).
+    A model with no trainable params (lr) is fitted by ``prepare`` alone and
+    gets one pseudo-epoch: its train MSE and validation MSE and MAE.
     """
     cfg.validate()
     if not orders:
         raise ConfigError("cannot train on an empty dataset")
-    train_split, val_split, test_split = split_orders(orders, cfg)
+    train_split, val_split, _ = splits = split_orders(orders, cfg)
     if not train_split or not val_split:
         raise ConfigError(
             f"split produced empty train/val sets from {len(orders)} orders"
         )
     model.prepare(train_split)
+    params = model.trainable_params()
+    if not params:
+        train_mse, _ = _mse_mae(model, train_split, graph)
+        val_mse, val_mae = _mse_mae(model, val_split, graph)
+        return TrainResult([EpochStats(1, train_mse, val_mse, val_mae)], 1, splits)
     s3im_cfg = None
     if cfg.s3im_enabled:
         s3im_cfg = cfg.make_s3im(np.array([o.label for o in train_split]))
-    params = model.trainable_params()
     adam = AdamState(params)
     chunks = make_chunks(train_split, cfg.batch_size)
     chunk_labels = [np.array([o.label for o in c]) for c in chunks]
@@ -205,7 +211,13 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
         )
     for p, v in zip(model.params(), best_values):
         p.value[...] = v
-    return TrainResult(history, best_epoch, (train_split, val_split, test_split))
+    return TrainResult(history, best_epoch, splits)
+
+
+def _mse_mae(model, orders, graph):
+    """Mean squared and mean absolute error of one predict over ``orders``."""
+    err = model.predict(orders, graph) - np.array([o.label for o in orders])
+    return float((err ** 2).mean()), float(np.abs(err).mean())
 
 
 def evaluate_mae(model, orders, graph) -> MaeResult:

@@ -29,8 +29,8 @@ def frozen_run():
 
 
 def frozen_digests(result):
-    """Each model's weights digest (``params()`` order, ``coef`` for lr) and
-    test-residuals digest."""
+    """Each model's weights digest (``params()`` order) and test-residuals
+    digest."""
     return {row.model: {"weights": row.weights_sha256,
                         "residuals": row.residuals_sha256}
             for row in result.rows}

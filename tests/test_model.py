@@ -1,5 +1,6 @@
 """Fused model, objective, training loop, evaluation, baselines."""
 
+import hashlib
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sebrange.benchmark import build_model, train_model
+from sebrange.benchmark import BENCH_MODELS, build_model, run_benchmark, train_model
 from sebrange.checkpoint import load_checkpoint, save_checkpoint, verify_config_hash
 from sebrange.datagen import GeneratorConfig, generate
 from sebrange.errors import CheckpointMismatch, ConfigError, NumericError
@@ -329,18 +330,37 @@ class TestTraining:
 
     def test_non_finite_validation_raises(self, tiny_data):
         orders, graph = tiny_data
+        model = fresh_model()
+        model.head.layers[0][0].value[0, 0] = np.nan  # fusion.w0
+        with pytest.raises(NumericError, match="non-finite in all 3 epochs"):
+            train(model, orders, graph, TINY_TRAIN)
+
+    @pytest.mark.parametrize("kind", ["lr", "seb"])
+    def test_nan_telemetry_fails_at_the_fit(self, tiny_data, kind):
+        orders, graph = tiny_data
+        what = "Gram matrix" if kind == "lr" else "scaler's mean or sd"
         nan_orders = []
         for o in orders:
             telemetry = o.telemetry.copy()
-            telemetry[0, 0] = np.nan
+            telemetry[3, 2] = np.nan
             nan_orders.append(replace(o, telemetry=telemetry))
-        with pytest.raises(NumericError, match="non-finite in all 3 epochs"):
-            train(fresh_model(), nan_orders, graph, TINY_TRAIN)
+        model = build_model(kind, TINY_MODEL, graph.n_users, graph.n_batteries, 3)
+        model.forward_batch = lambda *args: pytest.fail("a training step ran")
+        with pytest.raises(NumericError, match=f"^telemetry channel 2 is NaN in the {what}$"):
+            train_model(kind, model, nan_orders, graph, TINY_TRAIN)
 
     def test_empty_dataset_rejected(self, tiny_data):
         _, graph = tiny_data
         with pytest.raises(ConfigError):
             train(fresh_model(), [], graph, TINY_TRAIN)
+
+    def test_empty_val_split_is_one_error_for_lr_and_mlp(self, tiny_data):
+        orders, graph = tiny_data  # 3 orders split 2 / 0 / 1
+        for kind in ("lr", "mlp"):
+            model = build_model(kind, TINY_MODEL, graph.n_users, graph.n_batteries, 3)
+            with pytest.raises(ConfigError,
+                               match="^split produced empty train/val sets from 3 orders$"):
+                train_model(kind, model, orders[:3], graph, TINY_TRAIN)
 
 
 def test_split_deterministic_and_disjoint(tiny_data):
@@ -416,15 +436,23 @@ class TestCheckpoint:
 
     def test_baseline_checkpoints(self, tiny_data, tmp_path):
         orders, graph = tiny_data
-        for kind in ("lr", "mlp"):
+        bucket = [o for o in orders if o.t == 1][:5]
+        for kind in BENCH_MODELS:
             model = build_model(kind, TINY_MODEL, graph.n_users,
                                 graph.n_batteries, 3)
             train_model(kind, model, orders, graph, TINY_TRAIN)
             path = tmp_path / f"{kind}.npz"
             save_checkpoint(path, model, "h")
+            with np.load(path) as data:
+                keys = data.files
+            if kind == "lr":
+                assert keys == ["__meta__", "coef"]
+            else:
+                assert keys == (["__meta__"] + [f"param:{p.name}" for p in model.params()]
+                                + ["scaler_mean", "scaler_sd"])
             loaded, _ = load_checkpoint(path)
-            assert np.array_equal(model.predict(orders[:7], graph),
-                                  loaded.predict(orders[:7], graph))
+            assert model.predict(bucket, graph).tobytes() == \
+                loaded.predict(bucket, graph).tobytes()
 
     def test_transformer_checkpoint_rebuilds_without_graph(self, tiny_data, tmp_path):
         orders, graph = tiny_data
@@ -449,6 +477,16 @@ class TestCheckpoint:
             np.savez(path, __meta__=json.dumps({**meta, "kind": kind}), **arrays)
             with pytest.raises(CheckpointMismatch, match=f"unknown model kind '{kind}'"):
                 load_checkpoint(path)
+
+
+def test_weights_digest_is_the_params_bytes(tiny_data):
+    orders, graph = tiny_data
+    for row in run_benchmark(orders, graph, TINY_MODEL, TINY_TRAIN).rows:
+        model = build_model(row.model, TINY_MODEL, graph.n_users, graph.n_batteries,
+                            TINY_TRAIN.seed)
+        train_model(row.model, model, orders, graph, TINY_TRAIN)
+        weights = b"".join(p.value.tobytes() for p in model.params())
+        assert hashlib.sha256(weights).hexdigest() == row.weights_sha256
 
 
 def test_graph_sensitivity_smoke(tiny_data):
