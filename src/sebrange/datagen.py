@@ -108,7 +108,7 @@ class Order:
             raise ConfigError(
                 f"telemetry must be {SEQ_LEN}x{N_FEATURES}, got {self.telemetry.shape}"
             )
-        if self.label < 0:
+        if not self.label >= 0:  # written so that NaN fails
             raise ConfigError(f"label must be nonnegative, got {self.label}")
 
 

@@ -105,11 +105,9 @@ def bucket_by_t(orders):
 
 
 def make_chunks(orders, batch_size):
-    chunks = []
-    for bucket in bucket_by_t(orders):
-        for i in range(0, len(bucket), batch_size):
-            chunks.append(bucket[i:i + batch_size])
-    return chunks
+    """Each timestep bucket cut into runs of at most ``batch_size`` orders."""
+    return [bucket[i:i + batch_size] for bucket in bucket_by_t(orders)
+            for i in range(0, len(bucket), batch_size)]
 
 
 @dataclass
@@ -144,35 +142,45 @@ def _collect_predictions(model, orders, graph):
             for bucket in bucket_by_t(orders)]
 
 
+def _score(model, orders, graph, cfg: TrainConfig, s3im_cfg):
+    """``objective`` and the MAE over one predict per timestep bucket."""
+    pairs = _collect_predictions(model, orders, graph)
+    loss = objective(pairs, cfg, s3im_cfg).item()
+    return loss, float(np.abs(np.concatenate([p - y for p, y in pairs])).mean())
+
+
 def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     """Minibatch descent on the objective; keeps the best-validation epoch.
 
     Each step minimizes ``objective`` over one chunk, the same function that
-    validation and the gradient audit evaluate.
+    validation and the gradient audit evaluate. A model with no trainable
+    params (lr) is fitted by ``prepare``, and one pseudo-epoch scores it.
 
-    Raises NumericError when no epoch reaches a finite validation MAE.
+    Raises NumericError naming the first order with a non-finite label,
+    before any fit, and when no epoch reaches a finite validation MAE.
     With lr == 0 the loop runs without applying updates, leaving the
     weights bit-identical to initialization (optimizer smoke contract).
-    A model with no trainable params (lr) is fitted by ``prepare`` alone and
-    gets one pseudo-epoch: its train MSE and validation MSE and MAE.
     """
     cfg.validate()
     if not orders:
         raise ConfigError("cannot train on an empty dataset")
+    all_labels = np.array([o.label for o in orders], dtype=np.float64)
+    if not np.isfinite(all_labels).all():
+        o = orders[np.isfinite(all_labels).argmin()]  # the first non-finite
+        raise NumericError(f"order {o.order_id} has non-finite label {o.label}")
     train_split, val_split, _ = splits = split_orders(orders, cfg)
     if not train_split or not val_split:
         raise ConfigError(
             f"split produced empty train/val sets from {len(orders)} orders"
         )
     model.prepare(train_split)
+    # The train split's labels; objective reads s3im_cfg only with S3IM on.
+    s3im_cfg = cfg.make_s3im(split_orders(all_labels, cfg)[0])
     params = model.trainable_params()
     if not params:
-        train_mse, _ = _mse_mae(model, train_split, graph)
-        val_mse, val_mae = _mse_mae(model, val_split, graph)
-        return TrainResult([EpochStats(1, train_mse, val_mse, val_mae)], 1, splits)
-    s3im_cfg = None
-    if cfg.s3im_enabled:
-        s3im_cfg = cfg.make_s3im(np.array([o.label for o in train_split]))
+        train_loss, _ = _score(model, train_split, graph, cfg, s3im_cfg)
+        val_loss, val_mae = _score(model, val_split, graph, cfg, s3im_cfg)
+        return TrainResult([EpochStats(1, train_loss, val_loss, val_mae)], 1, splits)
     adam = AdamState(params)
     chunks = make_chunks(train_split, cfg.batch_size)
     chunk_labels = [np.array([o.label for o in c]) for c in chunks]
@@ -196,9 +204,7 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
             epoch_loss += loss.item()
             # The graph's forward arrays would otherwise live through the next forward.
             del pred, loss
-        pairs = _collect_predictions(model, val_split, graph)
-        val_loss = objective(pairs, cfg, s3im_cfg).item()
-        val_mae = float(np.abs(np.concatenate([p - y for p, y in pairs])).mean())
+        val_loss, val_mae = _score(model, val_split, graph, cfg, s3im_cfg)
         history.append(EpochStats(epoch, epoch_loss, val_loss, val_mae))
         if val_mae < best_mae:
             best_mae = val_mae
@@ -214,22 +220,15 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
     return TrainResult(history, best_epoch, splits)
 
 
-def _mse_mae(model, orders, graph):
-    """Mean squared and mean absolute error of one predict over ``orders``."""
-    err = model.predict(orders, graph) - np.array([o.label for o in orders])
-    return float((err ** 2).mean()), float(np.abs(err).mean())
-
-
 def evaluate_mae(model, orders, graph) -> MaeResult:
-    """Mean absolute error in km plus the per-sample residuals."""
+    """Mean absolute error in km plus the residuals, in the order of ``orders``."""
     if not orders:
         raise ConfigError("cannot evaluate on an empty set")
-    position = {o.order_id: i for i, o in enumerate(orders)}
+    pairs = _collect_predictions(model, orders, graph)
+    # bucket_by_t's order: by (t, order_id), ties in input order.
+    in_buckets = np.lexsort(([o.order_id for o in orders], [o.t for o in orders]))
     residuals = np.empty(len(orders))
-    for bucket in bucket_by_t(orders):
-        values = model.predict(bucket, graph)
-        for o, v in zip(bucket, values):
-            residuals[position[o.order_id]] = v - o.label
+    residuals[in_buckets] = np.concatenate([p - y for p, y in pairs])
     absolute = np.abs(residuals)
     return MaeResult(float(absolute.mean()), float(absolute.std(ddof=0)),
                      residuals)

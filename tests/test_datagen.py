@@ -239,3 +239,5 @@ def test_order_validates_telemetry_shape():
         Order(0, user(0), battery(0), 0, np.zeros((10, 6)), 1.0, 1.0)
     with pytest.raises(ConfigError):
         Order(0, user(0), battery(0), 0, np.zeros((64, 6)), 1.0, -1.0)
+    with pytest.raises(ConfigError, match="got nan"):
+        Order(0, user(0), battery(0), 0, np.zeros((64, 6)), 1.0, np.nan)

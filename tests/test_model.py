@@ -24,6 +24,7 @@ from sebrange.rng import Rng
 from sebrange.tensor import Tensor
 from sebrange.training import (
     TrainConfig,
+    bucket_by_t,
     evaluate_mae,
     make_chunks,
     objective,
@@ -233,6 +234,19 @@ class TestEvaluateMae:
         with pytest.raises(ConfigError):
             evaluate_mae(self._Const(1.0), [], graph)
 
+    def test_repeated_order_id_gets_its_own_residual(self, tiny_data):
+        # the readers reject a repeated id; orders built in memory may repeat one
+        orders, graph = tiny_data
+        model = fresh_model()
+        model.prepare(orders)
+        some = orders[:9] + [replace(orders[9], order_id=orders[0].order_id)]
+        res = evaluate_mae(model, some, graph)
+        expected = {}
+        for bucket in bucket_by_t(some):
+            for o, v in zip(bucket, model.predict(bucket, graph)):
+                expected[id(o)] = v - o.label
+        assert res.residuals.tolist() == [expected[id(o)] for o in some]
+
 
 class TestLinearRegression:
     def test_recovers_exact_affine_labels(self):
@@ -300,6 +314,16 @@ class TestTraining:
                                   cfg, s3cfg).item()
         assert abs(history[0].train_loss - expected) <= 1e-12 * abs(expected)
 
+        # lr takes no steps: its pseudo-epoch scores both splits by bucket
+        lr = build_model("lr", TINY_MODEL, graph.n_users, graph.n_batteries, 3)
+        lr_epoch = train_model("lr", lr, orders, graph, cfg).history[0]
+        for split, loss in zip(split_orders(orders, cfg),
+                               (lr_epoch.train_loss, lr_epoch.val_loss)):
+            pairs = [(lr.predict(b, graph), np.array([o.label for o in b]))
+                     for b in bucket_by_t(split)]
+            expected = objective(pairs, replace(cfg, s3im_enabled=False)).item()
+            assert abs(loss - expected) <= 1e-12 * abs(expected)
+
     def test_fixed_seed_identical_history_and_weights(self, tiny_data):
         orders, graph = tiny_data
         m1, m2 = fresh_model(seed=2), fresh_model(seed=2)
@@ -347,6 +371,19 @@ class TestTraining:
         model = build_model(kind, TINY_MODEL, graph.n_users, graph.n_batteries, 3)
         model.forward_batch = lambda *args: pytest.fail("a training step ran")
         with pytest.raises(NumericError, match=f"^telemetry channel 2 is NaN in the {what}$"):
+            train_model(kind, model, nan_orders, graph, TINY_TRAIN)
+
+    @pytest.mark.parametrize("kind", ["lr", "seb"])
+    def test_nan_label_fails_at_the_door(self, tiny_data, kind):
+        orders, graph = tiny_data
+        bad = replace(orders[57])
+        bad.label = np.nan  # the constructor rejects NaN; a later write does not
+        nan_orders = orders[:57] + [bad] + orders[58:]
+        model = build_model(kind, TINY_MODEL, graph.n_users, graph.n_batteries, 3)
+        model.prepare = lambda *args: pytest.fail("the model was fitted")
+        model.forward_batch = lambda *args: pytest.fail("a training step ran")
+        with pytest.raises(NumericError,
+                           match=f"^order {bad.order_id} has non-finite label nan$"):
             train_model(kind, model, nan_orders, graph, TINY_TRAIN)
 
     def test_empty_dataset_rejected(self, tiny_data):
