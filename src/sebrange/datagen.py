@@ -108,8 +108,10 @@ class Order:
             raise ConfigError(
                 f"telemetry must be {SEQ_LEN}x{N_FEATURES}, got {self.telemetry.shape}"
             )
-        if not self.label >= 0:  # written so that NaN fails
-            raise ConfigError(f"label must be nonnegative, got {self.label}")
+        if not 0 <= self.label < math.inf:  # written so that NaN fails
+            raise ConfigError(f"label must be finite and nonnegative, got {self.label}")
+        if not math.isfinite(self.ride_length):
+            raise ConfigError(f"ride_length must be finite, got {self.ride_length}")
 
 
 @dataclass

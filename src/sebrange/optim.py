@@ -89,24 +89,28 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 
 class _RowMoments:
-    """Adam moments of a row table's live rows, in the order the rows
-    became live: row ``idx[i]`` has moments ``m[i]`` and ``v[i]``."""
+    """Adam moments of a row table's live rows only, in the order the rows
+    became live: row ``idx[i]`` has moments ``m[i]`` and ``v[i]``, 16 bytes
+    per live element. Past those, ``live`` takes one byte per table row."""
 
     def __init__(self, param: RowTable):
         self.param = param
         self.live = np.zeros(param.shape[0], dtype=bool)
         self.idx = np.zeros(0, dtype=np.int64)
-        self.m = np.zeros_like(param.value)  # rows past idx.size are unused zeros
-        self.v = np.zeros_like(param.value)
-        self._all = np.arange(param.shape[0])
+        self.m = np.zeros((0,) + param.shape[1:])
+        self.v = np.zeros_like(self.m)
 
     def grow(self):
         """Append the rows backward reached since the last zero_grad that
-        were not live yet; their moments start at zero."""
+        were not live yet, with zero moments, copying m and v once per call."""
         for rows in self.param.touched:
-            new = np.unique(self._all[rows][~self.live[rows]])
+            rows = np.arange(self.live.size) if isinstance(rows, slice) else rows
+            new = np.unique(rows[~self.live[rows]] % self.live.size)
             self.live[new] = True
             self.idx = np.concatenate([self.idx, new])
+        if self.idx.size > len(self.m):
+            pad = np.zeros((self.idx.size - len(self.m),) + self.m.shape[1:])
+            self.m, self.v = np.concatenate([self.m, pad]), np.concatenate([self.v, pad])
 
 
 class AdamState:
@@ -158,5 +162,4 @@ def optimizer_step(state: AdamState, lr: float):
     for table in state.tables:
         table.grow()
         p, idx = table.param, table.idx
-        p.value[idx] -= state._decrement(p.grad[idx], table.m[:idx.size],
-                                         table.v[:idx.size], lr)
+        p.value[idx] -= state._decrement(p.grad[idx], table.m, table.v, lr)

@@ -241,3 +241,8 @@ def test_order_validates_telemetry_shape():
         Order(0, user(0), battery(0), 0, np.zeros((64, 6)), 1.0, -1.0)
     with pytest.raises(ConfigError, match="got nan"):
         Order(0, user(0), battery(0), 0, np.zeros((64, 6)), 1.0, np.nan)
+    with pytest.raises(ConfigError, match="got inf"):
+        Order(0, user(0), battery(0), 0, np.zeros((64, 6)), 1.0, np.inf)
+    for ride_length in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match=f"ride_length must be finite, got {ride_length}"):
+            Order(0, user(0), battery(0), 0, np.zeros((64, 6)), ride_length, 1.0)

@@ -136,7 +136,48 @@ def test_adam_state_is_laid_out_when_made():
     assert state.m.shape == state.v.shape == (6,)
     (moments,) = state.tables
     assert moments.param is table
-    assert moments.idx.size == 0 and moments.m.shape == (5, 3)
+    assert moments.idx.size == 0 and moments.m.shape == (0, 3)
+
+
+def test_adam_moments_take_only_the_rows_training_reaches(traced):
+    table = RowTable(np.ones((100_000, 8)))
+    r = Rng(11)
+    pool = r.integers(100_000, size=100)
+    c = r.normal(size=(40, 8))
+
+    def train():
+        state = AdamState([table])
+        for _ in range(4):
+            table.zero_grad()
+            sum_(mul(table.rows(pool[r.integers(100, size=40)]), c)).backward()
+            optimizer_step(state, lr=0.01)
+        return state
+
+    state, _, peak = traced(train)
+    (moments,) = state.tables
+    # A fleet-sized pair of moments would take 12.8 MB.
+    assert peak < 1_000_000
+    assert 0 < moments.idx.size <= 100
+    assert moments.m.shape == moments.v.shape == (moments.idx.size, 8)
+
+
+def test_row_table_read_whole_makes_every_row_live_once():
+    init = Rng(4).normal(size=(5, 3))
+    table, dense = RowTable(init.copy()), Param(init.copy())
+    s_state, d_state = AdamState([table]), DenseAdam([dense])
+    c = Rng(6).normal(size=(5, 3))
+    # Row 4 read as -1 and as 4 becomes live once, before the whole read.
+    sum_(add(sum_(table.rows([-1, 4, 1])), sum_(mul(table, c)))).backward()
+    dense.grad += c
+    np.add.at(dense.grad, [4, 4, 1], 1.0)
+    optimizer_step(s_state, lr=0.05)
+    dense_adam_step(d_state, lr=0.05)
+    (moments,) = s_state.tables
+    assert moments.idx.tolist() == [1, 4, 0, 2, 3]
+    assert table.value.tobytes() == dense.value.tobytes()
+    s_m, s_v = table_moments(s_state, table)
+    assert s_m.tobytes() == d_state.m[0].tobytes()
+    assert s_v.tobytes() == d_state.v[0].tobytes()
 
 
 def test_plain_param_has_no_row_leaf():
