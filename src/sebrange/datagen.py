@@ -108,6 +108,8 @@ class Order:
             raise ConfigError(
                 f"telemetry must be {SEQ_LEN}x{N_FEATURES}, got {self.telemetry.shape}"
             )
+        if not np.isfinite(self.telemetry).all():
+            raise ConfigError("telemetry must be finite")
         if not 0 <= self.label < math.inf:  # written so that NaN fails
             raise ConfigError(f"label must be finite and nonnegative, got {self.label}")
         if not math.isfinite(self.ride_length):

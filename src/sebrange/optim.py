@@ -50,21 +50,24 @@ class RowTable(Param):
     """A param read row by row through :meth:`rows`, such as one feature
     row per node.
 
-    It records in ``touched`` every deposit since the last
-    :meth:`zero_grad`, ``slice(None)`` for a whole read, and zeroes only
-    those rows, so its ``grad`` must change only through backward passes.
+    ``live`` lists the rows any backward has added into, each once, in the
+    order they were first reached; a whole read makes every row live.
+    ``is_live`` flags them, one byte per row. :meth:`zero_grad` zeroes only
+    the live rows, so ``grad`` must change only through backward passes.
+    ``live`` outlives an :class:`AdamState`: a later one starts with rows
+    live that have a zero gradient and zero moments, which the update
+    leaves unchanged bit for bit, +-0.0 included.
     """
 
-    __slots__ = ("touched",)
+    __slots__ = ("live", "is_live")
 
     def __init__(self, value, name: str = ""):
         super().__init__(value, name)
-        self.touched = []  # the row indices added into since zero_grad
+        self.live = np.zeros(0, dtype=np.int64)
+        self.is_live = np.zeros(self.shape[0], dtype=bool)
 
     def zero_grad(self):
-        for rows in self.touched:
-            self.grad[rows] = 0.0
-        self.touched.clear()
+        self.grad[self.live] = 0.0
 
     def rows(self, idx) -> "RowRead":
         """Rows ``idx`` (repeats allowed) as an op operand; backward adds
@@ -74,7 +77,10 @@ class RowTable(Param):
 
     def accumulate(self, g: np.ndarray, rows=None):
         super().accumulate(g, rows)
-        self.touched.append(slice(None) if rows is None else rows)
+        rows = np.arange(self.is_live.size) if rows is None else rows
+        new = np.unique(rows[~self.is_live[rows]] % self.is_live.size)
+        self.is_live[new] = True
+        self.live = np.concatenate([self.live, new])
 
 
 # Rows of a RowTable read as an op operand: a copy of their values, and the
@@ -88,41 +94,18 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-class _RowMoments:
-    """Adam moments of a row table's live rows only, in the order the rows
-    became live: row ``idx[i]`` has moments ``m[i]`` and ``v[i]``, 16 bytes
-    per live element. Past those, ``live`` takes one byte per table row."""
-
-    def __init__(self, param: RowTable):
-        self.param = param
-        self.live = np.zeros(param.shape[0], dtype=bool)
-        self.idx = np.zeros(0, dtype=np.int64)
-        self.m = np.zeros((0,) + param.shape[1:])
-        self.v = np.zeros_like(self.m)
-
-    def grow(self):
-        """Append the rows backward reached since the last zero_grad that
-        were not live yet, with zero moments, copying m and v once per call."""
-        for rows in self.param.touched:
-            rows = np.arange(self.live.size) if isinstance(rows, slice) else rows
-            new = np.unique(rows[~self.live[rows]] % self.live.size)
-            self.live[new] = True
-            self.idx = np.concatenate([self.idx, new])
-        if self.idx.size > len(self.m):
-            pad = np.zeros((self.idx.size - len(self.m),) + self.m.shape[1:])
-            self.m, self.v = np.concatenate([self.m, pad]), np.concatenate([self.v, pad])
-
-
 class AdamState:
     """First/second moment buffers for a fixed list of params.
 
     Decay rates 0.9 / 0.999 with epsilon 1e-8; moments are bias-corrected.
 
     A :class:`RowTable` is updated on its live rows only: the rows any
-    backward has reached. Any other row has m = v = 0 and a zero gradient,
-    for which the update leaves its value, m and v unchanged bit for bit,
-    so skipping it is exact, not lazy Adam. The other params share one flat
-    moment buffer, updated in one pass.
+    backward has reached. Their moments are one ``(len(live), d)`` pair per
+    table in ``row_moments``, row ``i`` for ``live[i]``, padded with zero
+    rows as rows become live. Any other row has m = v = 0 and a zero
+    gradient, for which the update leaves its value, m and v unchanged bit
+    for bit, so skipping it is exact, not lazy Adam. The other params share
+    one flat moment buffer, updated in one pass.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -134,7 +117,9 @@ class AdamState:
         self.bounds = np.cumsum([0] + [p.value.size for p in self.dense])
         self.m = np.zeros(self.bounds[-1])
         self.v = np.zeros(self.bounds[-1])
-        self.tables = [_RowMoments(p) for p in self.params if isinstance(p, RowTable)]
+        self.tables = [p for p in self.params if isinstance(p, RowTable)]
+        self.row_moments = [[np.zeros((0,) + p.shape[1:]) for _ in "mv"]
+                            for p in self.tables]
 
     def _decrement(self, g, m, v, lr):
         """Advance ``m`` and ``v`` in place by gradient ``g``; returns the
@@ -159,7 +144,8 @@ def optimizer_step(state: AdamState, lr: float):
         dec = state._decrement(g, state.m, state.v, lr)
         for p, lo, hi in zip(state.dense, state.bounds[:-1], state.bounds[1:]):
             p.value -= dec[lo:hi].reshape(p.shape)
-    for table in state.tables:
-        table.grow()
-        p, idx = table.param, table.idx
-        p.value[idx] -= state._decrement(p.grad[idx], table.m, table.v, lr)
+    for p, moments in zip(state.tables, state.row_moments):
+        if p.live.size > len(moments[0]):
+            pad = np.zeros((p.live.size - len(moments[0]),) + p.shape[1:])
+            moments[:] = [np.concatenate([a, pad]) for a in moments]
+        p.value[p.live] -= state._decrement(p.grad[p.live], *moments, lr)

@@ -246,3 +246,8 @@ def test_order_validates_telemetry_shape():
     for ride_length in (np.nan, np.inf):
         with pytest.raises(ConfigError, match=f"ride_length must be finite, got {ride_length}"):
             Order(0, user(0), battery(0), 0, np.zeros((64, 6)), ride_length, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        tel = np.zeros((64, 6))
+        tel[17, 3] = bad
+        with pytest.raises(ConfigError, match="telemetry must be finite"):
+            Order(0, user(0), battery(0), 0, tel, 1.0, 2.0)

@@ -365,9 +365,9 @@ class TestTraining:
         what = "Gram matrix" if kind == "lr" else "scaler's mean or sd"
         nan_orders = []
         for o in orders:
-            telemetry = o.telemetry.copy()
-            telemetry[3, 2] = np.nan
-            nan_orders.append(replace(o, telemetry=telemetry))
+            bad = replace(o, telemetry=o.telemetry.copy())
+            bad.telemetry[3, 2] = np.nan  # the constructor rejects NaN; a later write does not
+            nan_orders.append(bad)
         model = build_model(kind, TINY_MODEL, graph.n_users, graph.n_batteries, 3)
         model.forward_batch = lambda *args: pytest.fail("a training step ran")
         with pytest.raises(NumericError, match=f"^telemetry channel 2 is NaN in the {what}$"):

@@ -41,10 +41,11 @@ def dense_adam_step(state, lr):
 
 def table_moments(state, table):
     """The sparse state's moments of ``table`` as full arrays."""
-    (rows,) = [t for t in state.tables if t.param is table]
+    ((m_rows, v_rows),) = [mv for t, mv in zip(state.tables, state.row_moments)
+                           if t is table]
     m, v = np.zeros_like(table.value), np.zeros_like(table.value)
-    m[rows.idx] = rows.m[:rows.idx.size]
-    v[rows.idx] = rows.v[:rows.idx.size]
+    m[table.live] = m_rows
+    v[table.live] = v_rows
     return m, v
 
 
@@ -79,41 +80,49 @@ def test_row_sparse_adam_matches_dense_adam_bit_for_bit():
     sparse = [kind(a.copy(), f"p{i}")
               for i, (kind, a) in enumerate(zip((Param, RowTable, Param), init))]
     dense = [Param(a.copy(), f"p{i}") for i, a in enumerate(init)]
-    s_state, d_state = AdamState(sparse), DenseAdam(dense)
     c_w, c_b = r.normal(size=(4, 3)), r.normal(size=(3,))
     live = set()
-    for step, (rows, c) in enumerate(row_schedule(r, 25)):
-        for ps in (sparse, dense):
-            for p in ps:
-                p.zero_grad()
-            assert all(np.all(p.grad == 0.0) for p in ps)
-        # The sparse table is read through a row read, the dense one whole
-        # with the same rows' gradients scattered in.
-        w, table, b = sparse
-        sum_(add(add(sum_(mul(table.rows(rows), c)), sum_(mul(w, c_w))),
-                 sum_(mul(b, c_b)))).backward()
-        np.add.at(dense[1].grad, rows, c)
-        dense[0].grad += c_w
-        dense[2].grad += c_b
-        assert sparse[1].grad.tobytes() == dense[1].grad.tobytes()
-        optimizer_step(s_state, lr=0.05)
-        dense_adam_step(d_state, lr=0.05)
-        live.update(rows.tolist())
-        for ps, pd in zip(sparse, dense):
-            assert ps.value.tobytes() == pd.value.tobytes(), (step, ps.name)
-        s_m, s_v = table_moments(s_state, table)
-        assert s_m.tobytes() == d_state.m[1].tobytes(), step
-        assert s_v.tobytes() == d_state.v[1].tobytes(), step
-        assert s_state.m.tobytes() == np.concatenate(
-            [d_state.m[0].ravel(), d_state.m[2].ravel()]).tobytes()
-        assert s_state.v.tobytes() == np.concatenate(
-            [d_state.v[0].ravel(), d_state.v[2].ravel()]).tobytes()
-        (moments,) = s_state.tables
-        assert sorted(moments.idx.tolist()) == sorted(live)
+
+    def run(steps):
+        """Fresh sparse and dense Adam states through ``steps`` scheduled steps."""
+        s_state, d_state = AdamState(sparse), DenseAdam(dense)
+        for step, (rows, c) in enumerate(row_schedule(r, steps)):
+            for ps in (sparse, dense):
+                for p in ps:
+                    p.zero_grad()
+                assert all(np.all(p.grad == 0.0) for p in ps)
+            # The sparse table is read through a row read, the dense one whole
+            # with the same rows' gradients scattered in.
+            w, table, b = sparse
+            sum_(add(add(sum_(mul(table.rows(rows), c)), sum_(mul(w, c_w))),
+                     sum_(mul(b, c_b)))).backward()
+            np.add.at(dense[1].grad, rows, c)
+            dense[0].grad += c_w
+            dense[2].grad += c_b
+            assert sparse[1].grad.tobytes() == dense[1].grad.tobytes()
+            optimizer_step(s_state, lr=0.05)
+            dense_adam_step(d_state, lr=0.05)
+            live.update(rows.tolist())
+            for ps, pd in zip(sparse, dense):
+                assert ps.value.tobytes() == pd.value.tobytes(), (step, ps.name)
+            s_m, s_v = table_moments(s_state, table)
+            assert s_m.tobytes() == d_state.m[1].tobytes(), step
+            assert s_v.tobytes() == d_state.v[1].tobytes(), step
+            assert s_state.m.tobytes() == np.concatenate(
+                [d_state.m[0].ravel(), d_state.m[2].ravel()]).tobytes()
+            assert s_state.v.tobytes() == np.concatenate(
+                [d_state.v[0].ravel(), d_state.v[2].ravel()]).tobytes()
+            assert sorted(table.live.tolist()) == sorted(live)
+
+    run(25)
     # Row 0 kept decaying after its one read; rows 1 and 2 never moved.
     assert not np.array_equal(sparse[1].value[0], init[1][0])
     assert np.array_equal(sparse[1].value[1:3], init[1][1:3])
     assert len(live) == N_ROWS
+    # A second state starts with every row of the table live, with zero
+    # moments and, until read, a zero gradient.
+    run(8)
+    assert np.array_equal(sparse[1].value[1:3], init[1][1:3])
     for p in sparse:
         p.zero_grad()
         assert np.all(p.grad == 0.0)
@@ -126,7 +135,7 @@ def test_zero_grad_clears_a_row_table_read_whole():
     assert np.array_equal(p.grad[:, 0], [1.0, 3.0, 1.0, 2.0, 1.0])
     p.zero_grad()
     assert np.all(p.grad == 0.0)
-    assert p.touched == []
+    assert p.live.tolist() == [1, 3, 0, 2, 4]
 
 
 def test_adam_state_is_laid_out_when_made():
@@ -134,9 +143,9 @@ def test_adam_state_is_laid_out_when_made():
     state = AdamState([w, table])
     assert state.dense == [w]
     assert state.m.shape == state.v.shape == (6,)
-    (moments,) = state.tables
-    assert moments.param is table
-    assert moments.idx.size == 0 and moments.m.shape == (0, 3)
+    assert state.tables == [table]
+    ((m, v),) = state.row_moments
+    assert table.live.size == 0 and m.shape == v.shape == (0, 3)
 
 
 def test_adam_moments_take_only_the_rows_training_reaches(traced):
@@ -154,11 +163,11 @@ def test_adam_moments_take_only_the_rows_training_reaches(traced):
         return state
 
     state, _, peak = traced(train)
-    (moments,) = state.tables
+    ((m, v),) = state.row_moments
     # A fleet-sized pair of moments would take 12.8 MB.
     assert peak < 1_000_000
-    assert 0 < moments.idx.size <= 100
-    assert moments.m.shape == moments.v.shape == (moments.idx.size, 8)
+    assert 0 < table.live.size <= 100
+    assert m.shape == v.shape == (table.live.size, 8)
 
 
 def test_row_table_read_whole_makes_every_row_live_once():
@@ -172,8 +181,7 @@ def test_row_table_read_whole_makes_every_row_live_once():
     np.add.at(dense.grad, [4, 4, 1], 1.0)
     optimizer_step(s_state, lr=0.05)
     dense_adam_step(d_state, lr=0.05)
-    (moments,) = s_state.tables
-    assert moments.idx.tolist() == [1, 4, 0, 2, 3]
+    assert table.live.tolist() == [1, 4, 0, 2, 3]
     assert table.value.tobytes() == dense.value.tobytes()
     s_m, s_v = table_moments(s_state, table)
     assert s_m.tobytes() == d_state.m[0].tobytes()
@@ -183,7 +191,7 @@ def test_row_table_read_whole_makes_every_row_live_once():
 def test_plain_param_has_no_row_leaf():
     p = Param(np.ones((4, 2)))
     assert not hasattr(p, "rows")
-    assert not hasattr(p, "touched")
+    assert not hasattr(p, "live")
 
 
 @pytest.fixture(scope="module")
@@ -223,8 +231,26 @@ def test_sparse_fleet_training_matches_dense_adam(sparse_fleet, monkeypatch):
     assert sparse[1] == dense[1]
     assert sparse[2] == dense[2]
     # The table is row-sparse and most batteries were never reached.
-    assert table.param.name == "h0.battery_bias"
-    assert 0 < table.idx.size < graph.n_batteries // 2
+    assert table.name == "h0.battery_bias"
+    assert 0 < table.live.size < graph.n_batteries // 2
+
+
+def test_training_again_from_the_same_weights_repeats_bit_for_bit(sparse_fleet):
+    """A second train() on one model starts with the table's rows live from
+    the first, and must still end with the same history and weights."""
+    orders, graph = sparse_fleet
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=7)
+    model = build_model("seb", ModelConfig(), graph.n_users, graph.n_batteries, 7)
+    start = [p.value.copy() for p in model.params()]
+    runs = []
+    for _ in range(2):
+        for p, v in zip(model.params(), start):
+            p.value[...] = v
+        history = train_model("seb", model, orders, graph, cfg).history
+        runs.append((history, [p.value.tobytes() for p in model.params()]))
+    (table,) = [p for p in model.params() if isinstance(p, RowTable)]
+    assert 0 < table.live.size < graph.n_batteries // 2
+    assert runs[0] == runs[1]
 
 
 def test_audit_model_check_reads_table_through_row_leaf(monkeypatch):
