@@ -29,7 +29,8 @@ from .model import ModelConfig, SebTransformer
 from .optim import Param
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im, s3im_regularizer
-from .tensor import add, layer_norm, linear, matmul, mul, relu, softmax_rows, sum_
+from .tensor import (ATTENTION_TILE, add, layer_norm, linear, matmul, mul, relu,
+                     softmax_rows, sum_)
 from .training import TrainConfig, bucket_by_t, objective
 
 TOL_ELEMENTWISE = 1e-6
@@ -108,10 +109,11 @@ def _check_qkv(r):
 
 
 def _check_attention(r):
+    # One sequence more than a tile, so the VJP's rebuilt weights cross a tile edge.
     weights = qkv_weights(r, 4, 4, 4)
-    c = r.normal(size=(5, 4))
+    c = r.normal(size=(ATTENTION_TILE + 1, 5, 4))
     return grad_check(lambda t: sum_(mul(attend(*project_qkv(t, *weights)), c)),
-                      r.normal(size=(5, 4)))
+                      r.normal(size=(ATTENTION_TILE + 1, 5, 4)))
 
 
 def _check_block(r):

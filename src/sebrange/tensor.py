@@ -16,9 +16,11 @@ VJP saved once that VJP has run, so a graph is differentiated once.
 The tape keeps what backward reads, and never a value that only the caller
 holds: a node holds no array, and a VJP closure captures only the arrays it
 reads (product operands, softmax weights, normalized rows, relu's mask), else
-shapes. An output no VJP reads dies with the forward's last handle. On the
-41-order seed-42 chunk a seb-s3im forward holds 4.5 MiB (7.0 when the tape
-held every output), and its step peaks at 1.07x the forward's 5.5 MiB peak.
+shapes; attention's rebuilds its weights from q, k and the softmax's max and
+sum. An output no VJP reads dies with the forward's last handle. On the
+41-order seed-42 chunk a seb-s3im forward holds 3.2 MiB (4.5 with attention's
+weights kept, 7.0 when the tape held every output), and its step peaks at
+1.08x the forward's 4.2 MiB peak.
 
 Tensors are treated as immutable once constructed: ops never write into
 operand or result arrays, so values can be shared freely across threads
@@ -379,12 +381,18 @@ def softmax_rows(a) -> Tensor:
     return _record(out, (a,), lambda g: (_softmax_vjp(out, g.copy()),))
 
 
+# Sequences per rebuilt-weights tile: of 4-8 and 16, 6 ran the 41-order step fastest.
+ATTENTION_TILE = 6
+
+
 def attention_core(q, k, v) -> Tensor:
     """Scaled dot-product attention ``softmax(q k^T / sqrt(d_qk)) v``.
 
-    One tape node: the forward keeps only the softmax weights, and the
-    backward applies the softmax Jacobian in closed form, a
-    FlashAttention-style fused backward (Dao et al., 2022) without tiling.
+    One tape node: the forward keeps q, k, v and the softmax's per-query max
+    and sum, not its (..., S_k, S_q) weights. The backward rebuilds the
+    weights ``ATTENTION_TILE`` sequences at a time with the forward's own
+    float operations and applies the softmax Jacobian in closed form, a
+    FlashAttention-style fused backward (Dao et al., 2022) tiled by sequence.
 
     The forward works key-major: ``k q^T`` of shape (..., S_k, S_q) is the
     transpose of ``q k^T`` bit for bit, and its max and broadcasts run over
@@ -396,26 +404,36 @@ def attention_core(q, k, v) -> Tensor:
     scale = 1.0 / np.sqrt(qa.shape[-1])
     st = np.matmul(ka, np.ascontiguousarray(np.swapaxes(qa, -1, -2)))
     st *= scale
-    st -= st.max(axis=-2, keepdims=True)
+    top = st.max(axis=-2, keepdims=True)
+    st -= top
     np.exp(st, out=st)
-    st /= _pairwise_sum_rows(st)[..., None, :]
+    total = _pairwise_sum_rows(st)[..., None, :]
+    st /= total
     out = np.matmul(np.swapaxes(st, -1, -2), va)
 
     def vjp(g):
-        # It runs once, so the key-major scores go when their query-major copy
-        # is made, and the copy goes before the q and k gradients are.
-        nonlocal st
-        weights, st = np.ascontiguousarray(np.swapaxes(st, -1, -2)), None
-        gs = np.matmul(g, np.ascontiguousarray(np.swapaxes(va, -1, -2)))
-        gs = _softmax_vjp(weights, gs)
-        gv = _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g), va.shape)
-        del weights
-        # The scale is applied to the narrow (S, D) products, not the (S, S) rows.
-        return (
-            _unbroadcast(np.matmul(gs, ka) * scale, qa.shape),
-            _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qa) * scale, ka.shape),
-            gv,
-        )
+        # Operands broadcast to g's leading axes (or one); a tile slices the first.
+        lead = g.shape[:-2] or (1,)
+        vt = np.ascontiguousarray(np.swapaxes(va, -1, -2))
+        ins = [np.broadcast_to(a, lead + a.shape[-2:]) for a in (qa, ka, vt, top, total, g)]
+        grads = [np.empty(lead + a.shape[-2:]) for a in (qa, ka, va)]
+        for i in range(0, lead[0], ATTENTION_TILE):
+            qt, kt, vtt, top_t, total_t, gt = (a[i:i + ATTENTION_TILE] for a in ins)
+            gq, gk, gv = (a[i:i + ATTENTION_TILE] for a in grads)
+            st = np.matmul(kt, np.ascontiguousarray(np.swapaxes(qt, -1, -2)))
+            st *= scale
+            st -= top_t
+            np.exp(st, out=st)
+            st /= total_t
+            weights = np.ascontiguousarray(np.swapaxes(st, -1, -2))
+            gs = _softmax_vjp(weights, np.matmul(gt, vtt))
+            np.matmul(np.swapaxes(weights, -1, -2), gt, out=gv)
+            # The scale is applied to the narrow (S, D) products, not the (S, S) rows.
+            np.matmul(gs, kt, out=gq)
+            gq *= scale
+            np.matmul(np.swapaxes(gs, -1, -2), qt, out=gk)
+            gk *= scale
+        return tuple(_unbroadcast(gr, a.shape) for gr, a in zip(grads, (qa, ka, va)))
 
     return _record(out, (q, k, v), vjp)
 

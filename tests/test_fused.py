@@ -220,6 +220,32 @@ class TestAttentionCore:
         q, k, v = (r.normal(size=(batch, 64, 16)) for _ in range(3))
         assert_matches(attention_core, composed_attention, [q, k, v])
 
+    def test_tiled_gradients_equal_each_sequence_alone(self):
+        # 41 sequences fill six whole tiles of the VJP and part of a seventh.
+        r = Rng(14)
+        q, k, v, c = (r.normal(size=(41, 64, 16)) for _ in range(4))
+
+        def grads(*arrays):
+            params = [Param(a) for a in arrays[:3]]
+            sum_(mul(attention_core(*params), arrays[3])).backward()
+            return [p.grad for p in params]
+
+        batched = grads(q, k, v, c)
+        alone = [grads(q[i], k[i], v[i], c[i]) for i in range(41)]
+        for n, g in enumerate(batched):
+            assert g.tobytes() == np.stack([a[n] for a in alone]).tobytes()
+
+    def test_node_keeps_no_weights(self, traced):
+        # Past the output, the node may keep the per-query max and sum and its
+        # Python objects: under 4 KiB, an eighth of one sequence's (64, 64)
+        # weights. It held all 41 sequences' weights, 1.28 MiB, when the VJP
+        # read them from the forward.
+        r = Rng(15)
+        q, k, v = (Tensor(r.normal(size=(41, 64, 16))) for _ in range(3))
+        out, held, _ = traced(attention_core, q, k, v)
+        stats = 2 * 41 * 64 * 8
+        assert held <= out.array.nbytes + stats + 4096, f"the node held {held} bytes"
+
     def test_attend_is_one_tape_node(self):
         q, k, v = (Tensor(np.ones((4, 3))) for _ in range(3))
         assert attend(q, k, v)._parents == (q.node, k.node, v.node)

@@ -97,7 +97,8 @@ AUDIT_2_POINTS = {
     "linear": 1.840771979289002e-10,
     "gcn-layer": 9.361968460750628e-12,
     "qkv": 1.0418366169773208e-10,
-    "attention": 1.9218354685435202e-10,
+    # Re-pinned when the check gained a leading axis spanning two VJP tiles.
+    "attention": 1.9396267925131383e-10,
     "block": 2.2555224068476838e-10,
     "mlp": 1.9034371301351882e-11,
     "s3im": 1.900393037379544e-11,
