@@ -22,15 +22,15 @@ from .attention import (
     qkv_weights,
 )
 from .errors import ConfigError
-from .gnn import GcnLayer, gcn_layer_forward
+from .gnn import build_layers, gnn_encode
 from .gradcheck import grad_check, grad_check_params
 from .graph import TemporalGraph, battery, user
 from .model import ModelConfig, SebTransformer
 from .optim import Param
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im, s3im_regularizer
-from .tensor import (ATTENTION_TILE, add, layer_norm, linear, matmul, mul, relu,
-                     softmax_rows, sum_)
+from .tensor import (ATTENTION_TILE, add, gather_rows, layer_norm, linear, matmul, mul,
+                     relu, softmax_rows, sum_)
 from .training import TrainConfig, bucket_by_t, objective
 
 TOL_ELEMENTWISE = 1e-6
@@ -87,12 +87,20 @@ def _check_linear(r):
 
 
 def _check_gcn_layer(r):
-    g = TemporalGraph(2, 2, 1)
-    g.add_edges([0, 0], [0, 1], [0, 0], [0, 1])
-    layer = GcnLayer.init(r, 3, 3, "relu")
-    c = r.normal(size=(4, 3))
-    return grad_check(lambda t: sum_(mul(gcn_layer_forward(layer, t, g, 0), c)),
-                      r.normal(size=(4, 3)))
+    # Two hops at window 1 for a subset of the rows, as training runs them;
+    # the pair (user 0, battery 0) swaps at both timesteps.
+    g = TemporalGraph(3, 2, 2)
+    g.add_edges([0, 0, 1, 1], [0, 1, 0, 2], [0, 0, 0, 1], [0] * 4)
+    layers = build_layers(r, [3, 3, 3])
+    h = Param(r.normal(size=(5, 3)))
+    rows = np.array([0, 4])
+    c = r.normal(size=(2, 3))
+
+    def loss():
+        out = gnn_encode(layers, g, lambda idx: gather_rows(h, idx), 1, rows, window=1)
+        return sum_(mul(out, c))
+
+    return grad_check_params(loss, [h] + [p for layer in layers for p in layer.params()])
 
 
 def _check_qkv(r):

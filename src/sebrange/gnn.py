@@ -13,9 +13,10 @@ receptive field, the full-neighbourhood form of GraphSAGE minibatching
 (Hamilton et al., 2017), with no sampling. Walking back from the target
 rows S_L, layer l needs S_{l-1} = S_l plus the in-neighbours of S_l, so
 input features are gathered for S_0 only and layer l runs on S_l alone.
-Each destination sums its edges in snapshot order, so the rows are
-bit-identical to stacking ``gcn_layer_forward`` over the whole snapshot;
-both run the same ``_propagate`` core.
+Each destination sums its edges in snapshot order, so the rows equal the
+whole snapshot's bit for bit wherever BLAS rounds a product row alike for
+any row count: OpenBLAS's SkylakeX kernel does from two rows on, its
+Haswell kernel rounds the last row of an odd count differently.
 
 Node input features are learned: one shared vector per node kind plus a
 per-battery bias row, so the graph branch is purely structural.
@@ -65,53 +66,36 @@ def build_layers(rng, dims):
             for i in range(n)]
 
 
-def _propagate(layer: GcnLayer, h: Tensor, h_self: Tensor, src, dst,
-               inv_deg) -> Tensor:
-    """One layer for the destination rows of ``h_self``.
-
-    ``src``/``dst`` index the rows of ``h`` and of ``h_self``; ``inv_deg``
-    holds 1/degree per destination row, 0 where it has no edge.
-    """
-    m = neighbor_mean(h, src, dst, h_self.shape[0], inv_deg)
-    out = add(matmul(m, layer.w), matmul(h_self, layer.b))
-    if layer.activation == "relu":
-        out = relu(out)
-    return out
-
-
 def gcn_layer_forward(layer: GcnLayer, h: Tensor, g: TemporalGraph, t: int,
                       window: int = 0) -> Tensor:
     """One round of message passing over every node of the (windowed)
-    snapshot t: the full-graph reference for ``gnn_encode``."""
+    snapshot t: ``gnn_encode`` over every row, reading its input from ``h``."""
     n = g.n_nodes
     if h.shape[0] != n:
         raise ShapeError(
             f"feature rows ({h.shape[0]}) must equal node count ({n})"
         )
-    edges = g.window_edges(t, window)
-    b_rows = g.n_users + edges.batteries
-    src = np.concatenate([edges.users, b_rows])
-    dst = np.concatenate([b_rows, edges.users])
-    degree = np.bincount(dst, minlength=n)
-    inv_deg = np.zeros(n)
-    np.divide(1.0, degree, out=inv_deg, where=degree > 0)
-    return _propagate(layer, h, h, src, dst, inv_deg)
+    return gnn_encode([layer], g, lambda idx: gather_rows(h, idx), t,
+                      np.arange(n), window)
 
 
-def gnn_encode(layers, g: TemporalGraph, features, t: int, rows,
+def gnn_encode(layers, g: TemporalGraph, read_rows, t: int, rows,
                window: int = 0) -> Tensor:
     """Encoder output at the (windowed) snapshot t for global node ``rows``.
 
-    Output row i belongs to node ``rows[i]``. ``features`` supplies input
-    rows through ``features.rows(idx)``, as a :class:`NodeFeatureTable`
+    Output row i belongs to node ``rows[i]``. ``read_rows(idx)`` returns the
+    input rows of global nodes ``idx``, as :meth:`NodeFeatureTable.rows`
     does. Only the rows in the receptive field of ``rows`` are computed;
-    zero layers return ``features.rows(rows)``.
+    zero layers return ``read_rows(rows)``.
     """
     inputs, hops = g.window_edges(t, window).receptive_field(rows, len(layers))
-    h = features.rows(inputs)
+    h = read_rows(inputs)
     for layer, hop in zip(layers, hops):
-        h = _propagate(layer, h, gather_rows(h, hop.self_rows), hop.src, hop.dst,
-                       hop.inv_degree)
+        h_self = gather_rows(h, hop.self_rows)
+        m = neighbor_mean(h, hop.src, hop.dst, h_self.shape[0], hop.inv_degree)
+        h = add(matmul(m, layer.w), matmul(h_self, layer.b))
+        if layer.activation == "relu":
+            h = relu(h)
     return h
 
 

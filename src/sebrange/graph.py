@@ -66,17 +66,15 @@ class Hop(NamedTuple):
 class WindowEdges:
     """Both-direction edges of the snapshots ``t - window .. t`` by destination.
 
-    ``users`` and ``batteries`` are the window's distinct (user, battery)
-    pairs, each at its first occurrence scanning old to new. ``nodes`` holds
-    the distinct destination rows, ascending; destination ``nodes[i]`` has
-    ``degree[i]`` in-edges whose source rows are
-    ``src[start[i]:start[i] + degree[i]]``, in pair order. Every array is
-    sized by the window's edges, not by the node count.
+    Built from the window's distinct (user, battery) pairs, each at its
+    first occurrence scanning old to new. ``nodes`` holds the distinct
+    destination rows, ascending; destination ``nodes[i]`` has ``degree[i]``
+    in-edges whose source rows are ``src[start[i]:start[i] + degree[i]]``,
+    in pair order. Every array is sized by the window's edges, not by the
+    node count.
     """
 
     def __init__(self, users: np.ndarray, batteries: np.ndarray, n_users: int):
-        self.users = users
-        self.batteries = batteries
         b_rows = n_users + batteries
         src = np.concatenate([users, b_rows])
         dst = np.concatenate([b_rows, users])

@@ -183,7 +183,7 @@ class SebTransformer(_TrainedModel):
             rows = [graph.node_row(o.battery) for o in orders]
             rows += [graph.node_row(o.user) for o in orders]
             targets, at = np.unique(rows, return_inverse=True)
-            x1 = gnn_encode(self.gcn_layers, graph, self.nodes, t, targets,
+            x1 = gnn_encode(self.gcn_layers, graph, self.nodes.rows, t, targets,
                             self.cfg.window)
             graph_slice = concat(
                 [gather_rows(x1, at[:batch]), gather_rows(x1, at[batch:])],

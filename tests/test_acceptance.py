@@ -6,6 +6,7 @@ lines; the frozen-benchmark criteria share one module-scoped run
 """
 
 import ctypes
+import hashlib
 import json
 import platform
 import time
@@ -297,6 +298,24 @@ def _float_environment():
         "blas_config": config,
         "libc": " ".join(filter(None, platform.libc_ver())) or "unknown",
     }
+
+
+def _check_environment_pin(pins, native, got, test_id):
+    """Fail unless ``got`` equals the value ``pins`` holds for this float
+    environment, for a bit pin that no tolerance can stand in for. The key
+    is the first 12 hex digits of the SHA-256 of :func:`_float_environment`
+    as sorted JSON. An environment with no entry is held to ``native``, the
+    value of the environment the pin was first taken in. A mismatch names
+    the key and how to pin it."""
+    env = json.dumps(_float_environment(), sort_keys=True)
+    key = hashlib.sha256(env.encode()).hexdigest()[:12]
+    want = pins.get(key, native)
+    if got != want:
+        held = "its entry" if key in pins else "the native value (no entry)"
+        pytest.fail(f"{test_id} reads {got!r} in float environment {key} {env}, "
+                    f"against {want!r}, {held}. If the reading is right, pin it "
+                    f"under {key!r} and check it with "
+                    f"`PYTHONPATH=src python -m pytest {test_id}`")
 
 
 def _frozen_values(result):

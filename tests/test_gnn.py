@@ -1,4 +1,4 @@
-"""Graph-convolution layer against a dense-matrix oracle."""
+"""Graph-convolution layers against a dense-matrix oracle."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,18 @@ from sebrange.graph import TemporalGraph
 from sebrange.optim import Param
 from sebrange.rng import Rng
 from sebrange.tensor import Tensor, gather_rows, mul, sum_
+from test_graph import random_temporal
 
 
-def dense_reference(h, g, w, b, activation):
-    """sigma(D^-1 A h W + h B) at snapshot 0, with 0^-1 := 0, built from
-    dense matrices."""
+def dense_reference(h, g, w, b, activation, t=0, window=0):
+    """sigma(D^-1 A h W + h B) over the snapshots t - window .. t, with
+    0^-1 := 0, built from dense matrices. A pair that swaps again in the
+    window sets the same entry of A, so only its first occurrence counts."""
     n = g.n_nodes
     a = np.zeros((n, n))
     edges = g.columns()
-    for u, bt in zip(edges.user, edges.battery):
+    in_window = (edges.t >= t - window) & (edges.t <= t)
+    for u, bt in zip(edges.user[in_window], edges.battery[in_window]):
         i, j = u, g.n_users + bt
         a[i, j] = a[j, i] = 1.0
     deg = a.sum(axis=1)
@@ -42,19 +45,10 @@ def random_bipartite(r, max_nodes=8):
     return g
 
 
-class FixedFeatures:
-    """Feature source over a fixed all-node matrix."""
-
-    def __init__(self, h0):
-        self.h0 = Tensor(h0)
-
-    def rows(self, idx):
-        return gather_rows(self.h0, idx)
-
-
 def encode_all(layers, g, h0, t, window=0):
-    """gnn_encode over every node row of g."""
-    return gnn_encode(layers, g, FixedFeatures(h0), t, np.arange(g.n_nodes), window)
+    """gnn_encode over every node row of g, reading input rows from h0."""
+    return gnn_encode(layers, g, lambda idx: gather_rows(h0, idx), t,
+                      np.arange(g.n_nodes), window)
 
 
 def identity_layer(d):
@@ -92,6 +86,26 @@ class TestGcnLayer:
             got = gcn_layer_forward(layer, Tensor(h), g, 0).array
             ref = dense_reference(h, g, layer.w.value, layer.b.value, act)
             assert np.abs(got - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_dense_oracle_two_layers_recurring_pairs(self, window):
+        recurring = 0
+        for seed in range(10):
+            g, edges = random_temporal(seed)
+            r = Rng(100 + seed)
+            layers = build_layers(r, [3, 4, 2])
+            h0 = r.normal(size=(g.n_nodes, 3))
+            for t in range(g.horizon):
+                got = encode_all(layers, g, h0, t, window).array
+                ref = h0
+                for layer in layers:
+                    ref = dense_reference(ref, g, layer.w.value, layer.b.value,
+                                          layer.activation, t, window)
+                assert np.abs(got - ref).max() <= 1e-10
+                pairs = [(u, b) for te, u, b in edges if t - window <= te <= t]
+                recurring += len(pairs) - len(set(pairs))
+        # The windowed cases merge pairs that swap again.
+        assert (recurring > 0) == (window > 0)
 
     def test_row_count_mismatch(self):
         g = TemporalGraph(2, 2, 1)
@@ -226,7 +240,7 @@ class TestReceptiveField:
             full = table.rows(np.arange(g.n_nodes))
             for layer in layers:
                 full = gcn_layer_forward(layer, full, g, t, window)
-            got = gnn_encode(layers, g, table, t, rows, window)
+            got = gnn_encode(layers, g, table.rows, t, rows, window)
             assert got.shape[0] == rows.size
             assert np.array_equal(got.array, full.array[rows])
 
@@ -245,8 +259,8 @@ class TestReceptiveField:
             sum_(mul(out, c)).backward()
             return [p.grad.copy() for p in params]
 
-        local = grads(gnn_encode(layers, g, table, t, rows, window))
-        everything = gnn_encode(layers, g, table, t, np.arange(g.n_nodes), window)
+        local = grads(gnn_encode(layers, g, table.rows, t, rows, window))
+        everything = gnn_encode(layers, g, table.rows, t, np.arange(g.n_nodes), window)
         full = grads(gather_rows(everything, rows))
         for a, b in zip(local, full):
             assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
@@ -259,7 +273,7 @@ class TestReceptiveField:
         b = r.normal(size=(3, 3))
         layer = GcnLayer(Param(r.normal(size=(3, 3))), Param(b), "relu")
         rows = np.array([1, 4])  # user 1 and battery 1 have no edge at t=1
-        got = gnn_encode([layer], g, table, 1, rows).array
+        got = gnn_encode([layer], g, table.rows, 1, rows).array
         h0 = table.rows(np.arange(g.n_nodes)).array
         assert np.array_equal(got, np.maximum(h0[rows] @ b, 0.0))
         full = gcn_layer_forward(layer, table.rows(np.arange(g.n_nodes)), g, 1).array
@@ -270,9 +284,9 @@ class TestReceptiveField:
         layers, table = fleet_encoder(g)
         t = sorted(targets)[5]
         rows = targets[t]
-        expect = gnn_encode(layers, g, table, t, rows, 4).array
+        expect = gnn_encode(layers, g, table.rows, t, rows, 4).array
         picks = np.array([3, 0, 3, 1, 0])
-        got = gnn_encode(layers, g, table, t, rows[picks], 4).array
+        got = gnn_encode(layers, g, table.rows, t, rows[picks], 4).array
         assert np.array_equal(got, expect[picks])
 
     def test_sees_edge_added_after_lookup(self):

@@ -9,6 +9,7 @@ from sebrange.gradcheck import grad_check, grad_check_params
 from sebrange.optim import AdamState, Param, optimizer_step
 from sebrange.rng import Rng
 from sebrange.tensor import Tensor, layer_norm, linear, mul, relu, sum_
+from test_acceptance import _check_environment_pin
 
 
 def pack_params(params) -> np.ndarray:
@@ -95,10 +96,18 @@ AUDIT_2_POINTS = {
     "relu": 3.2399638527635943e-11,
     "layer-norm": 7.808814705967393e-11,
     "linear": 1.840771979289002e-10,
-    "gcn-layer": 9.361968460750628e-12,
+    # Re-pinned when the check became two hops at window 1 over a target subset.
+    "gcn-layer": 9.883138057942276e-11,
     "qkv": 1.0418366169773208e-10,
     # Re-pinned when the check gained a leading axis spanning two VJP tiles.
-    "attention": 1.9396267925131383e-10,
+    # Its bits depend on the float environment: one entry per environment
+    # that tests/data/frozen_seed42.json pins, keyed by _check_environment_pin;
+    # an environment with no entry is held to the first, native one.
+    "attention": {
+        "45b278bfb127": 1.9396267925131383e-10,  # SkylakeX, two BLAS threads
+        "75b28a573237": 1.9396267925131383e-10,  # SkylakeX, one BLAS thread
+        "dfa60c5f6c06": 2.1410134776189693e-10,  # X86_V3 and Haswell, one thread
+    },
     "block": 2.2555224068476838e-10,
     "mlp": 1.9034371301351882e-11,
     "s3im": 1.900393037379544e-11,
@@ -108,8 +117,11 @@ AUDIT_2_POINTS = {
 
 
 def test_audit_two_points_bit_for_bit():
-    rows = run_gradient_audit(points=2)
-    assert {r.op: r.max_err for r in rows} == AUDIT_2_POINTS
+    got = {r.op: r.max_err for r in run_gradient_audit(points=2)}
+    attention = AUDIT_2_POINTS["attention"]
+    _check_environment_pin(attention, attention["45b278bfb127"], got.pop("attention"),
+                           "tests/test_gradcheck.py::test_audit_two_points_bit_for_bit")
+    assert got == {op: v for op, v in AUDIT_2_POINTS.items() if op != "attention"}
 
 
 # 0, -1 and nan tolerances are covered through the CLI in test_cli.py.

@@ -28,6 +28,13 @@ def in_rows(g, row, t, window=0):
     return g.window_edges(t, window).in_edges([row])[0].tolist()
 
 
+def window_pairs(g, t, window=0):
+    """The (user, battery) pairs of snapshots t - window .. t as the edge
+    index holds them: user by user, each user's in pair order."""
+    src, owner, _ = g.window_edges(t, window).in_edges(np.arange(g.n_users))
+    return list(zip(owner.tolist(), (src - g.n_users).tolist()))
+
+
 def degree_histogram(g, t):
     """Map degree -> node count at snapshot t."""
     degree = g.window_edges(t).in_edges(np.arange(g.n_nodes))[2]
@@ -152,12 +159,10 @@ def test_degree_sums_match_edge_count():
 def test_merged_snapshot_window_dedupes_pairs():
     g = small_graph()
     g.add_edges([0, 1, 1], [0, 0, 1], [0, 0, 1], [1, 2, 3])
-    merged = g.window_edges(1, window=1)
-    assert merged.users.size == 2
+    assert len(window_pairs(g, 1, window=1)) == 2
     assert len(in_rows(g, g.node_row(battery(0)), 1, window=1)) == 1
     # window=0 is the plain snapshot
-    plain = g.window_edges(1, window=0)
-    assert list(zip(plain.users.tolist(), plain.batteries.tolist())) == [(0, 0), (1, 1)]
+    assert window_pairs(g, 1, window=0) == [(0, 0), (1, 1)]
 
 
 def random_temporal(seed, n_users=12, n_batteries=6, horizon=6, swaps=9):
@@ -183,7 +188,7 @@ def test_window_edges_keep_merged_snapshot_order(window):
     for t in range(g.horizon):
         pairs = merged_pairs(edges, t, window)
         entry = g.window_edges(t, window)
-        assert list(zip(entry.users.tolist(), entry.batteries.tolist())) == pairs
+        assert window_pairs(g, t, window) == sorted(pairs, key=lambda p: p[0])
         users = np.array([p[0] for p in pairs], dtype=np.int64)
         b_rows = g.n_users + np.array([p[1] for p in pairs], dtype=np.int64)
         src, dst = np.concatenate([users, b_rows]), np.concatenate([b_rows, users])
@@ -227,11 +232,9 @@ def test_empty_graph_allocates_under_1mb(traced):
 def test_window_edges_see_later_add_edge():
     g = small_graph()
     g.add_edges([0], [0], [0], [0])
-    before = g.window_edges(1, 1)
-    assert before.users.tolist() == [0]
+    assert window_pairs(g, 1, 1) == [(0, 0)]
     g.add_edges([1], [2], [1], [0])
-    after = g.window_edges(1, 1)
-    assert list(zip(after.users.tolist(), after.batteries.tolist())) == [(0, 0), (2, 1)]
+    assert window_pairs(g, 1, 1) == [(0, 0), (2, 1)]
 
 
 class TestSerialization:
