@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .optim import Param, glorot_uniform
-from .tensor import Tensor, add, attention_core, layer_norm, linear, matmul, relu
+from .tensor import (Tensor, add, attention_core, feed_forward, layer_norm, linear,
+                     relu, self_attention)
 
 
 def qkv_weights(rng, d: int, d_qk: int, d_v: int):
@@ -27,12 +28,6 @@ def qkv_weights(rng, d: int, d_qk: int, d_v: int):
         return Param(w.T.copy(), f"attn.{key}")
 
     return weight(d_qk, "wq"), weight(d_qk, "wk"), weight(d_v, "wv")
-
-
-def project_qkv(x, wq: Param, wk: Param, wv: Param):
-    """Linear projections Q = X W_Q, K = X W_K, V = X W_V, one tape node
-    each."""
-    return matmul(x, wq), matmul(x, wk), matmul(x, wv)
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -76,10 +71,9 @@ def encode_sequence(block: TransformerBlock, x0: Tensor) -> Tensor:
             f"sequence length {x0.shape[-2]} does not match block ({block.seq_len})"
         )
     x = add(x0, block.pos)
-    attended = add(attend(*project_qkv(x, block.wq, block.wk, block.wv)), x)
-    attended = layer_norm(attended, block.ln1_g, block.ln1_b)
-    hidden = relu(linear(attended, block.w1, block.b1))
-    out = add(linear(hidden, block.w2, block.b2), attended)
+    attended = layer_norm(self_attention(x, block.wq, block.wk, block.wv),
+                          block.ln1_g, block.ln1_b)
+    out = add(feed_forward(attended, block.w1, block.b1, block.w2, block.b2), attended)
     return layer_norm(out, block.ln2_g, block.ln2_b)
 
 

@@ -12,15 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import (
-    MlpHead,
-    TransformerBlock,
-    attend,
-    encode_sequence,
-    mlp_forward,
-    project_qkv,
-    qkv_weights,
-)
+from .attention import MlpHead, TransformerBlock, encode_sequence, mlp_forward, qkv_weights
 from .errors import ConfigError
 from .gnn import build_layers, gnn_encode
 from .gradcheck import grad_check, grad_check_params
@@ -29,8 +21,8 @@ from .model import ModelConfig, SebTransformer
 from .optim import Param
 from .rng import Rng, derive_seed
 from .s3im import S3imConfig, s3im, s3im_regularizer
-from .tensor import (ATTENTION_TILE, add, gather_rows, layer_norm, linear, matmul, mul,
-                     relu, softmax_rows, sum_)
+from .tensor import (ATTENTION_TILE, feed_forward, gather_rows, layer_norm, linear, matmul,
+                     mul, relu, self_attention, softmax_rows, sum_)
 from .training import TrainConfig, bucket_by_t, objective
 
 TOL_ELEMENTWISE = 1e-6
@@ -103,25 +95,22 @@ def _check_gcn_layer(r):
     return grad_check_params(loss, [h] + [p for layer in layers for p in layer.params()])
 
 
-def _check_qkv(r):
-    weights = qkv_weights(r, 4, 3, 3)
-    cq = r.normal(size=(5, 3))
-    ck = r.normal(size=(5, 3))
-    cv = r.normal(size=(5, 3))
-
-    def f(t):
-        q, k, v = project_qkv(t, *weights)
-        return add(add(sum_(mul(q, cq)), sum_(mul(k, ck))), sum_(mul(v, cv)))
-
-    return grad_check(f, r.normal(size=(5, 4)))
+def _check_ffn(r):
+    w1, b1, w2, b2 = (Param(r.normal(size=n)) for n in [(4, 5), (5,), (5, 4), (4,)])
+    a = Param(r.normal(size=(2, 3, 4)))
+    c = r.normal(size=(2, 3, 4))
+    return grad_check_params(lambda: sum_(mul(feed_forward(a, w1, b1, w2, b2), c)),
+                             [a, w1, b1, w2, b2])
 
 
 def _check_attention(r):
-    # One sequence more than a tile, so the VJP's rebuilt weights cross a tile edge.
-    weights = qkv_weights(r, 4, 4, 4)
+    # One sequence more than a tile, so the forward and the VJP's rebuilt
+    # q, k, v and weights cross a tile edge.
+    weights = qkv_weights(r, 4, 3, 4)
     c = r.normal(size=(ATTENTION_TILE + 1, 5, 4))
-    return grad_check(lambda t: sum_(mul(attend(*project_qkv(t, *weights)), c)),
-                      r.normal(size=(ATTENTION_TILE + 1, 5, 4)))
+    x = Param(r.normal(size=(ATTENTION_TILE + 1, 5, 4)))
+    return grad_check_params(lambda: sum_(mul(self_attention(x, *weights), c)),
+                             [x, *weights])
 
 
 def _check_block(r):
@@ -185,7 +174,7 @@ _CHECKS = (
     ("layer-norm", TOL_ELEMENTWISE, _check_layer_norm),
     ("linear", TOL_COMPOSED, _check_linear),
     ("gcn-layer", TOL_COMPOSED, _check_gcn_layer),
-    ("qkv", TOL_COMPOSED, _check_qkv),
+    ("ffn", TOL_COMPOSED, _check_ffn),
     ("attention", TOL_COMPOSED, _check_attention),
     ("block", TOL_COMPOSED, _check_block),
     ("mlp", TOL_COMPOSED, _check_mlp),

@@ -8,7 +8,7 @@ takes its gradient; a :class:`~sebrange.optim.Param` or a ``RowTable.rows()``
 read, whose ``accumulate`` adds it into the param's ``grad`` (a row read's
 into only its rows) as each consuming op's VJP runs; or a constant, a numpy
 array or Python float, with no node and no gradient. A seb-s3im training step
-records 42 nodes and a seb step 38. Calling :meth:`Tensor.backward` on a
+records 36 nodes and a seb step 32. Calling :meth:`Tensor.backward` on a
 scalar output walks the tape in reverse topological order. The sweep
 consumes the tape: each interior node frees its gradient and the arrays its
 VJP saved once that VJP has run, so a graph is differentiated once.
@@ -16,11 +16,12 @@ VJP saved once that VJP has run, so a graph is differentiated once.
 The tape keeps what backward reads, and never a value that only the caller
 holds: a node holds no array, and a VJP closure captures only the arrays it
 reads (product operands, softmax weights, normalized rows, relu's mask), else
-shapes; attention's rebuilds its weights from q, k and the softmax's max and
-sum. An output no VJP reads dies with the forward's last handle. On the
-41-order seed-42 chunk a seb-s3im forward holds 3.2 MiB (4.5 with attention's
-weights kept, 7.0 when the tape held every output), and its step peaks at
-1.08x the forward's 4.2 MiB peak.
+shapes; the encoder block's ``self_attention`` and ``feed_forward`` keep
+their input and rebuild q, k, v, the weights and the hidden layer. An output
+no VJP reads dies with the forward's last handle. On the 41-order seed-42
+chunk a seb-s3im forward holds 1.5 MiB (3.2 with q, k, v and the hidden
+layer kept, 4.5 with attention's weights too, 7.0 when the tape held every
+output), and its step peaks in the FFN's VJP at 1.09x the forward's 2.5 MiB.
 
 Tensors are treated as immutable once constructed: ops never write into
 operand or result arrays, so values can be shared freely across threads
@@ -235,15 +236,9 @@ def matmul(a, b) -> Tensor:
     return _record(np.matmul(x, y), (a, b), vjp)
 
 
-def linear(x, w, b) -> Tensor:
-    """Affine map ``x @ w + b`` on the trailing axis, as one tape node.
-
-    ``x`` is (..., d_in), ``w`` (d_in, d_out) and ``b`` (d_out,). The weight
-    and bias gradients fold the leading axes of ``x`` into one 2-D product.
-    A constant ``x`` gets no gradient, so its product is skipped; a Param
-    ``x``, as in the gradient audit, gets one.
-    """
-    xa, wa, ba = _value(x), _value(w), _value(b)
+def _affine(xa, wa, ba) -> np.ndarray:
+    """``xa @ wa + ba``; on batched inputs the bias goes over rows of S * d_out
+    values: long loops, the same adds."""
     if xa.ndim < 1 or wa.ndim != 2 or xa.shape[-1] != wa.shape[0]:
         raise ShapeError(f"linear inner dimensions disagree: {xa.shape} @ {wa.shape}")
     if ba.shape != (wa.shape[1],):
@@ -251,21 +246,57 @@ def linear(x, w, b) -> Tensor:
     out = np.matmul(xa, wa)
     if out.ndim < 3:
         out += ba
-    else:  # the bias goes over rows of S * d_out values: long loops, same adds
+    else:
         s = out.shape[-2]
         rows = out.reshape(-1, s * wa.shape[1])
         rows += ba[None].repeat(s, axis=0).reshape(-1)
+    return out
+
+
+def _affine_grads(xa, g):
+    """``_affine``'s weight and bias gradients, leading axes folded into rows."""
+    rows = g.reshape(-1, g.shape[-1])
+    return xa.reshape(-1, xa.shape[-1]).T @ rows, rows.sum(axis=0)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` on the trailing axis, as one tape node.
+
+    ``x`` is (..., d_in), ``w`` (d_in, d_out) and ``b`` (d_out,). A constant
+    ``x`` gets no gradient, so its product is skipped; a Param ``x``, as in
+    the gradient audit, gets one.
+    """
+    xa, wa = _value(x), _value(w)
     x_constant = _sink(x) is None
+    return _record(_affine(xa, wa, _value(b)), (x, w, b), lambda g: (
+        None if x_constant else np.matmul(g, wa.T), *_affine_grads(xa, g)))
+
+
+def feed_forward(a, w1, b1, w2, b2) -> Tensor:
+    """``linear(relu(linear(a, w1, b1)), w2, b2)`` as one tape node that keeps
+    only ``a``: the VJP rebuilds the hidden layer with the forward's float
+    operations (selective recomputation; Korthikanti et al., 2022) and frees
+    it, then relu's mask, as soon as it can. Every bit equals the three nodes'.
+    """
+    aa, w1a, b1a, w2a = _value(a), _value(w1), _value(b1), _value(w2)
+
+    def hidden():
+        h = _affine(aa, w1a, b1a)
+        np.maximum(h, 0.0, out=h)
+        h += 0.0  # relu's -0.0 fold
+        return h
 
     def vjp(g):
-        rows = g.reshape(-1, g.shape[-1])
-        return (
-            None if x_constant else np.matmul(g, wa.T),
-            xa.reshape(-1, xa.shape[-1]).T @ rows,
-            rows.sum(axis=0),
-        )
+        h = hidden()
+        gw2, gb2 = _affine_grads(h, g)
+        mask = h > 0.0
+        del h
+        gh = np.matmul(g, w2a.T)
+        gh *= mask
+        del mask
+        return (np.matmul(gh, w1a.T), *_affine_grads(aa, gh), gw2, gb2)
 
-    return _record(out, (x, w, b), vjp)
+    return _record(_affine(hidden(), w2a, _value(b2)), (a, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +412,38 @@ def softmax_rows(a) -> Tensor:
     return _record(out, (a,), lambda g: (_softmax_vjp(out, g.copy()),))
 
 
-# Sequences per rebuilt-weights tile: of 4-8 and 16, 6 ran the 41-order step fastest.
+# Sequences per attention tile, forward and VJP; of 4-8 and 16, 6 ran the VJP fastest.
 ATTENTION_TILE = 6
+
+
+def _attention_weights(q, k, scale, top=None, total=None):
+    """Key-major softmax weights (..., S_k, S_q) and their per-query max and
+    sum; given the forward's max and sum, the same float operations rebuild
+    them. ``k q^T`` is ``q k^T`` transposed bit for bit; its max, broadcasts
+    and sums (in numpy's row order, ``_pairwise_sum_rows``) run over axis -2
+    in long contiguous loops."""
+    st = np.matmul(k, np.ascontiguousarray(np.swapaxes(q, -1, -2)))
+    st *= scale
+    top = st.max(axis=-2, keepdims=True) if top is None else top
+    st -= top
+    np.exp(st, out=st)
+    total = _pairwise_sum_rows(st)[..., None, :] if total is None else total
+    st /= total
+    return st, top, total
+
+
+def _attention_tile_vjp(q, k, v, top, total, g, scale):
+    """A tile's q, k and v gradients: the softmax Jacobian in closed form on
+    rebuilt weights, with the scale applied to the narrow (S, D) products."""
+    weights = np.ascontiguousarray(np.swapaxes(
+        _attention_weights(q, k, scale, top, total)[0], -1, -2))
+    gs = _softmax_vjp(weights, np.matmul(g, np.ascontiguousarray(np.swapaxes(v, -1, -2))))
+    gv = np.matmul(np.swapaxes(weights, -1, -2), g)
+    gq = np.matmul(gs, k)
+    gq *= scale
+    gk = np.matmul(np.swapaxes(gs, -1, -2), q)
+    gk *= scale
+    return gq, gk, gv
 
 
 def attention_core(q, k, v) -> Tensor:
@@ -393,49 +454,65 @@ def attention_core(q, k, v) -> Tensor:
     weights ``ATTENTION_TILE`` sequences at a time with the forward's own
     float operations and applies the softmax Jacobian in closed form, a
     FlashAttention-style fused backward (Dao et al., 2022) tiled by sequence.
-
-    The forward works key-major: ``k q^T`` of shape (..., S_k, S_q) is the
-    transpose of ``q k^T`` bit for bit, and its max and broadcasts run over
-    axis -2, which numpy does in long contiguous loops rather than one short
-    loop per query row. The softmax sums also run over axis -2, in numpy's
-    row order (``_pairwise_sum_rows``), so no transposed copy is made.
     """
     qa, ka, va = _value(q), _value(k), _value(v)
     scale = 1.0 / np.sqrt(qa.shape[-1])
-    st = np.matmul(ka, np.ascontiguousarray(np.swapaxes(qa, -1, -2)))
-    st *= scale
-    top = st.max(axis=-2, keepdims=True)
-    st -= top
-    np.exp(st, out=st)
-    total = _pairwise_sum_rows(st)[..., None, :]
-    st /= total
+    st, top, total = _attention_weights(qa, ka, scale)
     out = np.matmul(np.swapaxes(st, -1, -2), va)
 
     def vjp(g):
         # Operands broadcast to g's leading axes (or one); a tile slices the first.
         lead = g.shape[:-2] or (1,)
-        vt = np.ascontiguousarray(np.swapaxes(va, -1, -2))
-        ins = [np.broadcast_to(a, lead + a.shape[-2:]) for a in (qa, ka, vt, top, total, g)]
+        ins = [np.broadcast_to(a, lead + a.shape[-2:]) for a in (qa, ka, va, top, total, g)]
         grads = [np.empty(lead + a.shape[-2:]) for a in (qa, ka, va)]
         for i in range(0, lead[0], ATTENTION_TILE):
-            qt, kt, vtt, top_t, total_t, gt = (a[i:i + ATTENTION_TILE] for a in ins)
-            gq, gk, gv = (a[i:i + ATTENTION_TILE] for a in grads)
-            st = np.matmul(kt, np.ascontiguousarray(np.swapaxes(qt, -1, -2)))
-            st *= scale
-            st -= top_t
-            np.exp(st, out=st)
-            st /= total_t
-            weights = np.ascontiguousarray(np.swapaxes(st, -1, -2))
-            gs = _softmax_vjp(weights, np.matmul(gt, vtt))
-            np.matmul(np.swapaxes(weights, -1, -2), gt, out=gv)
-            # The scale is applied to the narrow (S, D) products, not the (S, S) rows.
-            np.matmul(gs, kt, out=gq)
-            gq *= scale
-            np.matmul(np.swapaxes(gs, -1, -2), qt, out=gk)
-            gk *= scale
+            tile = slice(i, i + ATTENTION_TILE)
+            for gr, t in zip(grads, _attention_tile_vjp(*(a[tile] for a in ins), scale)):
+                gr[tile] = t
         return tuple(_unbroadcast(gr, a.shape) for gr, a in zip(grads, (qa, ka, va)))
 
     return _record(out, (q, k, v), vjp)
+
+
+def self_attention(x, wq, wk, wv) -> Tensor:
+    """``attention_core(x wq, x wk, x wv) + x`` over (..., S, D) inputs as one
+    tape node that keeps x, the softmax's max and sum and the weights. The
+    forward and the VJP run ``ATTENTION_TILE`` sequences at a time and the VJP
+    rebuilds each tile's q, k and v, so no (B, S, S) array and no whole-batch
+    q, k or v exists (Chen et al., 2016). x's gradient sums the residual's,
+    then q's, k's and v's, and each weight's sums per-sequence products, so
+    every bit equals three ``matmul`` nodes, ``attention_core`` and ``add``.
+    """
+    xa, ws = _value(x), [_value(w) for w in (wq, wk, wv)]
+    if (xa.ndim < 2 or any(w.ndim != 2 or w.shape[0] != xa.shape[-1] for w in ws)
+            or ws[0].shape[1] != ws[1].shape[1] or ws[2].shape[1] != xa.shape[-1]):
+        raise ShapeError(f"attention input {xa.shape} does not fit W_Q, W_K, W_V "
+                         f"{[w.shape for w in ws]} with a residual")
+    xs = xa.reshape((-1,) + xa.shape[-2:])
+    n, s = xs.shape[:2]
+    scale = 1.0 / np.sqrt(ws[0].shape[1])
+    out, top, total = np.empty(xs.shape), np.empty((n, 1, s)), np.empty((n, 1, s))
+    for i in range(0, n, ATTENTION_TILE):
+        tile = slice(i, i + ATTENTION_TILE)
+        q, k, v = (np.matmul(xs[tile], w) for w in ws)
+        st, top[tile], total[tile] = _attention_weights(q, k, scale)
+        np.add(np.matmul(np.swapaxes(st, -1, -2), v), xs[tile], out=out[tile])
+
+    def vjp(g):
+        g = g.reshape(xs.shape)
+        gx = g.copy()  # the residual's gradient comes first
+        gws = [np.empty((n,) + w.shape) for w in ws]
+        for i in range(0, n, ATTENTION_TILE):
+            tile = slice(i, i + ATTENTION_TILE)
+            qkv = [np.matmul(xs[tile], w) for w in ws]
+            for w, gw, gp in zip(ws, gws, _attention_tile_vjp(*qkv, top[tile], total[tile],
+                                                              g[tile], scale)):
+                np.matmul(np.swapaxes(xs[tile], -1, -2), gp, out=gw[tile])
+                gx[tile] += np.matmul(gp, w.T)
+        return (gx.reshape(xa.shape), *(_unbroadcast(gw.reshape(xa.shape[:-2] + w.shape), w.shape)
+                                         for w, gw in zip(ws, gws)))
+
+    return _record(out.reshape(xa.shape), (x, wq, wk, wv), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -455,17 +532,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out += bias_a
 
     def vjp(g):
+        g_gain = _unbroadcast(g * normed, gain_a.shape)
         gn = g * gain_a
         gn_mean = _row_dot(gn, np.ones(d)) * scale
         gn_proj = _row_dot(gn, normed) * scale
         gn -= gn_mean
-        gn -= normed * gn_proj
+        # The VJP runs once, so it may scale its saved rows in place.
+        gn -= np.multiply(normed, gn_proj, out=normed)
         gn *= rstd
-        return (
-            gn,
-            _unbroadcast(g * normed, gain_a.shape),
-            _unbroadcast(g, bias_shape),
-        )
+        return gn, g_gain, _unbroadcast(g, bias_shape)
 
     return _record(out, (x, gain, bias), vjp)
 

@@ -1,4 +1,5 @@
-"""Attention encoder contracts: projections, attention, block, MLP head."""
+"""Attention encoder contracts: the attention sublayer and its projections,
+attention, block, MLP head."""
 
 import numpy as np
 import pytest
@@ -9,56 +10,60 @@ from sebrange.attention import (
     attend,
     encode_sequence,
     mlp_forward,
-    project_qkv,
     qkv_weights,
 )
 from sebrange.errors import ConfigError, ShapeError
 from sebrange.gradcheck import grad_check
 from sebrange.optim import Param
 from sebrange.rng import Rng
-from sebrange.tensor import Tensor, mul, sum_
+from sebrange.tensor import Tensor, mul, self_attention, sum_
 
 
 class TestProjectQkv:
+    """The Q, K and V projections, which ``self_attention`` makes inside its node."""
+
     def test_zero_input(self):
-        weights = qkv_weights(Rng(1), 4, 3, 2)
-        q, k, v = project_qkv(Tensor(np.zeros((5, 4))), *weights)
-        for m, width in ((q, 3), (k, 3), (v, 2)):
-            assert np.array_equal(m.array, np.zeros((5, width)))
+        weights = qkv_weights(Rng(1), 4, 3, 4)
+        out = self_attention(Tensor(np.zeros((5, 4))), *weights)
+        assert np.array_equal(out.array, np.zeros((5, 4)))
 
     def test_identity_projection(self):
         x = Rng(2).normal(size=(4, 3))
-        q, _, _ = project_qkv(Tensor(x), *(Param(np.eye(3)) for _ in range(3)))
-        assert np.array_equal(q.array, x)
+        out = self_attention(Tensor(x), *(Param(np.eye(3)) for _ in range(3)))
+        expect = attend(Tensor(x), Tensor(x), Tensor(x)).array + x
+        assert out.array.tobytes() == expect.tobytes()
 
     def test_matches_matmul_oracle(self):
         r = Rng(3)
         weights = qkv_weights(r, 2, 2, 2)
         x = r.normal(size=(2, 2))
-        q, k, v = project_qkv(Tensor(x), *weights)
+        q, k, v = (np.zeros((2, 2)) for _ in range(3))
         for m, w in zip((q, k, v), weights):
-            expect = np.zeros((2, 2))
             for i in range(2):
                 for j in range(2):
                     for l in range(2):
-                        expect[i, j] += x[i, l] * w.value[l, j]
-            assert np.abs(m.array - expect).max() <= 1e-12
+                        m[i, j] += x[i, l] * w.value[l, j]
+        logits = q @ k.T / np.sqrt(2.0)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expect = (e / e.sum(axis=-1, keepdims=True)) @ v + x
+        got = self_attention(Tensor(x), *weights).array
+        assert np.abs(got - expect).max() <= 1e-12
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            project_qkv(Tensor(np.ones((5, 7))), *qkv_weights(Rng(4), 4, 3, 3))
+            self_attention(Tensor(np.ones((5, 7))), *qkv_weights(Rng(4), 4, 3, 4))
 
-    def test_is_three_tape_nodes(self):
+    def test_is_one_tape_node(self):
         block = TransformerBlock(Rng(12), 4, 3, 5, seq_len=6)
         x = Tensor(np.ones((6, 4)))
-        weights = (block.wq, block.wk, block.wv)
-        for out, w in zip(project_qkv(x, *weights), weights):
-            # The weight is an operand, not a node: its gradient goes
-            # straight into w.grad, here x^T 1 = 6 in every entry.
-            assert out._parents == (x.node,)
+        out = self_attention(x, block.wq, block.wk, block.wv)
+        # The weights are operands, not nodes: their gradients go straight
+        # into w.grad. Equal rows attend uniformly, so W_V's is about x^T 1 = 6.
+        assert out._parents == (x.node,)
+        for w in (block.wq, block.wk, block.wv):
             w.zero_grad()
-            sum_(out).backward()
-            assert np.array_equal(w.grad, np.full(w.shape, 6.0))
+        sum_(out).backward()
+        assert np.abs(block.wv.grad - 6.0).max() <= 1e-12
 
 
 class TestAttend:

@@ -2,16 +2,18 @@
 
 Each reference below builds the op from elementary tape ops, in the numpy
 order the fused forward repeats, so forwards must agree bit for bit and
-gradients to 1e-12 relative.
+gradients to 1e-12 relative. The encoder block's two sublayers rebuild what
+their VJPs read with the forward's float operations, so their gradients must
+agree bit for bit too.
 """
 
 import numpy as np
 import pytest
 
-from sebrange.attention import TransformerBlock, attend, encode_sequence, project_qkv
+from sebrange.attention import TransformerBlock, attend, encode_sequence, qkv_weights
 from sebrange.benchmark import build_model
 from sebrange.datagen import GeneratorConfig, generate
-from sebrange.errors import ShapeError
+from sebrange.errors import ContractError, ShapeError
 from sebrange.model import ModelConfig
 from sebrange.optim import Param
 from sebrange.rng import Rng
@@ -20,13 +22,16 @@ from sebrange.tensor import (
     _record,
     _value,
     add,
+    ATTENTION_TILE,
     attention_core,
+    feed_forward,
     layer_norm,
     linear,
     matmul,
     mean,
     mul,
     relu,
+    self_attention,
     softmax_rows,
     sub,
     sum_,
@@ -79,6 +84,22 @@ def composed_linear(x, w, b):
 def composed_attention(q, k, v):
     scale = 1.0 / np.sqrt(q.shape[-1])
     return matmul(softmax_rows(mul(matmul(q, transpose_last(k)), scale)), v)
+
+
+def project_qkv(x, wq, wk, wv):
+    """The Q, K and V projections, one ``matmul`` node each."""
+    return matmul(x, wq), matmul(x, wk), matmul(x, wv)
+
+
+def unfused_self_attention(x, wq, wk, wv):
+    """``self_attention`` as five nodes: three projections, the attention
+    node and the residual add."""
+    return add(attend(*project_qkv(x, wq, wk, wv)), x)
+
+
+def unfused_feed_forward(a, w1, b1, w2, b2):
+    """``feed_forward`` as three nodes."""
+    return linear(relu(linear(a, w1, b1)), w2, b2)
 
 
 def composed_encode(block, x0):
@@ -251,6 +272,83 @@ class TestAttentionCore:
         assert attend(q, k, v)._parents == (q.node, k.node, v.node)
 
 
+# The model's widths (D = d_qk = 16, 32 FFN units, 64 steps): 1 sequence,
+# one whole tile, a tile and one more, the largest seed-42 chunk, and one
+# sequence without a batch axis.
+FUSED_BATCHES = [(1,), (ATTENTION_TILE,), (ATTENTION_TILE + 1,), (41,), ()]
+
+
+def run_sublayer(op, x0, weights, seed):
+    """Output, x's gradient and every weight's of sum(op(x, *weights) * c), x a
+    tape node as in the encoder block; the loss is returned spent."""
+    x = Tensor(x0)
+    params = [Param(w) for w in weights]
+    out = op(x, *params)
+    loss = sum_(mul(out, Rng(seed).normal(size=out.shape)))
+    loss.backward()
+    return loss, [out.array, x.grad] + [p.grad for p in params]
+
+
+def assert_bits_equal(fused, unfused, x0, weights):
+    loss, got = run_sublayer(fused, x0, weights, 1)
+    _, want = run_sublayer(unfused, x0, weights, 1)
+    for name, g, w in zip(["out", "x"] + [f"w{i}" for i in range(len(weights))], got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    with pytest.raises(ContractError, match="already ran"):
+        loss.backward()
+
+
+class TestSelfAttention:
+    @pytest.mark.parametrize("batch", FUSED_BATCHES)
+    def test_equals_projections_attend_and_add(self, batch):
+        r = Rng(16)
+        weights = [w.value for w in qkv_weights(r, 16, 16, 16)]
+        assert_bits_equal(self_attention, unfused_self_attention,
+                          r.normal(size=batch + (64, 16)), weights)
+
+    def test_narrow_queries_and_keys(self):
+        r = Rng(17)
+        weights = [w.value for w in qkv_weights(r, 4, 3, 4)]
+        assert_bits_equal(self_attention, unfused_self_attention,
+                          r.normal(size=(ATTENTION_TILE + 1, 5, 4)), weights)
+
+    def test_node_keeps_only_its_input(self, traced):
+        # Past the output, the node keeps the per-query max and sum: no q, k,
+        # v or weights, which took 3 x 0.33 and 1.28 MiB at this shape.
+        r = Rng(18)
+        weights = qkv_weights(r, 16, 16, 16)
+        x = Tensor(r.normal(size=(41, 64, 16)))
+        out, held, _ = traced(self_attention, x, *weights)
+        assert out._parents == (x.node,)
+        stats = 2 * 41 * 64 * 8
+        assert held <= out.array.nbytes + stats + 4096, f"the node held {held} bytes"
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones((5, 7)))
+        with pytest.raises(ShapeError):
+            self_attention(x, *qkv_weights(Rng(4), 4, 3, 3))
+        with pytest.raises(ShapeError):
+            self_attention(x, *qkv_weights(Rng(4), 7, 3, 3))
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("batch", FUSED_BATCHES)
+    def test_equals_linear_relu_linear(self, batch):
+        r = Rng(19)
+        weights = [r.normal(size=n) for n in [(16, 32), (32,), (32, 16), (16,)]]
+        assert_bits_equal(feed_forward, unfused_feed_forward,
+                          r.normal(size=batch + (64, 16)), weights)
+
+    def test_node_keeps_only_its_input(self, traced):
+        # The (41, 64, 32) hidden layer, 0.64 MiB, is rebuilt in the VJP.
+        r = Rng(20)
+        w1, b1, w2, b2 = (Param(r.normal(size=n)) for n in [(16, 32), (32,), (32, 16), (16,)])
+        a = Tensor(r.normal(size=(41, 64, 16)))
+        out, held, _ = traced(feed_forward, a, w1, b1, w2, b2)
+        assert out._parents == (a.node,)
+        assert held <= out.array.nbytes + 4096, f"the node held {held} bytes"
+
+
 class TestBlock:
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_composed(self, batch):
@@ -306,11 +404,13 @@ def test_seb_s3im_step_tape_nodes():
     # per Q, K and V projection; 4 of the 71 were constants: the telemetry,
     # the labels, the 1.0 in 1 - s3im and the S3IM weight. 25 of the other
     # 67 were leaves, one per use of a param (the battery-bias rows among
-    # them), before params became op operands.
-    assert step_tape_nodes("seb-s3im") == 42
+    # them), before params became op operands. 42 before the attention
+    # sublayer (three projections, attention, the residual add) and the FFN
+    # (linear, relu, linear) became one node each.
+    assert step_tape_nodes("seb-s3im") == 36
 
 
 def test_seb_step_tape_nodes():
     # The seb-s3im step without the S3IM term, the 1 - s3im, its weight and
-    # the add.
-    assert step_tape_nodes("seb") == 38
+    # the add; 38 before the two fused sublayers.
+    assert step_tape_nodes("seb") == 32
