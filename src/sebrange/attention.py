@@ -13,10 +13,9 @@ encodes in one call.
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .optim import Param, glorot_uniform
-from .tensor import (Tensor, add, attention_core, feed_forward, layer_norm, linear,
-                     relu, self_attention)
+from .tensor import Tensor, add, attention_core, feed_forward, layer_norm, self_attention
 
 
 def qkv_weights(rng, d: int, d_qk: int, d_v: int):
@@ -78,34 +77,19 @@ def encode_sequence(block: TransformerBlock, x0: Tensor) -> Tensor:
 
 
 class MlpHead:
-    """Affine-relu stack ending in a single output per row."""
+    """Two-layer relu perceptron, d_in -> hidden -> 1, as one ``feed_forward``
+    node. ``w0`` is drawn, then ``w1``; both biases start at zero."""
 
-    def __init__(self, dims, rng, name: str = "mlp"):
-        if len(dims) < 2:
-            raise ConfigError(f"need at least input and output dims, got {dims}")
-        if dims[-1] != 1:
-            raise ConfigError(f"final output dim must be 1, got {dims[-1]}")
-        self.layers = []
-        for i in range(len(dims) - 1):
-            w = Param(glorot_uniform(rng, dims[i], dims[i + 1],
-                                     (dims[i], dims[i + 1])), f"{name}.w{i}")
-            b = Param(np.zeros(dims[i + 1]), f"{name}.b{i}")
-            self.layers.append((w, b))
+    def __init__(self, rng, d_in: int, hidden: int, name: str = "mlp"):
+        self.w0 = Param(glorot_uniform(rng, d_in, hidden, (d_in, hidden)), f"{name}.w0")
+        self.b0 = Param(np.zeros(hidden), f"{name}.b0")
+        self.w1 = Param(glorot_uniform(rng, hidden, 1, (hidden, 1)), f"{name}.w1")
+        self.b1 = self.out_bias = Param(np.zeros(1), f"{name}.b1")
 
     def params(self):
-        return [p for w, b in self.layers for p in (w, b)]
-
-    @property
-    def out_bias(self) -> Param:
-        return self.layers[-1][1]
+        return [self.w0, self.b0, self.w1, self.b1]
 
 
 def mlp_forward(head: MlpHead, x) -> Tensor:
-    """(..., d_in) -> (..., 1); relu between affine layers, none on output.
-    ``x`` is a Tensor, or an array when it is a constant."""
-    out = x
-    for i, (w, b) in enumerate(head.layers):
-        out = linear(out, w, b)
-        if i < len(head.layers) - 1:
-            out = relu(out)
-    return out
+    """(..., d_in) -> (..., 1); ``x`` is a Tensor, or an array when it is a constant."""
+    return feed_forward(x, head.w0, head.b0, head.w1, head.b1)

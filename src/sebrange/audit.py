@@ -121,7 +121,7 @@ def _check_block(r):
 
 
 def _check_mlp(r):
-    head = MlpHead([4, 5, 1], r)
+    head = MlpHead(r, 4, 5)
     return grad_check(lambda t: sum_(mlp_forward(head, t)), r.normal(size=(3, 4)))
 
 

@@ -149,7 +149,7 @@ class SebTransformer(_TrainedModel):
         self.proj_w = Param(glorot_uniform(rng, f, d, (f, d)), "proj.w")
         self.proj_b = Param(np.zeros(d), "proj.b")
         self.block = TransformerBlock(rng, d, cfg.dqk, cfg.ffn_dim, cfg.seq_len)
-        self.head = MlpHead([cfg.fusion_in, cfg.mlp_hidden, 1], rng, "fusion")
+        self.head = MlpHead(rng, cfg.fusion_in, cfg.mlp_hidden, "fusion")
 
     def params(self):
         return (
@@ -180,15 +180,12 @@ class SebTransformer(_TrainedModel):
         x2 = encode_sequence(self.block, x0)
         x2_pooled = mean(x2, axis=-2)
         if self.cfg.use_graph:
-            rows = [graph.node_row(o.battery) for o in orders]
-            rows += [graph.node_row(o.user) for o in orders]
+            # Each order's battery row, then its user row: (2B,) -> (B, 2 d).
+            rows = [graph.node_row(n) for o in orders for n in (o.battery, o.user)]
             targets, at = np.unique(rows, return_inverse=True)
             x1 = gnn_encode(self.gcn_layers, graph, self.nodes.rows, t, targets,
                             self.cfg.window)
-            graph_slice = concat(
-                [gather_rows(x1, at[:batch]), gather_rows(x1, at[batch:])],
-                axis=-1,
-            )
+            graph_slice = reshape(gather_rows(x1, at), (batch, -1))
         else:
             graph_slice = np.zeros((batch, self.cfg.graph_slice_dim))
         fused = concat([x0_pooled, graph_slice, x2_pooled], axis=-1)
@@ -204,7 +201,7 @@ class MlpBaseline(_TrainedModel):
         self.cfg = cfg
         self.scaler = FeatureScaler(n_features=cfg.n_features)
         self.in_dim = cfg.seq_len * cfg.n_features
-        self.head = MlpHead([self.in_dim, cfg.baseline_hidden, 1], rng, "mlp")
+        self.head = MlpHead(rng, self.in_dim, cfg.baseline_hidden, "mlp")
 
     def params(self):
         return self.head.params()

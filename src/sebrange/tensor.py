@@ -8,7 +8,7 @@ takes its gradient; a :class:`~sebrange.optim.Param` or a ``RowTable.rows()``
 read, whose ``accumulate`` adds it into the param's ``grad`` (a row read's
 into only its rows) as each consuming op's VJP runs; or a constant, a numpy
 array or Python float, with no node and no gradient. A seb-s3im training step
-records 36 nodes and a seb step 32. Calling :meth:`Tensor.backward` on a
+records 33 nodes and a seb step 29. Calling :meth:`Tensor.backward` on a
 scalar output walks the tape in reverse topological order. The sweep
 consumes the tape: each interior node frees its gradient and the arrays its
 VJP saved once that VJP has run, so a graph is differentiated once.
@@ -277,8 +277,10 @@ def feed_forward(a, w1, b1, w2, b2) -> Tensor:
     only ``a``: the VJP rebuilds the hidden layer with the forward's float
     operations (selective recomputation; Korthikanti et al., 2022) and frees
     it, then relu's mask, as soon as it can. Every bit equals the three nodes'.
+    A constant ``a`` gets no gradient, so its product is skipped.
     """
     aa, w1a, b1a, w2a = _value(a), _value(w1), _value(b1), _value(w2)
+    a_constant = _sink(a) is None
 
     def hidden():
         h = _affine(aa, w1a, b1a)
@@ -294,7 +296,7 @@ def feed_forward(a, w1, b1, w2, b2) -> Tensor:
         gh = np.matmul(g, w2a.T)
         gh *= mask
         del mask
-        return (np.matmul(gh, w1a.T), *_affine_grads(aa, gh), gw2, gb2)
+        return (None if a_constant else np.matmul(gh, w1a.T), *_affine_grads(aa, gh), gw2, gb2)
 
     return _record(_affine(hidden(), w2a, _value(b2)), (a, w1, b1, w2, b2), vjp)
 
@@ -454,6 +456,8 @@ def attention_core(q, k, v) -> Tensor:
     weights ``ATTENTION_TILE`` sequences at a time with the forward's own
     float operations and applies the softmax Jacobian in closed form, a
     FlashAttention-style fused backward (Dao et al., 2022) tiled by sequence.
+    Training runs ``self_attention``; this op stays as ``attention.attend``, the
+    bit-for-bit reference of its tests, which acceptance criterion 04 imports.
     """
     qa, ka, va = _value(q), _value(k), _value(v)
     scale = 1.0 / np.sqrt(qa.shape[-1])

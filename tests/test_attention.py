@@ -12,9 +12,9 @@ from sebrange.attention import (
     mlp_forward,
     qkv_weights,
 )
-from sebrange.errors import ConfigError, ShapeError
+from sebrange.errors import ShapeError
 from sebrange.gradcheck import grad_check
-from sebrange.optim import Param
+from sebrange.optim import Param, glorot_uniform
 from sebrange.rng import Rng
 from sebrange.tensor import Tensor, mul, self_attention, sum_
 
@@ -168,36 +168,34 @@ class TestEncodeSequence:
 class TestMlpHead:
     def test_zero_weights_constant_bias(self):
         r = Rng(16)
-        head = MlpHead([4, 3, 1], r)
+        head = MlpHead(r, 4, 3)
         for p in head.params():
             p.value[...] = 0.0
         head.out_bias.value[...] = 7.5
         out = mlp_forward(head, Tensor(Rng(17).normal(size=(6, 4))))
         assert np.array_equal(out.array, np.full((6, 1), 7.5))
 
-    def test_single_linear_layer_is_affine(self):
+    def test_draws_w0_then_w1(self):
+        # Checkpoints and the frozen seed-42 results pin these draws and names.
+        head = MlpHead(Rng(18), 4, 3, "fusion")
         r = Rng(18)
-        head = MlpHead([3, 1], r)
-        x = r.normal(size=(5, 3))
-        out = mlp_forward(head, Tensor(x)).array
-        w, b = head.layers[0]
-        assert np.abs(out - (x @ w.value + b.value)).max() <= 1e-15
+        w0, w1 = glorot_uniform(r, 4, 3, (4, 3)), glorot_uniform(r, 3, 1, (3, 1))
+        assert np.array_equal(head.w0.value, w0) and np.array_equal(head.w1.value, w1)
+        assert not head.b0.value.any() and not head.b1.value.any()
+        assert [p.name for p in head.params()] == [
+            "fusion.w0", "fusion.b0", "fusion.w1", "fusion.b1"]
+        assert head.out_bias is head.b1
 
     def test_matches_hand_rolled_loops(self):
         r = Rng(19)
-        head = MlpHead([4, 5, 1], r)
+        head = MlpHead(r, 4, 5)
         x = r.normal(size=(3, 4))
-        (w1, b1), (w2, b2) = head.layers
-        hidden = np.maximum(0.0, x @ w1.value + b1.value)
-        expect = hidden @ w2.value + b2.value
+        hidden = np.maximum(0.0, x @ head.w0.value + head.b0.value)
+        expect = hidden @ head.w1.value + head.b1.value
         got = mlp_forward(head, Tensor(x)).array
         assert np.abs(got - expect).max() <= 1e-12
 
-    def test_output_dim_must_be_one(self):
-        with pytest.raises(ConfigError):
-            MlpHead([4, 3, 2], Rng(20))
-
     def test_width_mismatch(self):
-        head = MlpHead([4, 1], Rng(21))
+        head = MlpHead(Rng(21), 4, 3)
         with pytest.raises(ShapeError):
             mlp_forward(head, Tensor(np.ones((2, 5))))

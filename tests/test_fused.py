@@ -348,6 +348,29 @@ class TestFeedForward:
         assert out._parents == (a.node,)
         assert held <= out.array.nbytes + 4096, f"the node held {held} bytes"
 
+    @pytest.mark.parametrize("rows", [41, 1])
+    def test_fusion_head_shapes(self, rows):
+        # The seb fusion head: 48 fused inputs, 32 hidden units, one output.
+        r = Rng(21)
+        weights = [r.normal(size=n) for n in [(48, 32), (32,), (32, 1), (1,)]]
+        assert_bits_equal(feed_forward, unfused_feed_forward, r.normal(size=(rows, 48)), weights)
+
+    def test_constant_input_at_the_baseline_shapes(self):
+        # The MLP baseline's flat telemetry, a constant: 64 x 6 inputs, 64 hidden units.
+        r = Rng(22)
+        a = r.normal(size=(64, 384))
+        weights = [r.normal(size=n) for n in [(384, 64), (64,), (64, 1), (1,)]]
+        results = []
+        for op in (feed_forward, unfused_feed_forward):
+            params = [Param(w) for w in weights]
+            out = op(a, *params)
+            sum_(mul(out, Rng(1).normal(size=out.shape))).backward()
+            results.append([out.array] + [p.grad for p in params])
+            if op is feed_forward:
+                assert out._parents == ()
+        for name, g, w in zip(["out", "w1", "b1", "w2", "b2"], *results):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
 
 class TestBlock:
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -406,11 +429,14 @@ def test_seb_s3im_step_tape_nodes():
     # 67 were leaves, one per use of a param (the battery-bias rows among
     # them), before params became op operands. 42 before the attention
     # sublayer (three projections, attention, the residual add) and the FFN
-    # (linear, relu, linear) became one node each.
-    assert step_tape_nodes("seb-s3im") == 36
+    # (linear, relu, linear) became one node each; 36 before the fusion head
+    # became one ``feed_forward`` node and the graph slice one gather and a
+    # reshape (two gathers and a concat before).
+    assert step_tape_nodes("seb-s3im") == 33
 
 
 def test_seb_step_tape_nodes():
     # The seb-s3im step without the S3IM term, the 1 - s3im, its weight and
-    # the add; 38 before the two fused sublayers.
-    assert step_tape_nodes("seb") == 32
+    # the add; 38 before the two fused sublayers, 32 before the one-node
+    # fusion head and graph slice gather.
+    assert step_tape_nodes("seb") == 29

@@ -355,7 +355,7 @@ class TestTraining:
     def test_non_finite_validation_raises(self, tiny_data):
         orders, graph = tiny_data
         model = fresh_model()
-        model.head.layers[0][0].value[0, 0] = np.nan  # fusion.w0
+        model.head.w0.value[0, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite in all 3 epochs"):
             train(model, orders, graph, TINY_TRAIN)
 
