@@ -12,9 +12,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import MlpHead, TransformerBlock, encode_sequence, mlp_forward, qkv_weights
+from .attention import TransformerBlock, encode_sequence, qkv_weights
 from .errors import ConfigError
-from .gnn import build_layers, gnn_encode
+from .gnn import NodeFeatureTable, build_layers, gnn_encode
 from .gradcheck import grad_check, grad_check_params
 from .graph import TemporalGraph, battery, user
 from .model import ModelConfig, SebTransformer
@@ -120,9 +120,12 @@ def _check_block(r):
                       r.normal(size=(6, 4)))
 
 
-def _check_mlp(r):
-    head = MlpHead(r, 4, 5)
-    return grad_check(lambda t: sum_(mlp_forward(head, t)), r.normal(size=(3, 4)))
+def _check_node_table(r):
+    # Battery 1 (row 3) is read twice, so its table row takes two deposits.
+    table = NodeFeatureTable(r, 2, 3, 4)
+    idx = np.array([3, 0, 3, 4, 1])
+    c = r.normal(size=(5, 4))
+    return grad_check_params(lambda: sum_(mul(table.rows(idx), c)), table.params())
 
 
 _S3IM_CFG = S3imConfig(dynamic_range=10.0)
@@ -177,7 +180,7 @@ _CHECKS = (
     ("ffn", TOL_COMPOSED, _check_ffn),
     ("attention", TOL_COMPOSED, _check_attention),
     ("block", TOL_COMPOSED, _check_block),
-    ("mlp", TOL_COMPOSED, _check_mlp),
+    ("node-table", TOL_COMPOSED, _check_node_table),
     ("s3im", TOL_ELEMENTWISE, _check_s3im),
     ("regularizer", TOL_ELEMENTWISE, _check_regularizer),
     ("model", TOL_COMPOSED, _check_model),

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, VersionError, utf8_error
 from .graph import NodeRef, TemporalGraph, battery, load_graph, save_graph, user
-from .rng import Rng, derive_seed, derive_seeds, splitmix64_block
+from .rng import Rng, derive_seed, derive_seeds, splitmix64_block, unit_floats
 
 ORDERS_HEADER_PREFIX = "#seb-orders v1 F="
 N_FEATURES = 6
@@ -90,7 +90,7 @@ _ASSIGN_KEY = 2
 _ORDER_KEY_BASE = 1000
 
 
-@dataclass
+@dataclass(slots=True)
 class Order:
     """One ride sample with its 64-step telemetry and range label."""
 
@@ -222,13 +222,9 @@ def _assign_slots(cfg: GeneratorConfig):
         if not ids:
             continue
         k = len(ids)
-        batts = rng.permutation_prefix(cfg.n_batteries, k)
-        users = rng.permutation_prefix(cfg.n_users, k)
-        stations = rng.integers(cfg.n_stations, size=(k,))
-        for j, oid in enumerate(ids):
-            user_of[oid] = users[j]
-            batt_of[oid] = batts[j]
-            station_of[oid] = stations[j]
+        batt_of[ids] = rng.permutation_prefix(cfg.n_batteries, k)
+        user_of[ids] = rng.permutation_prefix(cfg.n_users, k)
+        station_of[ids] = rng.integers(cfg.n_stations, size=(k,))
     return t_of, user_of, batt_of, station_of
 
 
@@ -263,7 +259,7 @@ def _generate_rows(cfg, seeds, full, ride, labels, telemetry):
     """Fill ``ride``, ``labels`` and ``telemetry`` for orders of substream
     ``seeds`` whose batteries have full range ``full``."""
     # Row i holds the uniform draws of substream seeds[i].
-    u = (splitmix64_block(seeds, _N_DRAWS) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u = unit_floats(splitmix64_block(seeds, _N_DRAWS))
 
     noise_scale = cfg.noise / NOISE_REF
     ride[:] = np.maximum(cfg.ride_mean + cfg.ride_sd * _normals(u, _C_RIDE, 1)[:, 0], 1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .errors import ContractError
-from .optim import Param
+from .optim import Param, RowTable
 from .tensor import Tensor
 
 
@@ -61,6 +61,15 @@ def grad_check_params(loss_fn, params, h: float = 1e-5) -> float:
     return worst
 
 
+def dense_grad(p: Param) -> np.ndarray:
+    """``p.grad`` in ``p.value``'s shape, a RowTable's rows scattered into zeros."""
+    if not isinstance(p, RowTable):
+        return p.grad
+    out = np.zeros_like(p.value)
+    out[p.live] = p.grad
+    return out
+
+
 def pack_params_grads(params) -> np.ndarray:
-    """Flatten the gradient accumulators of a param list into one vector."""
-    return np.concatenate([p.grad.reshape(-1) for p in params])
+    """Flatten the dense gradients of a param list into one vector."""
+    return np.concatenate([dense_grad(p).reshape(-1) for p in params])

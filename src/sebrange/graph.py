@@ -33,7 +33,7 @@ class NodeKind(enum.Enum):
     BATTERY = "battery"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     """(kind, index) node handle; indices are dense per kind."""
 

@@ -11,9 +11,9 @@ from .errors import ConfigError, ContractError
 class Param:
     """A trainable float64 array paired with its gradient accumulator.
 
-    ``grad`` always has the same shape as ``value`` and is all zeros right
-    after :meth:`zero_grad`. Backward adds each use's gradient into
-    ``grad``; the caller zeroes it between steps.
+    ``grad`` has the same shape as ``value``, except in a :class:`RowTable`,
+    and is all zeros right after :meth:`zero_grad`. Backward adds each use's
+    gradient into ``grad``; the caller zeroes it between steps.
     """
 
     __slots__ = ("value", "grad", "name")
@@ -42,45 +42,65 @@ class Param:
         else:
             np.add.at(self.grad, rows, g)
 
+    def snapshot(self) -> np.ndarray:
+        """A copy of ``value``, which :meth:`restore` writes back."""
+        return self.value.copy()
+
+    def restore(self, saved: np.ndarray):
+        self.value[...] = saved
+
     def __repr__(self):
         return f"{type(self).__name__}({self.name or 'unnamed'}, shape={self.shape})"
 
 
 class RowTable(Param):
     """A param read row by row through :meth:`rows`, such as one feature
-    row per node.
+    row per node. It keeps the ``value`` array it is given, uncopied.
 
     ``live`` lists the rows any backward has added into, each once, in the
     order they were first reached; a whole read makes every row live.
-    ``is_live`` flags them, one byte per row. :meth:`zero_grad` zeroes only
-    the live rows, so ``grad`` must change only through backward passes.
-    ``live`` outlives an :class:`AdamState`: a later one starts with rows
-    live that have a zero gradient and zero moments, which the update
-    leaves unchanged bit for bit, +-0.0 included.
+    ``grad`` is compact: its row ``i`` belongs to ``live[i]``. ``slot`` maps
+    a row to its place in ``live`` (-1 if not live), 4 bytes a row; a
+    deposit adds into the slots with ``np.add.at`` in deposit order, so each
+    row sums as a dense ``grad`` would. ``live_init`` keeps each live row's
+    value from when it went live. ``live`` outlives an :class:`AdamState`:
+    a later one starts with rows live that have a zero gradient and zero
+    moments, which the update leaves unchanged bit for bit, +-0.0 included.
     """
 
-    __slots__ = ("live", "is_live")
+    __slots__ = ("live", "slot", "live_init")
 
     def __init__(self, value, name: str = ""):
-        super().__init__(value, name)
+        self.value, self.name = np.asarray(value, dtype=np.float64), name
         self.live = np.zeros(0, dtype=np.int64)
-        self.is_live = np.zeros(self.shape[0], dtype=bool)
-
-    def zero_grad(self):
-        self.grad[self.live] = 0.0
+        self.slot = np.full(self.shape[0], -1, dtype=np.int32)
+        self.grad = np.zeros((0,) + self.shape[1:])
+        self.live_init = self.grad.copy()
 
     def rows(self, idx) -> "RowRead":
         """Rows ``idx`` (repeats allowed) as an op operand; backward adds
-        its gradient into only those rows of ``grad``."""
+        its gradient into only those rows' slots of ``grad``."""
         idx = np.asarray(idx, dtype=np.int64)
         return RowRead(self.value[idx], partial(self.accumulate, rows=idx))
 
     def accumulate(self, g: np.ndarray, rows=None):
-        super().accumulate(g, rows)
-        rows = np.arange(self.is_live.size) if rows is None else rows
-        new = np.unique(rows[~self.is_live[rows]] % self.is_live.size)
-        self.is_live[new] = True
-        self.live = np.concatenate([self.live, new])
+        rows = np.arange(self.shape[0]) if rows is None else rows
+        if g.shape == rows.shape + self.shape[1:]:  # else Param.accumulate raises
+            new = np.unique(rows[self.slot[rows] < 0] % self.shape[0])
+            self.slot[new] = np.arange(self.live.size, self.live.size + new.size)
+            self.live = np.concatenate([self.live, new])
+            self.grad = np.concatenate([self.grad, np.zeros((new.size,) + self.shape[1:])])
+            self.live_init = np.concatenate([self.live_init, self.value[new]])
+        super().accumulate(g, self.slot[rows])
+
+    def snapshot(self) -> np.ndarray:
+        """The live rows' values. :meth:`restore` sets a row that went live
+        since back to its ``live_init``, its value at the snapshot: only an
+        update moves a row, and only a live one."""
+        return self.value[self.live]
+
+    def restore(self, saved: np.ndarray):
+        self.value[self.live] = np.concatenate([saved, self.live_init[len(saved):]])
 
 
 # Rows of a RowTable read as an op operand: a copy of their values, and the
@@ -101,11 +121,11 @@ class AdamState:
 
     A :class:`RowTable` is updated on its live rows only: the rows any
     backward has reached. Their moments are one ``(len(live), d)`` pair per
-    table in ``row_moments``, row ``i`` for ``live[i]``, padded with zero
-    rows as rows become live. Any other row has m = v = 0 and a zero
-    gradient, for which the update leaves its value, m and v unchanged bit
-    for bit, so skipping it is exact, not lazy Adam. The other params share
-    one flat moment buffer, updated in one pass.
+    table in ``row_moments``, row ``i`` for ``live[i]`` as in its compact
+    ``grad``, padded with zero rows as rows become live. Any other row has
+    m = v = 0 and a zero gradient, for which the update leaves its value, m
+    and v unchanged bit for bit, so skipping it is exact, not lazy Adam. The
+    other params share one flat moment buffer, updated in one pass.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -148,4 +168,4 @@ def optimizer_step(state: AdamState, lr: float):
         if p.live.size > len(moments[0]):
             pad = np.zeros((p.live.size - len(moments[0]),) + p.shape[1:])
             moments[:] = [np.concatenate([a, pad]) for a in moments]
-        p.value[p.live] -= state._decrement(p.grad[p.live], *moments, lr)
+        p.value[p.live] -= state._decrement(p.grad, *moments, lr)

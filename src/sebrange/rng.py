@@ -18,31 +18,39 @@ _MIX2 = 0x94D049BB133111EB
 # Distinct odd constant for deriving substream seeds so that a substream
 # never replays a contiguous window of its parent stream.
 _SPAWN_GAMMA = 0xD1342543DE82EF95
+# Words per block of a large uniform draw: its temporaries stay this size.
+_BLOCK = 1 << 14
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """Finalize an array of uint64 words (any shape), modulo 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Finalize an array of uint64 words (any shape), modulo 2**64, in place
+    on its own copy: ``z`` is left unchanged."""
+    z = np.array(z, dtype=np.uint64)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Stream words mix64(seed + (counter+1) * gamma) for an array of counters."""
+def unit_floats(words: np.ndarray, out=None) -> np.ndarray:
+    """Uniform floats in [0, 1) from uint64 words: the top 53 bits times
+    2**-53, into ``out`` if given. Shifts ``words`` in place."""
+    words >>= np.uint64(11)
+    return np.multiply(words, 2.0**-53, out=out)
+
+
+def splitmix64(seed, counters: np.ndarray) -> np.ndarray:
+    """Stream words mix64(seed + (counter+1) * gamma) for an array of counters;
+    an array of seeds broadcasts against them."""
     counters = np.asarray(counters, dtype=np.uint64)
     return mix64(np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA))
 
 
 def splitmix64_block(seeds: np.ndarray, n_cols: int) -> np.ndarray:
-    """Row i holds the first ``n_cols`` stream words of ``seeds[i]``.
-
-    Row i equals ``splitmix64(seeds[i], arange(n_cols))``, so a batch of
-    substreams can be filled in one call.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    counters = np.arange(n_cols, dtype=np.uint64)
-    z = seeds[:, None] + (counters[None, :] + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA)
-    return mix64(z)
+    """Row i holds the first ``n_cols`` stream words of ``seeds[i]``, so a
+    batch of substreams can be filled in one call."""
+    return splitmix64(np.asarray(seeds, dtype=np.uint64)[:, None], np.arange(n_cols))
 
 
 def derive_seeds(seed: int, keys) -> np.ndarray:
@@ -71,10 +79,14 @@ class Rng:
         return splitmix64(self.seed, counters)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        """Uniform float64 draws in [low, high)."""
+        """Uniform float64 draws in [low, high), filled ``_BLOCK`` stream
+        words at a time."""
         n = 1 if size is None else int(np.prod(size))
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = low + u * (high - low)
+        out = np.empty(n)
+        for i in range(0, n, _BLOCK):
+            u = unit_floats(self.raw(min(_BLOCK, n - i)), out=out[i:i + _BLOCK])
+            u *= high - low
+            u += low
         if size is None:
             return float(out[0])
         return out.reshape(size)
@@ -83,10 +95,9 @@ class Rng:
         """Gaussian draws via Box-Muller; consumes 2*ceil(n/2) raw words."""
         n = 1 if size is None else int(np.prod(size))
         pairs = (n + 1) // 2
-        w = self.raw(2 * pairs)
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-        u1 = ((w[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (w[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = unit_floats(self.raw(2 * pairs))
+        # u1 in (0, 1] so the log is finite (each sum is exact); u2 in [0, 1).
+        u1, u2 = u[:pairs] + 2.0**-53, u[pairs:]
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
@@ -99,8 +110,7 @@ class Rng:
         """Integer draws in [0, high). Bias is < 2**-53 * high, negligible
         for the data-generation ranges used here."""
         n = 1 if size is None else int(np.prod(size))
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = np.floor(u * high).astype(np.int64)
+        out = np.floor(unit_floats(self.raw(n)) * high).astype(np.int64)
         if size is None:
             return int(out[0])
         return out.reshape(size)

@@ -209,14 +209,14 @@ def train(model, orders, graph, cfg: TrainConfig) -> TrainResult:
         if val_mae < best_mae:
             best_mae = val_mae
             best_epoch = epoch
-            best_values = [p.value.copy() for p in model.params()]
+            best_values = [p.snapshot() for p in model.params()]
     if best_values is None:
         raise NumericError(
             f"validation MAE was non-finite in all {cfg.epochs} epochs "
             f"(last: {history[-1].val_mae})"
         )
     for p, v in zip(model.params(), best_values):
-        p.value[...] = v
+        p.restore(v)
     return TrainResult(history, best_epoch, splits)
 
 

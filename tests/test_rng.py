@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from sebrange.rng import Rng, derive_seed, derive_seeds, splitmix64, splitmix64_block
+from sebrange.rng import (
+    _BLOCK,
+    Rng,
+    derive_seed,
+    derive_seeds,
+    mix64,
+    splitmix64,
+    splitmix64_block,
+)
 
 MASK = (1 << 64) - 1
 
@@ -28,6 +36,50 @@ def test_splitmix64_block_rows_match_streams():
     block = splitmix64_block(seeds, 17)
     for row, seed in zip(block, seeds):
         assert np.array_equal(row, splitmix64(int(seed), np.arange(17)))
+
+
+def test_mix64_leaves_its_input_unchanged():
+    z = np.arange(1, 40, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    before = z.copy()
+    out = mix64(z)
+    assert z.tobytes() == before.tobytes()
+    assert [int(x) for x in out] == [splitmix64_reference(0, i) for i in range(39)]
+
+
+def one_shot_uniform(seed, n, low, high):
+    """``Rng(seed).uniform(low, high, size=(n,))`` as one formula over all n words."""
+    u = (Rng(seed).raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return low + u * (high - low)
+
+
+def test_uniform_in_blocks_matches_the_one_shot_formula():
+    n = 3 * _BLOCK + 17
+    # A glorot-style limit, as numpy floats, and plain Python bounds.
+    limit = np.sqrt(6.0 / 16)
+    for low, high in ((-limit, limit), (0.0, 1.0), (-2, 5)):
+        want = one_shot_uniform(31, n, low, high)
+        assert Rng(31).uniform(low, high, size=(n,)).tobytes() == want.tobytes()
+        r = Rng(31)
+        parts = [r.uniform(low, high, size=(k,)) for k in (5, _BLOCK, 2 * _BLOCK + 11)]
+        assert np.concatenate(parts + [np.array([r.uniform(low, high)])]).tobytes() \
+            == want.tobytes()
+    table = Rng(31).uniform(-limit, limit, size=(n // 8, 8))
+    assert table.tobytes() == one_shot_uniform(31, n // 8 * 8, -limit, limit).tobytes()
+
+
+def test_integers_match_the_one_shot_formula():
+    u = (Rng(8).raw(5000) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    want = np.floor(u * 13).astype(np.int64)
+    assert np.array_equal(Rng(8).integers(13, size=(5000,)), want)
+
+
+def test_normal_matches_the_one_shot_formula():
+    w = Rng(9).raw(2 * 2501)
+    u1 = ((w[:2501] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (w[2501:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r, theta = np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
+    want = 3.0 + 2.0 * np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:5001]
+    assert Rng(9).normal(3.0, 2.0, size=(5001,)).tobytes() == want.tobytes()
 
 
 def test_equal_seeds_bit_identical():
