@@ -20,10 +20,10 @@ from .graph import TemporalGraph, battery, user
 from .model import ModelConfig, SebTransformer
 from .optim import Param
 from .rng import Rng, derive_seed
-from .s3im import S3imConfig, s3im, s3im_regularizer
+from .s3im import S3imConfig, s3im
 from .tensor import (ATTENTION_TILE, feed_forward, gather_rows, layer_norm, linear, matmul,
                      mul, relu, self_attention, softmax_rows, sum_)
-from .training import TrainConfig, bucket_by_t, objective
+from .training import TrainConfig, bucket_by_t, chunk_loss, objective
 
 TOL_ELEMENTWISE = 1e-6
 TOL_COMPOSED = 1e-4
@@ -137,9 +137,10 @@ def _check_s3im(r):
 
 
 def _check_regularizer(r):
+    # The one-node chunk loss that training runs: MSE plus 0.5 (1 - s3im).
     y = r.normal(30.0, 5.0, size=(8,))
     cfg = S3imConfig(dynamic_range=20.0)
-    return grad_check(lambda t: s3im_regularizer(t, y, cfg),
+    return grad_check(lambda t: chunk_loss(t, y, 0.5, cfg),
                       r.normal(30.0, 5.0, size=(8,)))
 
 

@@ -5,8 +5,8 @@ One layer updates each node as
     h_v' = act( mean_{u in N(v)} h_u @ W  +  h_v @ B )
 
 where the mean over an empty neighborhood is the zero vector (the 1/degree
-normalization with 0 mapped to 0). Stacking layers over a snapshot yields
-the structural embedding consumed by the fused range predictor.
+normalization with 0 mapped to 0). ``gcn_layer`` runs a layer as one tape
+node; stacked, layers give the structural embedding the range predictor fuses.
 
 ``gnn_encode`` computes only the rows a batch reads: its exact L-hop
 receptive field, the full-neighbourhood form of GraphSAGE minibatching
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .graph import TemporalGraph
 from .optim import Param, RowTable, glorot_uniform
-from .tensor import Tensor, _record, add, gather_rows, matmul, neighbor_mean, relu
+from .tensor import Tensor, _record, _relu, _value, gather_rows, scatter_add_rows
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -66,6 +66,28 @@ def build_layers(rng, dims):
             for i in range(n)]
 
 
+def gcn_layer(h, w, b, hop, activation: str = "relu") -> Tensor:
+    """A layer over a ``graph.Hop`` as one node, a fused gather-aggregate-transform (Wang
+    et al., 2019) with the float operations of ``gather_rows``, a scatter mean, two ``matmul``,
+    ``add`` and ``relu``: h's gradient sums two scatters, alike in either order."""
+    x, wa, ba = _value(h), _value(w), _value(b)
+    if x.shape[-1] != wa.shape[0] or wa.shape != ba.shape:
+        raise ShapeError(f"GCN input {x.shape} does not fit W {wa.shape} and B {ba.shape}")
+    h_self, scale, n_in = x[hop.self_rows], hop.inv_degree[:, None], x.shape[0]
+    m = scatter_add_rows(x, hop.src, hop.dst, h_self.shape[0]) * scale
+    out = np.matmul(m, wa)
+    out += np.matmul(h_self, ba)
+    mask = _relu(out, out=out) > 0.0 if activation == "relu" else None
+
+    def vjp(g):
+        g = g if mask is None else g * mask
+        gh = scatter_add_rows(np.matmul(g, ba.T), np.arange(len(h_self)), hop.self_rows, n_in)
+        gh += scatter_add_rows(np.matmul(g, wa.T) * scale, hop.dst, hop.src, n_in)
+        return gh, np.matmul(m.T, g), np.matmul(h_self.T, g)
+
+    return _record(out, (h, w, b), vjp)
+
+
 def gcn_layer_forward(layer: GcnLayer, h: Tensor, g: TemporalGraph, t: int,
                       window: int = 0) -> Tensor:
     """One round of message passing over every node of the (windowed)
@@ -91,11 +113,7 @@ def gnn_encode(layers, g: TemporalGraph, read_rows, t: int, rows,
     inputs, hops = g.window_edges(t, window).receptive_field(rows, len(layers))
     h = read_rows(inputs)
     for layer, hop in zip(layers, hops):
-        h_self = gather_rows(h, hop.self_rows)
-        m = neighbor_mean(h, hop.src, hop.dst, h_self.shape[0], hop.inv_degree)
-        h = add(matmul(m, layer.w), matmul(h_self, layer.b))
-        if layer.activation == "relu":
-            h = relu(h)
+        h = gcn_layer(h, layer.w, layer.b, hop, layer.activation)
     return h
 
 

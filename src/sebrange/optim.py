@@ -87,10 +87,11 @@ class RowTable(Param):
         rows = np.arange(self.shape[0]) if rows is None else rows
         if g.shape == rows.shape + self.shape[1:]:  # else Param.accumulate raises
             new = np.unique(rows[self.slot[rows] < 0] % self.shape[0])
-            self.slot[new] = np.arange(self.live.size, self.live.size + new.size)
-            self.live = np.concatenate([self.live, new])
-            self.grad = np.concatenate([self.grad, np.zeros((new.size,) + self.shape[1:])])
-            self.live_init = np.concatenate([self.live_init, self.value[new]])
+            if new.size:  # a deposit into live rows only rebuilds nothing
+                self.slot[new] = np.arange(self.live.size, self.live.size + new.size)
+                self.live = np.concatenate([self.live, new])
+                self.grad = np.concatenate([self.grad, np.zeros((new.size,) + self.shape[1:])])
+                self.live_init = np.concatenate([self.live_init, self.value[new]])
         super().accumulate(g, self.slot[rows])
 
     def snapshot(self) -> np.ndarray:

@@ -78,19 +78,12 @@ def _terms(xv, yv, cfg: S3imConfig):
     return (r1, r2, r3), (mx, my, cx, cy, sx, sy, d1, d2, d3)
 
 
-def s3im(x, y, cfg: S3imConfig) -> Tensor:
-    """Similarity index in (-M, M] with M = 1, as one tape node.
-
-    ``y`` is a constant: the gradient flows into ``x`` only, in closed form
-    through the two means, the deviation of ``x`` and the covariance (Wang
-    et al., 2004).
-    """
-    xa = _value(x)
-    x_shape = xa.shape
-    xv, yv = xa.reshape(-1), _value(y).reshape(-1)
+def index_and_vjp(xv, yv, cfg: S3imConfig):
+    """The index of two flat vectors and its VJP into ``xv``, in closed form
+    through the two means, the deviation of ``xv`` and the covariance (Wang
+    et al., 2004); ``yv`` is a constant."""
     (r1, r2, r3), (mx, my, cx, cy, sx, sy, d1, d2, d3) = _terms(xv, yv, cfg)
     n = xv.size
-    out = (r1 * r2) * r3
 
     def vjp(g):
         g1 = g * (r2 * r3)
@@ -101,15 +94,23 @@ def s3im(x, y, cfg: S3imConfig) -> Tensor:
         g_mx = g1 * 2.0 * (my - r1 * mx) / d1
         g_sx = g2 * 2.0 * (sy - r2 * sx) / d2 - g3 * r3 * sy / d3
         g_dev = g_sx / sx * cx if sx > 0 else 0.0
-        gx = g_mx * (1.0 / n) + (g_dev + g3 / d3 * cy) / (n - 1)
-        return (gx.reshape(x_shape),)
+        return g_mx * (1.0 / n) + (g_dev + g3 / d3 * cy) / (n - 1)
 
-    return _record(out, (x,), vjp)
+    return (r1 * r2) * r3, vjp
+
+
+def s3im(x, y, cfg: S3imConfig) -> Tensor:
+    """Similarity index in (-M, M] with M = 1 as one tape node; ``y`` is a constant."""
+    xa = _value(x)
+    x_shape = xa.shape
+    out, vjp = index_and_vjp(xa.reshape(-1), _value(y).reshape(-1), cfg)
+    return _record(out, (x,), lambda g: (vjp(g).reshape(x_shape),))
 
 
 def s3im_regularizer(pred, target, cfg: S3imConfig) -> Tensor:
     """Loss form of the index: zero at elementwise-equal prediction.
 
-    ``target`` is a constant, so gradients flow to ``pred`` only.
+    ``target`` is a constant, so gradients flow to ``pred`` only. Training
+    runs the same term inside ``training.chunk_loss``, one node per chunk.
     """
     return sub(1.0, s3im(pred, target, cfg))

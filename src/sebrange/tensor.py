@@ -7,11 +7,12 @@ leaf goes on the tape. An operand is one of three kinds: a Tensor, whose node
 takes its gradient; a :class:`~sebrange.optim.Param` or a ``RowTable.rows()``
 read, whose ``accumulate`` adds it into the param's ``grad`` (a row read's
 into only its rows) as each consuming op's VJP runs; or a constant, a numpy
-array or Python float, with no node and no gradient. A seb-s3im training step
-records 33 nodes and a seb step 29. Calling :meth:`Tensor.backward` on a
-scalar output walks the tape in reverse topological order. The sweep
-consumes the tape: each interior node frees its gradient and the arrays its
-VJP saved once that VJP has run, so a graph is differentiated once.
+array or Python float, with no node and no gradient. A seb-s3im or seb
+training step records 18 nodes (33 and 29 before each GCN layer and each
+chunk's loss became one node). Calling :meth:`Tensor.backward` on a scalar
+output walks the tape in reverse topological order. The sweep consumes the
+tape: each interior node frees its gradient and the arrays its VJP saved
+once that VJP has run, so a graph is differentiated once.
 
 The tape keeps what backward reads, and never a value that only the caller
 holds: a node holds no array, and a VJP closure captures only the arrays it
@@ -198,15 +199,18 @@ def mul(a, b) -> Tensor:
                    lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
-def relu(a) -> Tensor:
-    """max(a, 0) that passes NaN through instead of zeroing it.
-
-    ``np.maximum`` may keep -0.0; adding +0.0 folds it to +0.0, so the bits
-    equal ``np.where(a <= 0.0, 0.0, a)`` for every input. The VJP keeps only
-    the mask ``out > 0``, which is ``a > 0``: an eighth of the output's bytes.
-    """
-    out = np.maximum(_value(a), 0.0)
+def _relu(a: np.ndarray, out=None) -> np.ndarray:
+    """max(a, 0) into ``out``, in place if ``out`` is ``a``, passing NaN; adding +0.0
+    folds the -0.0 ``np.maximum`` may keep: the bits of ``np.where(a <= 0.0, 0.0, a)``."""
+    out = np.maximum(a, 0.0, out=out)
     out += 0.0
+    return out
+
+
+def relu(a) -> Tensor:
+    """``_relu`` as a tape node. The VJP keeps only the mask ``out > 0``,
+    which is ``a > 0``: an eighth of the output's bytes."""
+    out = _relu(_value(a))
     mask = out > 0.0
     return _record(out, (a,), lambda g: (g * mask,))
 
@@ -284,9 +288,7 @@ def feed_forward(a, w1, b1, w2, b2) -> Tensor:
 
     def hidden():
         h = _affine(aa, w1a, b1a)
-        np.maximum(h, 0.0, out=h)
-        h += 0.0  # relu's -0.0 fold
-        return h
+        return _relu(h, out=h)
 
     def vjp(g):
         h = hidden()
@@ -573,19 +575,3 @@ def gather_rows(a, indices) -> Tensor:
         return (scatter_add_rows(g, take, idx, n_rows),)
 
     return _record(x[idx], (a,), vjp)
-
-
-def neighbor_mean(h, src, dst, n_out, inv_deg) -> Tensor:
-    """Mean of source rows accumulated at each destination row.
-
-    ``out[v] = inv_deg[v] * sum over edges e with dst[e] == v of h[src[e]]``.
-    ``inv_deg[v]`` must be 1/degree(v), with 0 for empty neighborhoods so
-    isolated destinations receive the zero vector.
-    """
-    x = _value(h)
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
-    scale = inv_deg[:, None]
-    out = scatter_add_rows(x, src, dst, n_out) * scale
-    n_in = x.shape[0]
-    return _record(out, (h,), lambda g: (scatter_add_rows(g * scale, dst, src, n_in),))

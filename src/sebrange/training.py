@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .optim import AdamState, optimizer_step
 from .rng import Rng, derive_seed
-from .s3im import S3imConfig, s3im_regularizer
-from .tensor import add, mean, mul, sub
+from .s3im import S3imConfig, index_and_vjp
+from .tensor import Tensor, _record, _value, add
 
 _SPLIT_KEY = 101
 _SHUFFLE_KEY = 102
@@ -59,25 +59,42 @@ class TrainConfig:
         return replace(self.s3im, dynamic_range=dynamic_range)
 
 
-def objective(pairs, cfg: TrainConfig, s3im_cfg: S3imConfig = None):
-    """Sum over ``(predictions, labels)`` pairs, one per timestep batch and
-    in the order given, of mean squared error plus the weighted similarity
-    regularizer (skipped for single-element batches). Labels are float64
-    arrays in km.
+def chunk_loss(pred, y, weight: float, s3im_cfg: S3imConfig = None) -> Tensor:
+    """One batch's mean squared error plus, given ``s3im_cfg``, ``weight * (1 -
+    s3im(pred, y))``, as one tape node with the float operations of ``sub``,
+    ``mul``, ``mean`` and ``add(mse, mul(s3im_regularizer(pred, y), weight))``.
+    pred's gradient sums the two terms', alike in either order; y is a constant."""
+    x, ya = _value(pred), _value(y)
+    diff = x - ya.reshape(x.shape)
+    scale = 1.0 / diff.size
+    out = (diff * diff).sum() * scale
+    if s3im_cfg is not None:
+        index, s3im_vjp = index_and_vjp(x.reshape(-1), ya.reshape(-1), s3im_cfg)
+        out = out + (1.0 - index) * weight
 
-    Returns a scalar Tensor; differentiable when predictions are Tensors.
-    """
+    def vjp(g):
+        gx = (g * scale) * diff
+        gx += gx  # diff's two uses in diff * diff
+        if s3im_cfg is not None:
+            gx += s3im_vjp(-(g * weight)).reshape(gx.shape)
+        return (gx,)
+
+    return _record(out, (pred,), vjp)
+
+
+def objective(pairs, cfg: TrainConfig, s3im_cfg: S3imConfig = None):
+    """Sum over ``(predictions, labels)`` pairs, one per timestep batch and in
+    the order given, of ``chunk_loss``, its S3IM term skipped for single-element
+    batches. Labels are float64 arrays in km. Returns a scalar Tensor,
+    differentiable when predictions are Tensors."""
     if cfg.s3im_enabled and s3im_cfg is None:
         s3im_cfg = cfg.make_s3im(np.concatenate([y for _, y in pairs]))
     total = None
     for i, (pred, y) in enumerate(pairs):
         if pred.size != y.size:
             raise ShapeError(f"batch {i}: {pred.size} predictions vs {y.size} labels")
-        diff = sub(pred, y)
-        term = mean(mul(diff, diff))
-        if cfg.s3im_enabled and y.size >= 2:
-            reg = s3im_regularizer(pred, y, s3im_cfg)
-            term = add(term, mul(reg, cfg.s3im_weight))
+        term = chunk_loss(pred, y, cfg.s3im_weight,
+                          s3im_cfg if cfg.s3im_enabled and y.size >= 2 else None)
         total = term if total is None else add(total, term)
     if total is None:
         raise ConfigError("objective needs at least one timestep batch")

@@ -14,9 +14,13 @@ from sebrange.attention import TransformerBlock, attend, encode_sequence, qkv_we
 from sebrange.benchmark import build_model
 from sebrange.datagen import GeneratorConfig, generate
 from sebrange.errors import ContractError, ShapeError
+from sebrange.gnn import NodeFeatureTable, build_layers, gcn_layer, gnn_encode
+from sebrange.gradcheck import dense_grad
+from sebrange.graph import Hop
 from sebrange.model import ModelConfig
 from sebrange.optim import Param
 from sebrange.rng import Rng
+from sebrange.s3im import s3im_regularizer
 from sebrange.tensor import (
     Tensor,
     _record,
@@ -25,12 +29,14 @@ from sebrange.tensor import (
     ATTENTION_TILE,
     attention_core,
     feed_forward,
+    gather_rows,
     layer_norm,
     linear,
     matmul,
     mean,
     mul,
     relu,
+    scatter_add_rows,
     self_attention,
     softmax_rows,
     sub,
@@ -100,6 +106,47 @@ def unfused_self_attention(x, wq, wk, wv):
 def unfused_feed_forward(a, w1, b1, w2, b2):
     """``feed_forward`` as three nodes."""
     return linear(relu(linear(a, w1, b1)), w2, b2)
+
+
+def neighbor_mean(h, src, dst, n_out, inv_deg):
+    """``out[v] = inv_deg[v] * sum over edges e with dst[e] == v of h[src[e]]``
+    as one node; ``inv_deg`` is 0 where v has no edge."""
+    x = _value(h)
+    scale = inv_deg[:, None]
+    out = scatter_add_rows(x, src, dst, n_out) * scale
+    n_in = x.shape[0]
+    return _record(out, (h,), lambda g: (scatter_add_rows(g * scale, dst, src, n_in),))
+
+
+def unfused_gcn_layer(h, w, b, hop, activation="relu"):
+    """``gcn_layer`` as five nodes, six with relu: a gather, the neighbour
+    mean, two ``matmul`` and ``add``."""
+    h_self = gather_rows(h, hop.self_rows)
+    m = neighbor_mean(h, hop.src, hop.dst, h_self.shape[0], hop.inv_degree)
+    out = add(matmul(m, w), matmul(h_self, b))
+    return relu(out) if activation == "relu" else out
+
+
+def unfused_gnn_encode(layers, g, read_rows, t, rows, window=0):
+    """``gnn_encode`` with each layer an ``unfused_gcn_layer``."""
+    inputs, hops = g.window_edges(t, window).receptive_field(rows, len(layers))
+    h = read_rows(inputs)
+    for layer, hop in zip(layers, hops):
+        h = unfused_gcn_layer(h, layer.w, layer.b, hop, layer.activation)
+    return h
+
+
+def composed_objective(pairs, cfg, s3im_cfg):
+    """``objective`` with each term as ``sub``, ``mul``, ``mean`` and
+    ``add(mse, mul(s3im_regularizer, weight))``: three nodes, seven with S3IM."""
+    total = None
+    for pred, y in pairs:
+        diff = sub(pred, y)
+        term = mean(mul(diff, diff))
+        if cfg.s3im_enabled and y.size >= 2:
+            term = add(term, mul(s3im_regularizer(pred, y, s3im_cfg), cfg.s3im_weight))
+        total = term if total is None else add(total, term)
+    return total
 
 
 def composed_encode(block, x0):
@@ -372,6 +419,95 @@ class TestFeedForward:
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
 
+def make_hop(self_rows, src, dst):
+    """A Hop whose destinations are input rows ``self_rows``."""
+    degree = np.bincount(dst, minlength=len(self_rows)).astype(np.float64)
+    inv_degree = np.zeros(degree.shape)
+    np.divide(1.0, degree, out=inv_degree, where=degree > 0)
+    return Hop(np.asarray(self_rows), np.asarray(src), np.asarray(dst), inv_degree)
+
+
+# 9 input rows into 6 destinations. In "mixed", degrees 3 and 5 make
+# inv_degree round, destination 2 has no edge (inv_degree 0) and source 4
+# feeds destinations 0, 1, 3 and 4.
+GCN_HOPS = {
+    "mixed": make_hop([0, 2, 3, 5, 6, 8], [1, 4, 7, 4, 0, 4, 8, 2, 4, 6, 1, 7, 5, 3],
+                      [0, 0, 0, 1, 1, 3, 3, 3, 4, 4, 4, 4, 4, 5]),
+    "no-edge": make_hop([0, 2, 3, 5, 6, 8], [1, 7, 8], [0, 1, 5]),
+    "one-source": make_hop([0, 2, 3, 5, 6, 8], [4] * 6, [0, 1, 2, 3, 4, 5]),
+}
+
+
+@pytest.fixture(scope="module")
+def seed42():
+    """The seed-42 orders and graph, and the largest training chunk."""
+    orders, graph = generate(GeneratorConfig())
+    train_split = split_orders(orders, TrainConfig())[0]
+    return graph, max(make_chunks(train_split, TrainConfig().batch_size), key=len)
+
+
+class TestGcnLayer:
+    @pytest.mark.parametrize("hop", GCN_HOPS, ids=list(GCN_HOPS))
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_equals_gather_mean_matmuls_add_relu(self, hop, activation):
+        r = Rng(23)
+        weights = [r.normal(size=(8, 8)) for _ in "wb"]
+        assert_bits_equal(lambda h, w, b: gcn_layer(h, w, b, GCN_HOPS[hop], activation),
+                          lambda h, w, b: unfused_gcn_layer(h, w, b, GCN_HOPS[hop], activation),
+                          r.normal(size=(9, 8)), weights)
+
+    @pytest.mark.parametrize("window", [0, 4])
+    def test_largest_seed42_chunk_through_gnn_encode(self, seed42, window):
+        # The model's two layers of width 8 on the battery and user rows of
+        # the largest seed-42 training chunk, the table's rows among the grads.
+        graph, chunk = seed42
+        rows = np.unique([graph.node_row(n) for o in chunk for n in (o.battery, o.user)])
+        results = []
+        for encode in (gnn_encode, unfused_gnn_encode):
+            rng = Rng(24)
+            table = NodeFeatureTable(rng, graph.n_users, graph.n_batteries, 8)
+            layers = build_layers(rng, [8, 8, 8])
+            out = encode(layers, graph, table.rows, chunk[0].t, rows, window)
+            sum_(mul(out, Rng(25).normal(size=out.shape))).backward()
+            params = table.params() + [p for layer in layers for p in layer.params()]
+            results.append([out.array] + [dense_grad(p) for p in params])
+        for i, (got, want) in enumerate(zip(*results)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+
+
+class TestChunkLoss:
+    @staticmethod
+    def run(loss_fn, preds, labels):
+        """The loss's bytes and each Tensor prediction's gradient bytes."""
+        pairs = [(Tensor(p) if tensor else p, y) for (p, tensor), y in zip(preds, labels)]
+        loss = loss_fn(pairs)
+        if any(type(p) is Tensor for p, _ in pairs):
+            loss.backward()
+        return [loss.array.tobytes()] + [p.grad.tobytes() for p, _ in pairs
+                                         if type(p) is Tensor]
+
+    def assert_equal(self, cfg, sizes, tensor=True):
+        r = Rng(26)
+        preds = [(r.normal(30.0, 5.0, size=(n,)), tensor) for n in sizes]
+        labels = [r.normal(30.0, 5.0, size=(n,)) for n in sizes]
+        s3im_cfg = cfg.make_s3im(np.concatenate(labels))
+        got = self.run(lambda pairs: objective(pairs, cfg, s3im_cfg), preds, labels)
+        want = self.run(lambda pairs: composed_objective(pairs, cfg, s3im_cfg), preds, labels)
+        assert got == want
+
+    @pytest.mark.parametrize("s3im_enabled", [True, False])
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_equals_mse_plus_weighted_regularizer(self, s3im_enabled, weight):
+        self.assert_equal(TrainConfig(s3im_enabled=s3im_enabled, s3im_weight=weight), [41])
+
+    def test_one_order_chunk_skips_s3im(self):
+        self.assert_equal(TrainConfig(s3im_enabled=True, s3im_weight=0.5), [1])
+
+    def test_constant_predictions_over_buckets(self):
+        # Validation scores predict's arrays, one pair per timestep bucket.
+        self.assert_equal(TrainConfig(s3im_enabled=True, s3im_weight=0.5), [7, 1, 12],
+                          tensor=False)
+
 class TestBlock:
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_composed(self, batch):
@@ -431,12 +567,16 @@ def test_seb_s3im_step_tape_nodes():
     # sublayer (three projections, attention, the residual add) and the FFN
     # (linear, relu, linear) became one node each; 36 before the fusion head
     # became one ``feed_forward`` node and the graph slice one gather and a
-    # reshape (two gathers and a concat before).
-    assert step_tape_nodes("seb-s3im") == 33
+    # reshape (two gathers and a concat before); 33 before each GCN layer
+    # (a gather, the neighbour mean, two matmuls, add and relu, or five
+    # nodes without relu) and the chunk's loss (sub, mul and mean, then
+    # s3im, the 1 - s3im, the weight's mul and the add) became one node each.
+    assert step_tape_nodes("seb-s3im") == 18
 
 
 def test_seb_step_tape_nodes():
     # The seb-s3im step without the S3IM term, the 1 - s3im, its weight and
     # the add; 38 before the two fused sublayers, 32 before the one-node
-    # fusion head and graph slice gather.
-    assert step_tape_nodes("seb") == 29
+    # fusion head and graph slice gather, 29 before the one-node GCN layers
+    # and chunk loss, which make the two steps' tapes the same size.
+    assert step_tape_nodes("seb") == 18

@@ -192,6 +192,17 @@ def test_row_table_read_whole_makes_every_row_live_once():
     assert s_v.tobytes() == d_state.v[0].tobytes()
 
 
+def test_deposit_into_live_rows_keeps_the_table_arrays():
+    table = RowTable(Rng(7).normal(size=(6, 2)))
+    table.accumulate(np.ones((2, 2)), np.array([4, 1]))
+    live, grad, live_init = table.live, table.grad, table.live_init
+    # Rows 1 and 4 are live already, row -2 as row 4: nothing to add.
+    table.accumulate(np.full((3, 2), 2.0), np.array([1, -2, 1]))
+    assert table.live is live and table.grad is grad and table.live_init is live_init
+    assert table.live.tolist() == [1, 4]
+    assert table.grad.tolist() == [[5.0, 5.0], [3.0, 3.0]]
+
+
 def test_plain_param_has_no_row_leaf():
     p = Param(np.ones((4, 2)))
     assert not hasattr(p, "rows")

@@ -20,7 +20,6 @@ from sebrange.tensor import (
     matmul,
     mean,
     mul,
-    neighbor_mean,
     relu,
     reshape,
     scatter_add_rows,
@@ -28,6 +27,9 @@ from sebrange.tensor import (
     sub,
     sum_,
 )
+from sebrange.gnn import gcn_layer
+from sebrange.graph import Hop
+from sebrange.training import chunk_loss
 from test_fused import transpose_last
 
 
@@ -213,12 +215,11 @@ def test_gather_rows_scatter_grad():
     assert np.array_equal(x.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
-def test_neighbor_mean_isolated_rows_zero():
+def test_gcn_layer_isolated_rows_mean_zero():
+    # W = I and B = 0 leave the neighbour mean alone.
     h = Tensor(np.ones((3, 2)))
-    src = np.array([0, 1])
-    dst = np.array([2, 2])
-    inv = np.array([0.0, 0.0, 0.5])
-    out = neighbor_mean(h, src, dst, 3, inv)
+    hop = Hop(np.arange(3), np.array([0, 1]), np.array([2, 2]), np.array([0.0, 0.0, 0.5]))
+    out = gcn_layer(h, np.eye(2), np.zeros((2, 2)), hop, "identity")
     assert np.array_equal(out.array, [[0, 0], [0, 0], [1, 1]])
 
 
@@ -282,9 +283,11 @@ CONSTANT_CASES = [
     ("attention", attention_core, [_q, _k, _v]),
     ("layer-norm", layer_norm, [_x3, _row, _r.normal(size=(4,))]),
     ("gather", lambda t: gather_rows(t, np.array([2, 0, 2])), [_a]),
-    ("neighbor-mean", lambda t: neighbor_mean(
-        t, np.array([0, 1, 2]), np.array([1, 1, 0]), 2, np.array([1.0, 0.5])), [_a]),
+    ("gcn-layer", lambda h, w, b: gcn_layer(h, w, b, Hop(
+        np.array([2, 0]), np.array([0, 1, 2]), np.array([1, 1, 0]), np.array([1.0, 0.5]))),
+     [_a, _b.T, _b.T]),
     ("s3im", lambda t: s3im(t, _b, S3imConfig()), [_a]),
+    ("chunk-loss", lambda t: chunk_loss(t, _b, 0.5, S3imConfig()), [_a]),
 ]
 
 
