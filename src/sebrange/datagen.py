@@ -370,10 +370,12 @@ def summarize(orders) -> SummaryStats:
 # ---------------------------------------------------------------------------
 
 # orders.seb is read this many orders at a time: one np.loadtxt call per block.
-_BLOCK_ORDERS = 64
+# A block is all a read holds beyond its result: 0.42 MiB at 2,000 orders.
+_BLOCK_ORDERS = 16
 _ORDER_LINES = 1 + SEQ_LEN
 # A block's telemetry goes to np.loadtxt only if it holds nothing but these
-# bytes. On plain decimals loadtxt and float() agree bit for bit (both call
+# bytes, screened an order at a time so the block is never copied. On plain
+# decimals loadtxt and float() agree bit for bit (both call
 # PyOS_string_to_double); on other text they may not (loadtxt rejects
 # ``1_0`` and accepts a trailing ``\x1c``, float() the reverse).
 _DECIMAL_BYTES = b"0123456789.eE+-,"
@@ -398,7 +400,7 @@ def read_orders(path):
     goes through one ``np.loadtxt``; any other block is parsed line by line,
     which accepts what ``float()`` accepts and raises the ParseError of the
     block's earliest bad line. Either way the orders equal a line-by-line
-    parse of the whole file.
+    parse of the whole file, and the reader holds one block at a time.
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         first = fh.readline()
@@ -427,10 +429,10 @@ def _read_block(path, lines, line_no, seen):
     n = len(lines) // _ORDER_LINES
     rows = lines.copy()
     del rows[::_ORDER_LINES]
-    text = ",".join(rows)
     # loadtxt skips blank lines, and warns when nothing else is left.
-    if (n * _ORDER_LINES == len(lines) and "" not in rows and text.isascii()
-            and not text.encode().translate(None, _DECIMAL_BYTES)):
+    texts = (",".join(rows[i:i + SEQ_LEN]) for i in range(0, len(rows), SEQ_LEN))
+    if n * _ORDER_LINES == len(lines) and "" not in rows and all(
+            t.isascii() and not t.encode().translate(None, _DECIMAL_BYTES) for t in texts):
         try:
             values = np.loadtxt(rows, delimiter=",", comments=None)
         except ValueError:

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .graph import unique_ints
 
 
 class Param:
@@ -86,7 +87,7 @@ class RowTable(Param):
     def accumulate(self, g: np.ndarray, rows=None):
         rows = np.arange(self.shape[0]) if rows is None else rows
         if g.shape == rows.shape + self.shape[1:]:  # else Param.accumulate raises
-            new = np.unique(rows[self.slot[rows] < 0] % self.shape[0])
+            new = unique_ints(rows[self.slot[rows] < 0] % self.shape[0])
             if new.size:  # a deposit into live rows only rebuilds nothing
                 self.slot[new] = np.arange(self.live.size, self.live.size + new.size)
                 self.live = np.concatenate([self.live, new])

@@ -12,8 +12,10 @@ from sebrange.graph import (
     NodeRef,
     TemporalGraph,
     battery,
+    find_sorted,
     load_graph,
     save_graph,
+    unique_ints,
     user,
 )
 from sebrange.rng import Rng
@@ -220,6 +222,60 @@ def test_has_edges_matches_records():
     g.add_edges([2, 3], [1, 2], [0, 1], [0, 0])
     got = g.has_edges([2, 3, 2, 3], [1, 2, 2, 1], [0, 1, 0, 1])
     assert got.tolist() == [True, True, False, False]
+
+
+def int_samples(seed):
+    """Random int64 arrays: empty, one value, all one value repeated, and
+    draws from narrow to full int64 ranges, so most hold repeats."""
+    r = np.random.default_rng(seed)
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    yield np.empty(0, dtype=np.int64)
+    yield r.integers(low, high, size=1, endpoint=True)
+    yield np.full(int(r.integers(2, 50)), r.integers(-5, 5), dtype=np.int64)
+    for span in (3, 1000, high):
+        n = int(r.integers(0, 300))
+        yield r.integers(-span - 1, span, size=n, endpoint=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_set_helpers_match_numpy(seed):
+    samples = list(int_samples(seed))
+    for a in samples:
+        got = unique_ints(a)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(a))
+        for b in samples:
+            assert np.array_equal(unique_ints(np.concatenate([a, b])), np.union1d(a, b))
+            # A sorted table with repeats finds the same members.
+            for table in (np.unique(b), np.sort(b)):
+                hit, pos = find_sorted(table, a)
+                assert np.array_equal(hit, np.isin(a, b))
+                assert np.array_equal(table[pos[hit]], a[hit])
+
+
+def test_has_edges_on_a_graph_with_no_edges():
+    g = small_graph()
+    assert g.has_edges([0, 3], [2, 0], [1, 0]).tolist() == [False, False]
+    assert g.has_edges([], [], []).tolist() == []
+    # The first add_edges checks its batch against no stored edges.
+    g.add_edges([3, 0, 3], [2, 1, 0], [1, 0, 1], [0, 0, 0])
+    assert g.has_edges([0, 3, 3], [1, 2, 1], [0, 1, 1]).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("stored, record, named", [
+    ([], 2, "edge (user 2, battery 0) already present at t=0"),
+    ([(2, 1, 1, 9)], 1, "edge (user 1, battery 1) already present at t=2"),
+])
+def test_duplicate_edge_error_names_the_first_repeat(stored, record, named):
+    # Record 2 repeats record 0 of the batch; with a stored (2, 1, 1) edge,
+    # record 1 repeats it and comes first.
+    g = small_graph()
+    for edge in stored:
+        g.add_edges(*([v] for v in edge))
+    batch = ([0, 2, 0, 3], [2, 1, 2, 0], [0, 1, 0, 1], [5, 5, 6, 5])
+    with pytest.raises(DuplicateEdgeError) as info:
+        g.add_edges(*batch)
+    assert info.value.record == record and str(info.value) == named
+    assert g.columns().t.size == len(stored)
 
 
 def test_empty_graph_allocates_under_1mb(traced):

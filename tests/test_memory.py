@@ -1,11 +1,15 @@
 """Peak memory of order generation and of a training step's backward sweep,
-and what a sweep leaves behind on the tape."""
+what a sweep leaves behind on the tape, and that no run loads numpy.ma."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sebrange
 from sebrange.benchmark import build_model
 from sebrange.datagen import N_FEATURES, SEQ_LEN, GeneratorConfig, generate
 from sebrange.errors import ContractError
@@ -30,6 +34,51 @@ def test_generate_peak_stays_near_its_telemetry(traced):
     (orders, _), _, peak = traced(generate, GeneratorConfig(n_orders=2000))
     telemetry_bytes = len(orders) * SEQ_LEN * N_FEATURES * 8
     assert peak <= 2.5 * telemetry_bytes, f"generate peaked at {peak} bytes"
+
+
+# gen, write and read a small dataset, train each model one epoch, round-trip
+# its checkpoint and score it; print the first stage after which numpy.ma is
+# loaded, if any.
+NO_NUMPY_MA_PIPELINE = """
+import os, sys
+from sebrange import benchmark, checkpoint, datagen, training
+from sebrange.model import ModelConfig
+
+def stage(name):
+    if "numpy.ma" in sys.modules:
+        print(name)
+        sys.exit(0)
+
+stage("import")
+out = sys.argv[1]
+orders, g = datagen.generate(datagen.GeneratorConfig(
+    n_orders=120, n_users=60, n_batteries=30, horizon=8, seed=5))
+stage("generate")
+datagen.write_dataset(orders, g, out)
+stage("write_dataset")
+orders, g = datagen.read_dataset(out)
+stage("read_dataset")
+for kind in benchmark.BENCH_MODELS:
+    model = benchmark.build_model(kind, ModelConfig(), g.n_users, g.n_batteries, 5)
+    benchmark.train_model(kind, model, orders, g, training.TrainConfig(epochs=1))
+    stage(f"train {kind}")
+    path = os.path.join(out, kind + ".npz")
+    checkpoint.save_checkpoint(path, model, "hash", trained_as=kind)
+    model, _ = checkpoint.load_checkpoint(path)
+    stage(f"checkpoint {kind}")
+    training.evaluate_mae(model, orders, g)
+    stage(f"evaluate_mae {kind}")
+"""
+
+
+def test_pipeline_never_imports_numpy_ma(tmp_path):
+    # np.unique with no optional output imports numpy.ma, and so do
+    # np.isin and np.union1d: about 1.7 MB of every process's peak RSS.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sebrange.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA_PIPELINE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", f"numpy.ma was imported by: {proc.stdout.strip()}"
 
 
 def test_node_table_build_peaks_near_its_value(traced):

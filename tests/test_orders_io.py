@@ -291,6 +291,19 @@ def test_write_and_read_peaks_stay_far_below_the_file(tmp_path, traced):
     assert transient < 0.25 * size, f"read_orders held {transient} bytes beyond its result"
 
 
+def test_read_holds_one_small_block_beyond_its_result(tmp_path, traced):
+    # Reading 64 orders at a time, with the block's telemetry joined and
+    # encoded for the decimal screen, held 1.86 MiB beyond the result at
+    # 2,000 orders; 16 at a time, screened order by order, 0.42 MiB.
+    orders, _ = generate(GeneratorConfig(n_orders=2000))
+    path = tmp_path / "orders.seb"
+    write_orders(orders, path)
+    del orders
+    read, kept, peak = traced(read_orders, path)
+    assert len(read) == 2000
+    assert peak - kept <= 0.75 * 2**20, f"read_orders held {peak - kept} bytes beyond its result"
+
+
 @pytest.mark.parametrize("block_orders", [2, 64])
 def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, monkeypatch, seven_orders,
                                                     block_orders):
